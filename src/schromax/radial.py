@@ -11,6 +11,7 @@ plus a remainder controlled by the Schur constant of |K_nu|.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -151,11 +152,20 @@ class SymmetrizedLine:
             raise ValueError("line data does not satisfy the phase symmetry")
 
 
+def _kernel_copy(op, f1: RadialProfile):
+    """A shallow copy of op bound to the profile f1, whose nodes must be op's."""
+    if not np.array_equal(f1.nodes, op.f1.nodes):
+        raise ValueError("profile nodes differ from the kernel's nodes")
+    new = copy.copy(op)
+    new.f1 = f1
+    return new
+
+
 class HankelEvolution:
     """Evolution of a fixed profile under H_t, evaluated on fixed output nodes.
 
     Precomputes the kernel matrix so batches of times cost one matrix-vector
-    product each.
+    product each; ``for_profile`` reuses it for other profiles on the same nodes.
     """
 
     def __init__(self, f1: RadialProfile, nu: BesselOrder, out_nodes: np.ndarray):
@@ -165,6 +175,12 @@ class HankelEvolution:
         rs = np.outer(self.out_nodes, f1.nodes)
         self._kernel = jv(nu.nu, rs) * np.sqrt(rs)
         self._weighted = self._kernel * (f1.values * f1.weights)[None, :]
+
+    def for_profile(self, f1: RadialProfile) -> "HankelEvolution":
+        """The evolution of f1 (same nodes as this profile), sharing the kernel matrix."""
+        evo = _kernel_copy(self, f1)
+        evo._weighted = self._kernel * (f1.values * f1.weights)[None, :]
+        return evo
 
     def phases(self, t_values, a: float) -> np.ndarray:
         s_pow = self.f1.nodes ** a
@@ -262,6 +278,7 @@ class RemainderOperator:
     main(r) = sum_s (gamma_nu e^{irs} + conj e^{-irs}) e^{its^a} f1(s) w_s,
     which equals alpha_1 S_t^{(1)} f on r > 0 for the symmetrized line f;
     rem uses the K_nu kernel, and sup_t |rem| <= integral |K_nu(rs)||f1(s)| ds.
+    The kernels depend on nu and the nodes only; ``for_profile`` reuses them.
     """
 
     def __init__(self, f1: RadialProfile, nu: BesselOrder, out_nodes: np.ndarray):
@@ -275,6 +292,10 @@ class RemainderOperator:
             self._k_kernel = np.zeros_like(rs, dtype=np.complex128)
         else:
             self._k_kernel = remainder_kernel(nu, rs)
+
+    def for_profile(self, f1: RadialProfile) -> "RemainderOperator":
+        """The operator for f1 (same nodes as this profile), sharing the kernels."""
+        return _kernel_copy(self, f1)
 
     def main(self, t: float, a: float) -> np.ndarray:
         wv = self.f1.values * self.f1.weights
@@ -482,8 +503,17 @@ def default_time_set(count: int = 60) -> np.ndarray:
     return np.linspace(0.0, 1.0, count)
 
 
+def thm6_evolution(seed: int = 0, n: int = 2, k: int = 0) -> HankelEvolution:
+    """The Hankel evolution of thm6_sides' left side for the seed's profile."""
+    func, support = random_profile_func(seed)
+    f1 = uniform_profile(func, support, 768)
+    return HankelEvolution(f1, HarmonicContext(n=n, k=k).order,
+                           np.linspace(0.02, 40.0, 2000))
+
+
 def thm6_sides(seed: int, n: int = 2, k: int = 0,
-               line_grid: GridSpec | None = None) -> tuple[float, float]:
+               line_grid: GridSpec | None = None,
+               evolution: HankelEvolution | None = None) -> tuple[float, float]:
     """Both sides of the dimension-reduction inequality
 
     alpha_n ||S_E^{*(n)} f_P|| <= alpha_1 sqrt(2) ||S_E^{*(1)} check(f1)|| + A_nu ||f1||.
@@ -491,16 +521,23 @@ def thm6_sides(seed: int, n: int = 2, k: int = 0,
     The left side is the radial maximal norm via the Hankel reduction; the
     right side evolves the line function with spectrum f1 (supported on the
     positive axis) on a periodic grid.  Truncations only lower the left side,
-    so the check is one-sided safe.
+    so the check is one-sided safe.  ``evolution``, from ``thm6_evolution``
+    for any seed and the same (n, k), lends its kernel matrix to this seed.
     """
     from schromax.special import schur_constant_for_order
 
     func, support = random_profile_func(seed)
-    f1 = uniform_profile(func, support, 768)
     ctx = HarmonicContext(n=n, k=k)
+    if evolution is None:
+        evo = thm6_evolution(seed, n, k)
+    elif evolution.nu != ctx.order:
+        raise ValueError("evolution order differs from the (n, k) order")
+    else:
+        evo = evolution.for_profile(uniform_profile(func, support, 768))
+    f1 = evo.f1
     times = default_time_set()
-    out_nodes = np.linspace(0.02, 40.0, 2000)
-    lhs = radial_sup_norm(f1, ctx.order, times, 2.0, out_nodes=out_nodes)
+    sup = evo.sup_field(times, 2.0)
+    lhs = float(np.sqrt(np.sum(trapezoid_weights(evo.out_nodes) * sup ** 2)))
 
     if line_grid is None:
         line_grid = GridSpec(1024, 32.0)

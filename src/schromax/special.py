@@ -8,10 +8,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import warnings
-
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import gamma as gamma_fn
 from scipy.special import jv
 
@@ -192,60 +189,108 @@ def kernel_sup_constant(nu: BesselOrder, r_min: float = 1e-3, r_max: float = 1e4
     return float(np.max((1.0 + r) * np.abs(remainder_kernel(nu, r))))
 
 
-def schur_constant(kernel, upper: float = math.inf,
-                   tail_constant: float | None = None) -> float:
-    """A = integral_0^inf K(r) r^{-1/2} dr via the substitution r = u^2.
+# Gauss-Legendre nodes per panel of the Schur quadrature.
+GAUSS_NODES = 8
+# Panels per vectorised kernel call: 4096 x 8 nodes keeps each array under 1 MiB.
+_PANEL_CHUNK = 4096
+# Beyond about max(this radius, 2 nu^2) the panel edges come from the Hankel
+# expansion, whose terms then shrink fast.
+_FAR_RADIUS = 20.0
 
-    ``kernel`` is a nonnegative vectorizable function on (0, inf).  For a
-    finite ``upper`` with ``tail_constant`` C, the tail beyond ``upper`` is
-    bounded by integral C/(1+r) r^{-1/2} dr <= 2 C / sqrt(upper) and added,
-    so the result is an upper estimate.  Divergence (growing partial
-    integrals) raises ValueError.
+
+def schur_integral(kernel, edges, tail_constant: float = 0.0,
+                   nodes: int = GAUSS_NODES) -> float:
+    """integral_0^U kernel(r) r^{-1/2} dr + 2 C / sqrt(U), with U = edges[-1].
+
+    The substitution r = u^2 turns the integral into integral 2 kernel(u^2) du,
+    and each panel [sqrt(edges[i]), sqrt(edges[i+1])] gets a ``nodes``-point
+    Gauss-Legendre rule; ``_PANEL_CHUNK`` panels are evaluated per call of the
+    vectorised ``kernel``.  The edges run from 0 to U, and ``kernel`` must be
+    smooth inside each panel (kinks on edges).  If kernel(r) <= C / (1 + r)
+    beyond U, the tail is at most integral_U^inf C r^{-3/2} dr = 2 C / sqrt(U);
+    adding it with ``tail_constant`` C makes the result an upper estimate.
     """
-    def integrand(u):
-        return 2.0 * float(np.abs(kernel(u * u)))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.asarray(edges, dtype=float)
+    total = 0.0
+    for lo in range(0, edges.size - 1, _PANEL_CHUNK):
+        u = np.sqrt(edges[lo:lo + _PANEL_CHUNK + 1])
+        half = 0.5 * (u[1:] - u[:-1])
+        u_nodes = 0.5 * (u[1:] + u[:-1])[:, None] + half[:, None] * x
+        total += float(half @ (2.0 * kernel(u_nodes * u_nodes) @ w))
+    return total + 2.0 * tail_constant / math.sqrt(edges[-1])
 
-    if math.isinf(upper):
-        # probe the tail: r^{1/2} K(r) must decay for integrability
-        probes = np.array([1e4, 1e6, 1e8])
-        vals = np.array([float(np.abs(kernel(p))) * math.sqrt(p) for p in probes])
-        if vals[-1] > 1e-8 and not np.all(np.diff(vals) < 0):
-            raise ValueError("kernel tail not integrable against r^{-1/2}")
-        val, _ = quad(integrand, 0.0, math.inf, limit=400,
-                      epsabs=1e-12, epsrel=1e-9)
-        return val
 
-    val, _ = quad(integrand, 0.0, math.sqrt(upper), limit=400,
-                  epsabs=1e-12, epsrel=1e-9)
-    if tail_constant is not None:
-        val += 2.0 * tail_constant / math.sqrt(upper)
-    return val
+def _near_zeros(nu: BesselOrder, r_max: float) -> np.ndarray:
+    """Zeros of K_nu on (0, r_max): sign changes on a grid of step 1/16,
+    each narrowed by bisection to float resolution."""
+    r = np.arange(1, int(16 * r_max) + 1) / 16.0
+    k = remainder_kernel(nu, r).real
+    left = np.nonzero(np.sign(k[:-1]) * np.sign(k[1:]) < 0)[0]
+    lo, hi, k_lo = r[left], r[left + 1], k[left]
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        k_mid = remainder_kernel(nu, mid).real
+        same = np.sign(k_mid) == np.sign(k_lo)
+        lo, k_lo = np.where(same, mid, lo), np.where(same, k_mid, k_lo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _far_zeros(nu: BesselOrder, k: np.ndarray) -> np.ndarray:
+    """The zero of K_nu next to each half-period k pi + nu pi/2 + pi/4.
+
+    The Hankel expansion gives K_nu(r) ~ 2 Re(e^{ir} S(r)) with
+    S(r) = sum_{m=1}^{5} a_m r^{-m}; the half-periods are the zeros of its
+    leading term, and the zeros of the sum are the fixed points of
+    r = half-period - arg(S(r) conj(a_1)), reached in two iterations.
+    """
+    a = AsymptoticExpansion(nu, terms=6).a_coefficients()
+    half_periods = (k + nu.nu / 2.0 + 0.25) * math.pi
+    r = half_periods
+    for _ in range(2):
+        s = np.polyval(a[:0:-1], 1.0 / r) / r
+        r = half_periods - np.angle(s * np.conj(a[1]))
+    return r
+
+
+def schur_panel_edges(nu: BesselOrder, upper: float = 1e6) -> np.ndarray:
+    """Panel edges on [0, upper] with every zero of K_nu, so every kink of
+    |K_nu|, on an edge.
+
+    Near region, up to the point r_split midway between the half-periods
+    just below and just past max(``_FAR_RADIUS``, 2 nu^2): a uniform grid of
+    step 1/2 plus the zeros of K_nu found by bisection.  Far region: one
+    panel per half-period, edged by the zeros of the Hankel expansion
+    (``_far_zeros``), then ``upper`` itself.  Arrays stay within a few MiB:
+    at upper = 1e6 the far region has about 3.2e5 edges, computed
+    ``_PANEL_CHUNK`` at a time.
+    """
+    phase = nu.nu / 2.0 + 0.25
+    k_first = math.ceil(max(_FAR_RADIUS, 2.0 * nu.nu ** 2) / math.pi - phase)
+    r_split = (k_first - 0.5 + phase) * math.pi
+    near = np.union1d(np.append(np.arange(0.0, r_split, 0.5), r_split),
+                      _near_zeros(nu, r_split))
+    k_end = math.floor(upper / math.pi - phase) + 1
+    far = [_far_zeros(nu, np.arange(k, min(k + _PANEL_CHUNK, k_end), dtype=float))
+           for k in range(k_first, k_end, _PANEL_CHUNK)]
+    if far:
+        far[-1] = far[-1][far[-1] < upper]
+    return np.concatenate([near[near < upper], *far, [upper]])
 
 
 @lru_cache(maxsize=None)
 def schur_constant_for_order(two_nu: int, upper: float = 1e6) -> float:
     """A_nu = integral |K_nu(r)| r^{-1/2} dr, the Schur bound of Prop-3 type.
 
-    The |K_nu| integrand oscillates, so the quadrature runs to ``upper`` and
-    the fitted C_nu bounds the tail; the value is an upper estimate.
+    ``schur_integral`` of |K_nu| on ``schur_panel_edges(nu, upper)`` with
+    ``GAUSS_NODES`` nodes a panel, plus the tail bound 2 C_nu / sqrt(upper)
+    with the fitted C_nu of ``kernel_sup_constant``; the value is an upper
+    estimate.
     """
     nu = BesselOrder(two_nu)
     if two_nu == -1:
         return 0.0
-    c_nu = kernel_sup_constant(nu)
-
-    def kern(r):
-        return np.abs(remainder_kernel(nu, r))
-
-    # piecewise to keep quad happy on the oscillatory |.| integrand; the
-    # absolute-value kinks make quad report spurious roundoff warnings
-    total = 0.0
-    edges = [0.0] + list(np.geomspace(1.0, math.sqrt(upper), 40))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            val, _ = quad(lambda u: 2.0 * float(kern(u * u)), lo, hi,
-                          limit=400, epsabs=1e-11, epsrel=1e-8)
-            total += val
-    total += 2.0 * c_nu / math.sqrt(upper)
-    return total
+    return schur_integral(lambda r: np.abs(remainder_kernel(nu, r)),
+                          schur_panel_edges(nu, upper),
+                          tail_constant=kernel_sup_constant(nu))

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from schromax import harness
@@ -36,6 +37,11 @@ class TestCsvFormat:
         cols, rows = harness.read_csv(path)
         assert cols == ["a", "b"]
         assert float(rows[1][0]) == 1 / 3
+
+    def test_numpy_scalars_plain_decimals(self, tmp_path):
+        path = tmp_path / "t.csv"
+        harness.write_csv(path, ("a", "b"), [(np.float64(0.11044985585722125), np.int64(3))])
+        assert path.read_text() == "a,b\n0.11044985585722125,3\n"
 
     def test_lf_endings(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -92,6 +98,20 @@ class TestRunExperiment:
         cfg = ExperimentConfig("seq-classify", {"gen": "log", "r": 2.0})
         harness.run_experiment(cfg, str(tmp_path / "c"))
         assert (tmp_path / "c" / "config.json").read_text() == cfg.to_json()
+
+
+class TestProp3Runner:
+    def test_margins_per_order(self):
+        tables, summary, verdict = harness.run_prop3_bound({"profiles": 3})
+        margins = summary["worst_margin_by_two_nu"]
+        assert set(margins) == {"-1", "0", "1", "2", "3"}
+        # nu = -1/2 has K = 0, so rem_norm = bound = 0; every other order has room
+        assert margins["-1"] == 0.0
+        assert all(margins[t] < 0.0 for t in ("0", "1", "2", "3"))
+        assert summary["worst_margin"] == max(margins.values())
+        rows = tables["remainder.csv"][1]
+        assert verdict == "pass"
+        assert all(rem_norm <= bound for _, _, rem_norm, bound in rows)
 
 
 class TestSeqClassifyRunner:

@@ -190,6 +190,29 @@ class TestRemainderSplit:
         sup = op.rem_sup(np.linspace(0.0, 1.0, 64), 2.0)
         assert np.all(sup <= op.rem_dominator() + 1e-12)
 
+    @pytest.mark.parametrize("two_nu", [0, 3])
+    def test_shared_kernel_matches_fresh_build(self, two_nu):
+        nu = BesselOrder(two_nu)
+        times = np.linspace(0.0, 1.0, 32)
+        f0, f1, f2 = (radial.random_profile(seed, count=128) for seed in (0, 1, 2))
+        rem = radial.RemainderOperator(f0, nu, f0.nodes)
+        evo = radial.HankelEvolution(f0, nu, np.linspace(0.1, 20.0, 64))
+        for f in (f1, f2):
+            fresh_rem = radial.RemainderOperator(f, nu, f.nodes)
+            assert np.array_equal(rem.for_profile(f).rem_sup(times, 2.0),
+                                  fresh_rem.rem_sup(times, 2.0))
+            fresh_evo = radial.HankelEvolution(f, nu, evo.out_nodes)
+            assert np.array_equal(evo.for_profile(f).sup_field(times, 2.0),
+                                  fresh_evo.sup_field(times, 2.0))
+        # the original keeps its own profile
+        assert rem.f1 is f0 and evo.f1 is f0
+
+    def test_shared_kernel_needs_same_nodes(self):
+        f1 = radial.random_profile(0, count=128)
+        op = radial.RemainderOperator(f1, BesselOrder(0), f1.nodes)
+        with pytest.raises(ValueError):
+            op.for_profile(radial.random_profile(0, count=64))
+
     def test_schur_apply_oracle(self):
         f = bump_profile(256)
         out = np.array([0.5, 1.0, 2.0])
@@ -225,6 +248,12 @@ class TestDimensionalLift:
     def test_thm6_inequality_sample(self):
         lhs, rhs = radial.thm6_sides(0)
         assert lhs <= rhs
+
+    def test_thm6_shared_evolution_matches_fresh(self):
+        shared = radial.thm6_sides(1, evolution=radial.thm6_evolution(0))
+        assert shared == radial.thm6_sides(1)
+        with pytest.raises(ValueError):
+            radial.thm6_sides(1, n=3, evolution=radial.thm6_evolution(0))
 
 
 class TestRandomProfiles:

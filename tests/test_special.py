@@ -1,6 +1,7 @@
 """Bessel evaluation, asymptotics, sphere transform, kernel split constants."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -138,18 +139,20 @@ class TestKernelSplit:
             special.remainder_kernel(BesselOrder(0), 0.0)
 
 
+# A_nu from the 40-panel adaptive quad rule the panel quadrature replaced.
+ADAPTIVE_QUAD_VALUES = {0: 0.563194673765964, 2: 1.2937863267107907,
+                        3: 2.6837715258241674}
+
+
 class TestSchurConstants:
     def test_exact_power_kernel(self):
         # K(r) = e^{-r}: A = integral e^{-r} r^{-1/2} dr = Gamma(1/2) = sqrt(pi)
-        val = special.schur_constant(lambda r: math.exp(-r))
-        assert val == pytest.approx(math.sqrt(math.pi), rel=1e-8)
-
-    def test_divergent_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            special.schur_constant(lambda r: 1.0)
+        val = special.schur_integral(lambda r: np.exp(-r), np.linspace(0.0, 50.0, 101))
+        assert val == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
     def test_finite_upper_with_tail(self):
-        val = special.schur_constant(lambda r: 1.0 / (1.0 + r), upper=1e6,
+        edges = np.concatenate([[0.0], np.geomspace(1e-4, 1e6, 400)])
+        val = special.schur_integral(lambda r: 1.0 / (1.0 + r), edges,
                                      tail_constant=1.0)
         # exact integral is pi; tail correction keeps it an upper estimate
         assert math.pi <= val < math.pi + 0.01
@@ -162,3 +165,43 @@ class TestSchurConstants:
         a3 = special.schur_constant_for_order(3)
         assert 0.4 < a0 < 0.8
         assert a0 < a2 < a3
+
+    @pytest.mark.parametrize("two_nu", [0, 2, 3])
+    def test_refined_rule_agrees(self, two_nu):
+        nu = BesselOrder(two_nu)
+
+        def k_abs(r):
+            return np.abs(special.remainder_kernel(nu, r))
+
+        edges = special.schur_panel_edges(nu)
+        base = special.schur_integral(k_abs, edges)
+        more_nodes = special.schur_integral(k_abs, edges, nodes=2 * special.GAUSS_NODES)
+        halved = special.schur_integral(
+            k_abs, np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])])))
+        assert abs(more_nodes - base) < 1e-9 * base
+        assert abs(halved - base) < 1e-9 * base
+
+    @pytest.mark.parametrize("two_nu", [0, 2, 3])
+    def test_agrees_with_adaptive_quad(self, two_nu):
+        assert special.schur_constant_for_order(two_nu) == pytest.approx(
+            ADAPTIVE_QUAD_VALUES[two_nu], rel=5e-5)
+
+    def test_edges_hold_the_kinks(self):
+        # every zero of K_nu in a panel's interior would be a kink of |K_nu|
+        nu = BesselOrder(0)
+        edges = special.schur_panel_edges(nu)
+        x = np.linspace(0.001, 0.999, 50)
+        for lo in (0, np.searchsorted(edges, 15.0), edges.size // 2, edges.size - 41):
+            a, b = edges[lo:lo + 40], edges[lo + 1:lo + 41]
+            k = special.remainder_kernel(nu, a[:, None] + (b - a)[:, None] * x).real
+            assert np.all(np.abs(np.diff(np.sign(k), axis=1)) == 0)
+
+    def test_bounded_temporaries(self):
+        tracemalloc.start()
+        try:
+            special.schur_constant_for_order.__wrapped__(3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the far region has ~3.2e5 edges (2.4 MiB); all nodes at once would be 40 MiB
+        assert peak < 8 * 2 ** 20

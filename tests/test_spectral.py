@@ -201,6 +201,12 @@ class TestBump:
         u = np.linspace(0, 0.49, 50)
         assert np.array_equal(spectral.bump_value(u), spectral.bump_value(-u))
 
+    def test_mass_literal_is_the_quadrature_value(self):
+        from scipy.integrate import quad
+        mass = quad(lambda u: math.exp(-1.0 / (1.0 - 4.0 * u * u)),
+                    -0.5, 0.5, epsabs=1e-14, epsrel=1e-13)[0]
+        assert spectral._BUMP_MASS == mass
+
 
 class TestCsvRoundtrip:
     def test_spectral_function_roundtrip(self, tmp_path):
