@@ -4,28 +4,24 @@ from schromax.spectral import (
     GridSpec,
     SpectralFunction1D,
     GridFunction1D,
-    DispersionParams,
     forward_transform,
     inverse_transform,
     propagate,
     sobolev_norm,
     littlewood_paley_split,
     make_bandlimited_random,
-    make_bump,
 )
 
 __all__ = [
     "GridSpec",
     "SpectralFunction1D",
     "GridFunction1D",
-    "DispersionParams",
     "forward_transform",
     "inverse_transform",
     "propagate",
     "sobolev_norm",
     "littlewood_paley_split",
     "make_bandlimited_random",
-    "make_bump",
 ]
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from schromax import harness, sequences, special
+from schromax import harness, special
 
 
 def _default_workers() -> int | None:
@@ -50,7 +50,7 @@ def _run_classify(args) -> int:
         params["alpha"] = args.alpha
     if args.ratio is not None:
         params["ratio"] = args.ratio
-    tables, summary, _ = harness.run_seq_classify(params)
+    tables, summary, _ = harness.run("seq-classify", params)
     if args.weak:
         columns, rows = tables["classify.csv"]
         print(",".join(columns))
@@ -76,8 +76,7 @@ def _run_bessel_table(args) -> int:
     print("r,J_nu,K_nu_re,K_nu_im")
     for ri in map(float, r):
         j = special.bessel_j(nu, ri)
-        k = (complex(0) if nu.two_nu == -1
-             else special.remainder_kernel(nu, ri))
+        k = complex(0) if nu.kernel_vanishes else special.remainder_kernel(nu, ri)
         print(f"{ri!r},{j!r},{k.real!r},{k.imag!r}")
     return 0
 
@@ -90,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="list experiment names and exit")
     sub = parser.add_subparsers(dest="command")
 
-    for name in harness.EXPERIMENT_NAMES:
+    for name in harness.EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None)
         p.add_argument("--out", required=True)
@@ -132,7 +131,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list:
-        for name in harness.EXPERIMENT_NAMES:
+        for name in harness.EXPERIMENTS:
             print(name)
         return 0
     if not getattr(args, "func", None):

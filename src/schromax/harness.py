@@ -1,9 +1,9 @@
-"""Experiment registry, deterministic orchestration and CSV/plot emission.
+"""Experiment table, deterministic orchestration and CSV/plot emission.
 
 Every experiment is a pure function of its parameter block; identical configs
 produce byte-identical CSV bodies.  Each output directory receives the data
-files, the verbatim config, and exactly one manifest with checksums and
-timings.
+files, the verbatim config, the gnuplot projection of experiments that have
+a plot spec, and exactly one manifest with checksums and timings.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -22,34 +24,66 @@ from schromax import blowup, maximal, radial, sequences, special, spectral
 
 ARTIFACT_VERSION = "0.1.0"
 
-EXPERIMENT_NAMES = (
-    "theorem1-scan",
-    "theorem2-scan",
-    "eq6-scan",
-    "lemma4-scan",
-    "prop2-check",
-    "prop3-bound",
-    "thm6-ineq",
-    "thm7-identity",
-    "counterexample-growth",
-    "seq-classify",
-    "convergence-probe",
-)
-
 SCAN_COLUMNS = ("lambda", "J_len", "ball_r", "a", "s", "seed",
                 "ratio", "predictor", "normalized_ratio")
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """One row of EXPERIMENTS.
+
+    ``runner(p, workers)`` returns (tables, summary, verdict) for the
+    resolved parameters p (see _resolve_params).  ``defaults`` is the only
+    parameter spec: a config may set its keys and no others.  ``plot``, if
+    set, holds the emit_plot_data spec that run_experiment writes to
+    plot.dat / plot.gp, plus ``csv``, the table it projects, and optionally
+    ``overlay_scale`` k, which draws the line (k slope, k intercept) of the
+    summary's fit.
+    """
+
+    runner: Callable
+    defaults: dict
+    plot: dict | None = None
+
+
+def _resolve_params(name: str, params: dict) -> dict:
+    """The experiment's defaults updated by params.
+
+    A value whose default is a float or an int is converted to that type.
+    Raises ValueError for an unknown experiment or a key not in its defaults.
+    """
+    row = EXPERIMENTS.get(name)
+    if row is None:
+        raise ValueError(f"unknown experiment {name!r}")
+    unknown = sorted(set(params) - set(row.defaults))
+    if unknown:
+        raise ValueError(f"{name} has no parameter {', '.join(map(repr, unknown))} "
+                         f"(its parameters: {', '.join(sorted(row.defaults))})")
+    p = dict(row.defaults)
+    for key, value in params.items():
+        default = row.defaults[key]
+        p[key] = type(default)(value) if isinstance(default, (float, int)) else value
+    return p
+
+
+def run(name: str, params: dict | None = None, workers: int | None = None):
+    """(tables, summary, verdict) of the named experiment, computed in memory."""
+    p = _resolve_params(name, params or {})
+    return EXPERIMENTS[name].runner(p, workers)
+
+
 @dataclass
 class ExperimentConfig:
-    """Named experiment plus its parameter block (JSON-serializable)."""
+    """Named experiment plus its parameter block (JSON-serializable).
+
+    Construction rejects an unknown experiment or parameter key.
+    """
 
     experiment: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_NAMES:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
+        _resolve_params(self.experiment, self.params)
 
     def to_json(self) -> str:
         return json.dumps({"experiment": self.experiment, "params": self.params},
@@ -101,7 +135,7 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
 
 
 # ---------------------------------------------------------------------------
-# scan machinery shared by the theorem experiments
+# the scaling scans
 # ---------------------------------------------------------------------------
 
 def _window_scan_item(args):
@@ -138,114 +172,70 @@ def _map_items(fn, items, workers):
     return [fn(item) for item in items]
 
 
-def _scan_rows_and_fit(results, *, a, s, window_len, ball_r, predictor_fn):
+def _scan_rows_and_fit(results, p, predictor):
+    """scan.csv rows and the (slope, intercept) of log(ratio / predictor)
+    against log(lambda).  A column the scan has no parameter for reads 0.0."""
+    window, ball_r, s = p.get("window", 0.0), p.get("ball_radius", 0.0), p.get("s", 0.0)
     rows = []
-    lams, normalized = [], []
     for lam, seed, ratio in results:
-        pred = predictor_fn(lam)
-        norm = ratio / pred
-        rows.append((float(lam), window_len, ball_r, a, s, seed,
-                     ratio, pred, norm))
-        lams.append(lam)
-        normalized.append(norm)
-    slope, intercept = np.polyfit(np.log(lams), np.log(normalized), 1)
+        pred = predictor(lam, p)
+        rows.append((float(lam), window, ball_r, p["a"], s, seed,
+                     ratio, pred, ratio / pred))
+    slope, intercept = np.polyfit(np.log([row[0] for row in rows]),
+                                  np.log([row[8] for row in rows]), 1)
     return rows, float(slope), float(intercept)
 
 
-def _run_window_scan(params, workers, model):
-    a = float(params.get("a", 2.0))
-    window_len = float(params.get("window", 1.0))
-    exponents = params.get("lam_exponents", [4, 5, 6, 7, 8, 9])
-    seeds = params.get("seeds", [0, 1, 2, 3, 4])
-    support = params.get("support", "ball")
-    slope_tol = float(params.get("slope_tol", 0.05))
-    p, q = model(a)
-    items = [(2.0 ** e, seed, a, window_len, support)
-             for e in exponents for seed in seeds]
-    results = _map_items(_window_scan_item, items, workers)
-    rows, slope, intercept = _scan_rows_and_fit(
-        results, a=a, s=0.0, window_len=window_len, ball_r=0.0,
-        predictor_fn=lambda lam: 1.0 + window_len ** p * lam ** q)
-    verdict = "pass" if slope <= slope_tol else "violation"
+def _run_scan(p, workers, *, item, item_keys, predictor, extras=None):
+    """Measure item((lambda, seed, *p[item_keys])) for lambda = 2^e, e in
+    lam_exponents, and every seed; the verdict passes when the fitted slope
+    of the normalized ratio is at most slope_tol.  extras(p) adds summary
+    entries."""
+    items = [(2.0 ** e, seed, *(p[key] for key in item_keys))
+             for e in p["lam_exponents"] for seed in p["seeds"]]
+    results = _map_items(item, items, workers)
+    rows, slope, intercept = _scan_rows_and_fit(results, p, predictor)
+    verdict = "pass" if slope <= p["slope_tol"] else "violation"
     summary = {"slope": slope, "intercept": intercept,
-               "model": [p, q], "slope_tol": slope_tol, "verdict": verdict}
+               "slope_tol": p["slope_tol"], "verdict": verdict}
+    if extras is not None:
+        summary.update(extras(p))
     return {"scan.csv": (SCAN_COLUMNS, rows)}, summary, verdict
 
 
-def run_theorem1_scan(params, workers=None):
-    return _run_window_scan(params, workers, lambda a: (0.5, a / 2.0))
-
-
-def run_theorem2_scan(params, workers=None):
-    return _run_window_scan(params, workers, lambda a: (0.25, a / 4.0))
-
-
-def run_eq6_scan(params, workers=None):
-    a = float(params.get("a", 2.0))
-    window_len = float(params.get("window", 0.25))
-    ball_r = float(params.get("ball_radius", 0.1))
-    exponents = params.get("lam_exponents", [4, 5, 6, 7, 8])
-    seeds = params.get("seeds", [0, 1, 2])
-    slope_tol = float(params.get("slope_tol", 0.05))
-    items = [(2.0 ** e, seed, a, window_len, ball_r)
-             for e in exponents for seed in seeds]
-    results = _map_items(_product_scan_item, items, workers)
-    rows, slope, intercept = _scan_rows_and_fit(
-        results, a=a, s=0.0, window_len=window_len, ball_r=ball_r,
-        predictor_fn=lambda lam: maximal.thm3_predictor(lam, window_len, ball_r, a))
-    verdict = "pass" if slope <= slope_tol else "violation"
-    summary = {"slope": slope, "intercept": intercept,
-               "slope_tol": slope_tol, "verdict": verdict}
-    return {"scan.csv": (SCAN_COLUMNS, rows)}, summary, verdict
-
-
-def run_lemma4_scan(params, workers=None):
-    a = float(params.get("a", 2.0))
-    s = float(params.get("s", 0.5))
-    alpha = float(params.get("alpha", 1.0))
-    exponents = params.get("lam_exponents", [4, 5, 6, 7, 8])
-    seeds = params.get("seeds", [0, 1, 2])
-    slope_tol = float(params.get("slope_tol", 0.05))
-    items = [(2.0 ** e, seed, a, alpha) for e in exponents for seed in seeds]
-    results = _map_items(_sequence_scan_item, items, workers)
-    rows, slope, intercept = _scan_rows_and_fit(
-        results, a=a, s=s, window_len=0.0, ball_r=0.0,
-        predictor_fn=lambda lam: lam ** s)
-    verdict = "pass" if slope <= slope_tol else "violation"
-    summary = {"slope": slope, "intercept": intercept,
-               "slope_tol": slope_tol, "verdict": verdict}
-    return {"scan.csv": (SCAN_COLUMNS, rows)}, summary, verdict
+def _window_scan(e: float):
+    """The window scan against 1 + |J|^e lam^{a e}: e = 1/2 is theorem 1's
+    bound shape and e = 1/4 theorem 2's."""
+    return partial(
+        _run_scan, item=_window_scan_item, item_keys=("a", "window", "support"),
+        predictor=lambda lam, p: 1.0 + p["window"] ** e * lam ** (p["a"] * e),
+        extras=lambda p: {"model": [e, p["a"] * e]})
 
 
 # ---------------------------------------------------------------------------
 # dimension-reduction experiments
 # ---------------------------------------------------------------------------
 
-def run_prop2_check(params, workers=None):
-    a = float(params.get("a", 2.0))
-    t = float(params.get("t", 0.1))
-    tol = float(params.get("rel_tol", 1e-3))
-    case = radial.two_route_case(seed=int(params.get("seed", 0)), t=t, a=a)
+def _prop2_check(p, workers):
+    case = radial.two_route_case(seed=p["seed"], t=p["t"], a=p["a"])
     rows = [(float(r), h, o, abs(h - o) / o)
             for r, h, o in zip(case["radii"], case["hankel"], case["oracle"])]
     worst = max(row[3] for row in rows)
-    verdict = "pass" if worst <= tol else "violation"
-    summary = {"max_rel_diff": worst, "rel_tol": tol, "verdict": verdict}
+    verdict = "pass" if worst <= p["rel_tol"] else "violation"
+    summary = {"max_rel_diff": worst, "rel_tol": p["rel_tol"], "verdict": verdict}
     return ({"two_route.csv": (("r", "hankel", "oracle", "rel_diff"), rows)},
             summary, verdict)
 
 
-def run_prop3_bound(params, workers=None):
-    orders = [int(two_nu) for two_nu in params.get("two_nu_values", [-1, 0, 1, 2, 3])]
-    n_profiles = int(params.get("profiles", 50))
+def _prop3_bound(p, workers):
     times = np.linspace(0.0, 1.0, 160)
     rows = []
     margins = {}
-    for two_nu in orders:
+    for two_nu in map(int, p["two_nu_values"]):
         nu = special.BesselOrder(two_nu)
         bound = special.schur_constant_for_order(two_nu)
         op = None
-        for seed in range(n_profiles):
+        for seed in range(p["profiles"]):
             f1 = radial.random_profile(seed)
             # every profile shares the nodes, so the kernels are built once per order
             op = radial.RemainderOperator(f1, nu, f1.nodes) if op is None else op.for_profile(f1)
@@ -263,15 +253,12 @@ def run_prop3_bound(params, workers=None):
             summary, verdict)
 
 
-def run_thm6_ineq(params, workers=None):
-    n = int(params.get("n", 2))
-    k = int(params.get("k", 0))
-    n_profiles = int(params.get("profiles", 10))
+def _thm6_ineq(p, workers):
     rows = []
     worst = -math.inf
-    evolution = radial.thm6_evolution(0, n, k)
-    for seed in range(n_profiles):
-        lhs, rhs = radial.thm6_sides(seed, n=n, k=k, evolution=evolution)
+    evolution = radial.thm6_evolution(0, p["n"], p["k"])
+    for seed in range(p["profiles"]):
+        lhs, rhs = radial.thm6_sides(seed, n=p["n"], k=p["k"], evolution=evolution)
         rows.append((seed, lhs, rhs))
         worst = max(worst, lhs - rhs)
     verdict = "pass" if worst <= 0.0 else "violation"
@@ -279,18 +266,16 @@ def run_thm6_ineq(params, workers=None):
     return ({"ineq.csv": (("seed", "lhs", "rhs"), rows)}, summary, verdict)
 
 
-def run_thm7_identity(params, workers=None):
-    n_profiles = int(params.get("profiles", 5))
-    tol = float(params.get("rel_tol", 1e-4))
+def _thm7_identity(p, workers):
     rows = []
     worst = 0.0
-    for seed in range(n_profiles):
+    for seed in range(p["profiles"]):
         left, right = radial.thm7_sides(seed)
         diff = abs(left - right) / right
         worst = max(worst, diff)
         rows.append((seed, left, right, diff))
-    verdict = "pass" if worst <= tol else "violation"
-    summary = {"max_rel_diff": worst, "rel_tol": tol, "verdict": verdict}
+    verdict = "pass" if worst <= p["rel_tol"] else "violation"
+    summary = {"max_rel_diff": worst, "rel_tol": p["rel_tol"], "verdict": verdict}
     return ({"identity.csv": (("seed", "n4k0", "n2k1", "rel_diff"), rows)},
             summary, verdict)
 
@@ -299,20 +284,14 @@ def run_thm7_identity(params, workers=None):
 # counterexample, sequences, convergence
 # ---------------------------------------------------------------------------
 
-def run_counterexample_growth(params, workers=None):
-    a = float(params.get("a", 2.0))
-    s = float(params.get("s", 0.25))
-    n = int(params.get("n", 2))
-    eps = float(params.get("eps", 0.02))
-    j_values = params.get("j_values", [1, 2, 3, 4, 5, 6])
-    slope_lo = float(params.get("slope_lo", 0.4))
-    slope_hi = float(params.get("slope_hi", 0.6))
-    bp = blowup.BlowupParams(a=a, s=s, n=n, eps=eps)
-    reports = blowup.run_family(bp, j_values)
+def _counterexample_growth(p, workers):
+    a, s, eps = p["a"], p["s"], p["eps"]
+    reports = blowup.run_family(blowup.BlowupParams(a=a, s=s, n=p["n"], eps=eps),
+                                p["j_values"])
     rows = [(r.scales.j, r.scales.M, r.scales.b, r.scales.lam, r.scales.rho,
              r.hs_norm, r.maximal_norm, r.ratio) for r in reports]
     slope, intercept = blowup.growth_exponent(reports)
-    ok = (slope_lo <= slope <= slope_hi
+    ok = (p["slope_lo"] <= slope <= p["slope_hi"]
           and all(r.scales.rho / r.scales.lam <= eps * (1 + 1e-12) for r in reports)
           and blowup.drift_monotone(reports)
           and all(r.surrogate_sup <= 0.5 for r in reports if r.scales.j >= 2))
@@ -329,14 +308,14 @@ def run_counterexample_growth(params, workers=None):
             summary, verdict)
 
 
-def run_seq_classify(params, workers=None):
-    gen = params.get("gen", "power")
-    r = float(params.get("r", 1.0))
-    depth = int(params.get("depth", 16 if gen != "log" else 9))
+def _seq_classify(p, workers):
+    gen, r = p["gen"], p["r"]
+    depth = int(p["depth"]) if p["depth"] is not None else (9 if gen == "log" else 16)
     if gen == "power":
-        seq = sequences.TimeSequence("power", alpha=float(params.get("alpha", 1.0 / r)))
+        alpha = float(p["alpha"]) if p["alpha"] is not None else 1.0 / r
+        seq = sequences.TimeSequence("power", alpha=alpha)
     elif gen == "geometric":
-        seq = sequences.TimeSequence("geometric", ratio=float(params.get("ratio", 0.5)))
+        seq = sequences.TimeSequence("geometric", ratio=p["ratio"])
     elif gen == "log":
         seq = sequences.TimeSequence("log")
     else:
@@ -354,19 +333,15 @@ def run_seq_classify(params, workers=None):
             summary, "pass")
 
 
-def run_convergence_probe(params, workers=None):
-    a = float(params.get("a", 2.0))
-    delta = float(params.get("delta", 1e-3))
-    tail_starts = params.get("tail_starts", [1, 5, 20])
-    grid = spectral.GridSpec(int(params.get("N", 256)),
-                             float(params.get("L", 8.0)))
+def _convergence_probe(p, workers):
+    grid = spectral.GridSpec(p["N"], p["L"])
     xi = grid.xi_nodes()
     F = spectral.SpectralFunction1D(grid, np.exp(-0.5 * xi * xi))
     seq = sequences.TimeSequence("geometric", ratio=0.5)
     rows = []
     measures = []
-    for ts in tail_starts:
-        m = maximal.convergence_probe(F, seq, a, delta, int(ts))
+    for ts in p["tail_starts"]:
+        m = maximal.convergence_probe(F, seq, p["a"], p["delta"], int(ts))
         rows.append((int(ts), m))
         measures.append(m)
     decreasing = all(m2 <= m1 for m1, m2 in zip(measures, measures[1:]))
@@ -375,18 +350,48 @@ def run_convergence_probe(params, workers=None):
     return ({"probe.csv": (("tail_start", "measure"), rows)}, summary, verdict)
 
 
-RUNNERS = {
-    "theorem1-scan": run_theorem1_scan,
-    "theorem2-scan": run_theorem2_scan,
-    "eq6-scan": run_eq6_scan,
-    "lemma4-scan": run_lemma4_scan,
-    "prop2-check": run_prop2_check,
-    "prop3-bound": run_prop3_bound,
-    "thm6-ineq": run_thm6_ineq,
-    "thm7-identity": run_thm7_identity,
-    "counterexample-growth": run_counterexample_growth,
-    "seq-classify": run_seq_classify,
-    "convergence-probe": run_convergence_probe,
+_SCAN_PLOT = {"csv": "scan.csv", "x": "lambda", "y": "normalized_ratio"}
+_WINDOW_DEFAULTS = {"a": 2.0, "window": 1.0, "support": "ball", "slope_tol": 0.05,
+                    "lam_exponents": [4, 5, 6, 7, 8, 9], "seeds": [0, 1, 2, 3, 4]}
+
+EXPERIMENTS = {
+    "theorem1-scan": Experiment(_window_scan(0.5), _WINDOW_DEFAULTS, _SCAN_PLOT),
+    "theorem2-scan": Experiment(_window_scan(0.25), _WINDOW_DEFAULTS, _SCAN_PLOT),
+    "eq6-scan": Experiment(
+        partial(_run_scan, item=_product_scan_item,
+                item_keys=("a", "window", "ball_radius"),
+                predictor=lambda lam, p: maximal.thm3_predictor(
+                    lam, p["window"], p["ball_radius"], p["a"])),
+        {"a": 2.0, "window": 0.25, "ball_radius": 0.1, "slope_tol": 0.05,
+         "lam_exponents": [4, 5, 6, 7, 8], "seeds": [0, 1, 2]},
+        _SCAN_PLOT),
+    "lemma4-scan": Experiment(
+        partial(_run_scan, item=_sequence_scan_item, item_keys=("a", "alpha"),
+                predictor=lambda lam, p: lam ** p["s"]),
+        {"a": 2.0, "s": 0.5, "alpha": 1.0, "slope_tol": 0.05,
+         "lam_exponents": [4, 5, 6, 7, 8], "seeds": [0, 1, 2]},
+        _SCAN_PLOT),
+    "prop2-check": Experiment(
+        _prop2_check, {"a": 2.0, "t": 0.1, "rel_tol": 1e-3, "seed": 0}),
+    "prop3-bound": Experiment(
+        _prop3_bound, {"two_nu_values": [-1, 0, 1, 2, 3], "profiles": 50}),
+    "thm6-ineq": Experiment(_thm6_ineq, {"n": 2, "k": 0, "profiles": 10}),
+    "thm7-identity": Experiment(_thm7_identity, {"profiles": 5, "rel_tol": 1e-4}),
+    "counterexample-growth": Experiment(
+        _counterexample_growth,
+        {"a": 2.0, "s": 0.25, "n": 2, "eps": 0.02, "j_values": [1, 2, 3, 4, 5, 6],
+         "slope_lo": 0.4, "slope_hi": 0.6},
+        # growth_exponent fits log(ratio^2), so the line in (log M, log ratio)
+        # has half its slope and intercept
+        {"csv": "witnesses.csv", "x": "M", "y": "ratio", "transform_x": "log",
+         "transform_y": "log", "overlay_scale": 0.5}),
+    "seq-classify": Experiment(
+        # depth None: 9 for gen "log", else 16; alpha None: 1 / r
+        _seq_classify,
+        {"gen": "power", "r": 1.0, "depth": None, "alpha": None, "ratio": 0.5}),
+    "convergence-probe": Experiment(
+        _convergence_probe,
+        {"a": 2.0, "delta": 1e-3, "tail_starts": [1, 5, 20], "N": 256, "L": 8.0}),
 }
 
 
@@ -398,21 +403,27 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _plot_texts(out_dir: str, plot: dict, summary: dict) -> tuple[str, str]:
+    spec = dict(plot)
+    csv_name = spec.pop("csv")
+    scale = spec.pop("overlay_scale", None)
+    if scale is not None:
+        spec["overlay"] = (scale * summary["slope"], scale * summary["intercept"])
+    return emit_plot_data(os.path.join(out_dir, csv_name), spec)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
                    workers: int | None = None) -> RunManifest:
     """Execute the named experiment into out_dir and write its manifest.
 
-    Raises on unknown experiments (before any file is written) and on output
-    collisions unless force is set.
+    Raises on an unknown experiment or parameter key (before any work or file
+    write) and on output collisions unless force is set.
     """
-    runner = RUNNERS.get(cfg.experiment)
-    if runner is None:
-        raise ValueError(f"unknown experiment {cfg.experiment!r}")
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise FileExistsError(f"output directory {out_dir!r} is not empty "
                               "(use force to overwrite)")
     start = time.perf_counter()
-    tables, summary, verdict = runner(cfg.params, workers)
+    tables, summary, verdict = run(cfg.experiment, cfg.params, workers)
     elapsed = time.perf_counter() - start
 
     os.makedirs(out_dir, exist_ok=True)
@@ -421,12 +432,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
         path = os.path.join(out_dir, name)
         write_csv(path, columns, rows)
         files[name] = _sha256_file(path)
-    with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    files["summary.json"] = _sha256_file(os.path.join(out_dir, "summary.json"))
-    with open(os.path.join(out_dir, "config.json"), "w", newline="\n") as fh:
-        fh.write(cfg.to_json())
-    files["config.json"] = _sha256_file(os.path.join(out_dir, "config.json"))
+    texts = {"summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
+             "config.json": cfg.to_json()}
+    plot = EXPERIMENTS[cfg.experiment].plot
+    if plot is not None:
+        texts["plot.dat"], texts["plot.gp"] = _plot_texts(out_dir, plot, summary)
+    for name, text in texts.items():
+        path = os.path.join(out_dir, name)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+        files[name] = _sha256_file(path)
 
     manifest = RunManifest(
         experiment=cfg.experiment,
@@ -444,10 +459,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
 def emit_plot_data(csv_path: str, spec: dict) -> tuple[str, str]:
     """Project a result CSV onto gnuplot data + script text.
 
-    spec keys: x, y (column names, required), log (bool, default True),
-    transform_x / transform_y ("log" applies natural log to the data column),
-    overlay (optional (slope, intercept) line in the transformed coordinates).
-    Returns (data_text, script_text); writes nothing.
+    spec keys: x, y (column names, required), transform_x / transform_y
+    ("log" applies natural log to the data column; without transform_x the
+    axes are log-scaled instead), overlay (optional (slope, intercept) line
+    in the transformed coordinates).  Returns (data_text, script_text) for
+    plot.dat / plot.gp; writes nothing.
     """
     if not spec.get("x") or not spec.get("y"):
         raise ValueError("plot spec needs x and y column selections")
@@ -467,13 +483,10 @@ def emit_plot_data(csv_path: str, spec: dict) -> tuple[str, str]:
     data_lines = [f"{_fmt(conv(row[ix], 'x'))} {_fmt(conv(row[iy], 'y'))}"
                   for row in rows]
     data_text = "\n".join(data_lines) + "\n"
-    data_name = spec.get("data_name", "plot.dat")
-    logscale = "set logscale xy\n" if spec.get("log", True) and \
-        not spec.get("transform_x") else ""
     script = [f"set xlabel '{spec['x']}'", f"set ylabel '{spec['y']}'"]
-    if logscale:
-        script.append(logscale.strip())
-    plot = f"plot '{data_name}' with points"
+    if not spec.get("transform_x"):
+        script.append("set logscale xy")
+    plot = "plot 'plot.dat' with points"
     if "overlay" in spec:
         slope, intercept = spec["overlay"]
         plot += f", {_fmt(float(slope))}*x + {_fmt(float(intercept))} with lines"

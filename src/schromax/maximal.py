@@ -1,10 +1,10 @@
 """Maximal functions over time windows, sequences and translation-time sets,
-plus the ratio reports and log-log scaling fits used by the scan experiments."""
+and the bound shape of the translation-time scan."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,39 +67,6 @@ class ProductSet:
             step = 0.5 / lam
             n = max(2, int(math.ceil(2.0 * self.ball_radius / step)) + 1)
         return self.ball_center + np.linspace(-self.ball_radius, self.ball_radius, n)
-
-
-@dataclass
-class MaximalReport:
-    """One scan point: the measured maximal-to-input norm ratio and its context."""
-
-    lam: float
-    window_length: float
-    ball_radius: float
-    a: float
-    s: float
-    seed: int
-    ratio: float
-    sample_count: int
-    refinement_residual: float
-
-    def __post_init__(self):
-        if self.ratio < 1.0 - 1e-9:
-            raise ValueError("sup must dominate a single unitary time slice")
-
-
-@dataclass
-class ScalingFit:
-    """Least-squares slope of log(response) against log(predictor)."""
-
-    slope: float
-    intercept: float
-    residual: float
-    model: tuple[float, float]
-
-    def __post_init__(self):
-        if not math.isfinite(self.slope):
-            raise ValueError("fitted slope must be finite")
 
 
 def _refine_until_stable(F, a, times, modulations, rel_tol, max_rounds=12):
@@ -195,68 +162,12 @@ def maximal_over_E(F: SpectralFunction1D, E: ProductSet, a: float,
     return GridFunction1D(F.grid, sup)
 
 
-def ratio_report(F: SpectralFunction1D, sup_field: GridFunction1D, *, lam: float,
-                 window_length: float, ball_radius: float, a: float, s: float,
-                 seed: int, sample_count: int = 0,
-                 refinement_residual: float = 0.0) -> MaximalReport:
-    return MaximalReport(
-        lam=lam, window_length=window_length, ball_radius=ball_radius,
-        a=a, s=s, seed=seed,
-        ratio=sup_field.l2() / F.l2_spatial(),
-        sample_count=sample_count,
-        refinement_residual=refinement_residual,
-    )
-
-
-def predictor_value(model: tuple[float, float], lam: float, window_length: float) -> float:
-    """|J|^p lam^q for the (p, q) bound model."""
-    p, q = model
-    return window_length ** p * lam ** q
-
-
 def thm3_predictor(lam: float, window_length: float, ball_radius: float,
                    a: float) -> float:
     """|J|^{1/4} lam^{a/2} + r^{1/2} lam^{1/2} + 1, the n = 1, a != 1
     translation-time bound shape."""
     return (window_length ** 0.25 * lam ** (a / 2.0)
             + ball_radius ** 0.5 * lam ** 0.5 + 1.0)
-
-
-def scaling_fit(reports: list[MaximalReport], model: tuple[float, float]) -> ScalingFit:
-    """Fit log(ratio) = slope * log(|J|^p lam^q) + intercept.
-
-    Needs >= 4 reports spanning >= 3 dyadic lambdas; slope <= 1 + tol means the
-    bound's shape is not violated.
-    """
-    if len(reports) < 4:
-        raise ValueError("need at least 4 reports")
-    lams = sorted({r.lam for r in reports})
-    if len(lams) < 3 or lams[-1] / lams[0] < 4.0:
-        raise ValueError("reports must span at least 3 dyadic lambdas")
-    x = np.log([predictor_value(model, r.lam, r.window_length) for r in reports])
-    y = np.log([r.ratio for r in reports])
-    if np.ptp(x) < 1e-9:
-        raise ValueError("degenerate predictor spread")
-    slope, intercept = np.polyfit(x, y, 1)
-    residual = float(np.sqrt(np.mean((np.polyval([slope, intercept], x) - y) ** 2)))
-    return ScalingFit(float(slope), float(intercept), residual, model)
-
-
-def normalized_slope(reports: list[MaximalReport], model: tuple[float, float],
-                     predictor_offset: float = 1.0) -> ScalingFit:
-    """Slope of log(ratio / (offset + |J|^p lam^q)) against log(lambda).
-
-    A slope near 0 (<= 0.05 in the scan verdicts) says the measured ratios
-    grow no faster than the theorem's bound shape.
-    """
-    x = np.log([r.lam for r in reports])
-    y = np.log([r.ratio / (predictor_offset + predictor_value(model, r.lam, r.window_length))
-                for r in reports])
-    if np.ptp(x) < 1e-9:
-        raise ValueError("degenerate lambda spread")
-    slope, intercept = np.polyfit(x, y, 1)
-    residual = float(np.sqrt(np.mean((np.polyval([slope, intercept], x) - y) ** 2)))
-    return ScalingFit(float(slope), float(intercept), residual, model)
 
 
 def convergence_probe(F: SpectralFunction1D, seq: TimeSequence, a: float,

@@ -23,16 +23,15 @@ from schromax.special import (
     gamma_kernel,
     gamma_unit,
     remainder_kernel,
-    surface_area,
 )
 from schromax.spectral import (
+    SQRT_TWO_PI,
     GridSpec,
     SpectralFunction1D,
+    alternating_signs,
     bump_value,
     sup_over_times,
 )
-
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass
@@ -288,7 +287,7 @@ class RemainderOperator:
         rs = np.outer(self.out_nodes, f1.nodes)
         g = gamma_kernel(nu)
         self._main_kernel = g * np.exp(1j * rs) + np.conj(g) * np.exp(-1j * rs)
-        if nu.two_nu == -1:
+        if nu.kernel_vanishes:
             self._k_kernel = np.zeros_like(rs, dtype=np.complex128)
         else:
             self._k_kernel = remainder_kernel(nu, rs)
@@ -393,12 +392,6 @@ def lift_norm_identity(f1: RadialProfile, ctx: HarmonicContext, t_values,
 # two-dimensional tensor-grid oracle (n = 2, k = 0 only)
 # ---------------------------------------------------------------------------
 
-def _alternating(n: int) -> np.ndarray:
-    sign = np.ones(n)
-    sign[1::2] = -1.0
-    return sign
-
-
 def oracle_2d_propagate(f1, t: float, a: float, grid: GridSpec,
                         support_max: float | None = None) -> np.ndarray:
     """Full 2-D spectral propagation of the planar function f_P built from f1.
@@ -425,7 +418,7 @@ def oracle_2d_propagate(f1, t: float, a: float, grid: GridSpec,
         radial_factor = np.where(rr > 0, rr ** -0.5, 0.0)
     spec = p_const * np.asarray(evaluate(rr), dtype=np.complex128) * radial_factor
     spec = spec * np.exp(1j * t * rr ** a)
-    sign = _alternating(grid.point_count)
+    sign = alternating_signs(grid.point_count)
     checker = np.outer(sign, sign)
     # inverse 2-D transform under the (2 pi)^{-2} convention
     samples = checker * np.fft.ifft2(checker * spec) / grid.dx ** 2
@@ -554,20 +547,18 @@ def thm6_sides(seed: int, n: int = 2, k: int = 0,
 def thm7_sides(seed: int) -> tuple[float, float]:
     """alpha_n ||S_E^{*(n)} f_P|| for (n, k) = (4, 0) and (2, 1).
 
-    Both pairs share nu = 1, so the maximal norms coincide; each side goes
-    through its own dimensional polar lift.
+    Both pairs share nu = 1, so one evolution serves both and the maximal
+    norms coincide; each side goes through its own dimensional polar lift.
     """
     func, support = random_profile_func(seed)
     f1 = uniform_profile(func, support, 768)
-    times = default_time_set()
+    out = np.linspace(0.02, 40.0, 2000)
+    sup = HankelEvolution(f1, BesselOrder(2), out).sup_field(default_time_set(), 2.0)
+    w = trapezoid_weights(out)
 
     def side(n: int, k: int) -> float:
         ctx = HarmonicContext(n=n, k=k)
-        out = np.linspace(0.02, 40.0, 2000)
-        evo = HankelEvolution(f1, ctx.order, out)
-        sup = evo.sup_field(times, 2.0)
         amp = (1.0 / ctx.alpha_n) * out ** ((1 - n) / 2.0) * sup
-        w = trapezoid_weights(out)
         return ctx.alpha_n * math.sqrt(float(np.sum(w * amp ** 2 * out ** (n - 1))))
 
     return side(4, 0), side(2, 1)

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 from scipy.special import jv
 
-SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+from schromax.spectral import SQRT_TWO_PI
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,11 @@ class BesselOrder:
     @property
     def is_half_integer(self) -> bool:
         return self.two_nu % 2 != 0
+
+    @property
+    def kernel_vanishes(self) -> bool:
+        """K_nu = 0 exactly: r^{1/2} J_{+-1/2}(r) = 2 Re(gamma_nu e^{ir})."""
+        return self.two_nu in (-1, 1)
 
 
 def bessel_j(nu: BesselOrder, r) -> np.ndarray | float:
@@ -171,7 +176,8 @@ def symmetry_constant(nu: BesselOrder, nu1: BesselOrder) -> float:
 def remainder_kernel(nu: BesselOrder, r) -> np.ndarray | complex:
     """K_nu(r) = r^{1/2} J_nu(r) - gamma_nu e^{ir} - conj(gamma_nu) e^{-ir}.
 
-    Identically zero at nu = -1/2; otherwise bounded by C_nu / (1 + r).
+    Identically zero at nu = +-1/2 (up to roundoff; see
+    BesselOrder.kernel_vanishes); otherwise bounded by C_nu / (1 + r).
     """
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0):
@@ -286,10 +292,10 @@ def schur_constant_for_order(two_nu: int, upper: float = 1e6) -> float:
     ``schur_integral`` of |K_nu| on ``schur_panel_edges(nu, upper)`` with
     ``GAUSS_NODES`` nodes a panel, plus the tail bound 2 C_nu / sqrt(upper)
     with the fitted C_nu of ``kernel_sup_constant``; the value is an upper
-    estimate.
+    estimate.  It is exactly 0 where K_nu vanishes (2 nu = +-1).
     """
     nu = BesselOrder(two_nu)
-    if two_nu == -1:
+    if nu.kernel_vanishes:
         return 0.0
     return schur_integral(lambda r: np.abs(remainder_kernel(nu, r)),
                           schur_panel_edges(nu, upper),

@@ -98,7 +98,7 @@ def test_criterion_4_quarter_power_shape(window_scan_results):
 # -------------------------------------------------------------------------
 
 def test_criterion_5_translation_time_shape():
-    _, summary, verdict = harness.run_eq6_scan({}, workers=_workers())
+    _, summary, verdict = harness.run("eq6-scan", {}, workers=_workers())
     assert verdict == "pass"
     assert summary["slope"] <= 0.05
 
@@ -108,7 +108,7 @@ def test_criterion_5_translation_time_shape():
 # -------------------------------------------------------------------------
 
 def test_criterion_6_sequence_bound_shape():
-    _, summary, verdict = harness.run_lemma4_scan({}, workers=_workers())
+    _, summary, verdict = harness.run("lemma4-scan", {}, workers=_workers())
     assert verdict == "pass"
     assert summary["slope"] <= 0.05
 
@@ -137,8 +137,8 @@ def test_criterion_7_two_route_agreement():
 
 
 def test_criterion_7_remainder_schur_bound():
-    tables, summary, verdict = harness.run_prop3_bound(
-        {"two_nu_values": [-1, 0, 1, 2, 3], "profiles": 50})
+    tables, summary, verdict = harness.run(
+        "prop3-bound", {"two_nu_values": [-1, 0, 1, 2, 3], "profiles": 50})
     assert verdict == "pass"
     _, rows = tables["remainder.csv"]
     assert len(rows) == 250
@@ -154,13 +154,13 @@ def test_criterion_7_remainder_schur_bound():
 # -------------------------------------------------------------------------
 
 def test_criterion_8_equal_order_identity():
-    _, summary, verdict = harness.run_thm7_identity({"profiles": 5})
+    _, summary, verdict = harness.run("thm7-identity", {"profiles": 5})
     assert verdict == "pass"
     assert summary["max_rel_diff"] <= 1e-4
 
 
 def test_criterion_8_reduction_inequality():
-    _, summary, verdict = harness.run_thm6_ineq({"profiles": 10})
+    _, summary, verdict = harness.run("thm6-ineq", {"profiles": 10})
     assert verdict == "pass"
     assert summary["worst_margin"] <= 0.0
 
@@ -190,7 +190,7 @@ def test_criterion_9_sequence_classes():
 # -------------------------------------------------------------------------
 
 def test_criterion_10_counterexample_growth():
-    _, summary, verdict = harness.run_counterexample_growth({})
+    _, summary, verdict = harness.run("counterexample-growth", {})
     assert verdict == "pass"
     assert 0.4 <= summary["slope"] <= 0.6
     # per-witness structural checks are re-asserted from the raw reports
@@ -208,8 +208,8 @@ def test_criterion_10_counterexample_growth():
 # -------------------------------------------------------------------------
 
 def test_criterion_11_convergence_probe():
-    _, summary, verdict = harness.run_convergence_probe(
-        {"tail_starts": [1, 5, 20]})
+    _, summary, verdict = harness.run(
+        "convergence-probe", {"tail_starts": [1, 5, 20]})
     assert verdict == "pass"
     m1, m5, m20 = summary["measures"]
     assert m20 < m5

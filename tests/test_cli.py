@@ -18,7 +18,7 @@ class TestListing:
     def test_list_enumerates_experiments(self, capsys):
         code, out, _ = run_cli(capsys, "--list")
         assert code == 0
-        assert out.split() == list(harness.EXPERIMENT_NAMES)
+        assert out.split() == list(harness.EXPERIMENTS)
 
     def test_no_command_prints_help(self, capsys):
         code, out, _ = run_cli(capsys)
@@ -81,6 +81,17 @@ class TestExperimentCommands:
         assert code == 1
         assert "config names experiment" in err
 
+    def test_config_unknown_key_is_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"experiment": "eq6-scan", "params": {"lam_exponent": [4, 5]}}))
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, "eq6-scan", "--config", str(cfg_path),
+                               "--out", str(out_dir))
+        assert code == 1
+        assert "lam_exponent" in err
+        assert not out_dir.exists()
+
     def test_config_file_accepted(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
@@ -108,6 +119,7 @@ class TestCounterexampleCommand:
         cols, rows = harness.read_csv(str(out_dir / "witnesses.csv"))
         assert cols[0] == "j"
         assert len(rows) == 4
+        assert "with lines" in (out_dir / "plot.gp").read_text()
 
 
 class TestBesselTable:

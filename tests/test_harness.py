@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +27,24 @@ class TestConfig:
         a = ExperimentConfig("seq-classify", {"r": 0.5})
         b = ExperimentConfig("seq-classify", {"r": 1.0})
         assert a.sha256() != b.sha256()
+
+    @pytest.mark.parametrize("name", list(harness.EXPERIMENTS))
+    def test_unknown_key_rejected_before_any_write(self, name, tmp_path):
+        with pytest.raises(ValueError, match="lam_exponent'"):
+            ExperimentConfig(name, {"lam_exponent": [4]})
+        cfg = ExperimentConfig(name)
+        cfg.params["lam_exponent"] = [4]  # bypass constructor validation
+        out = tmp_path / "never"
+        with pytest.raises(ValueError, match="lam_exponent'"):
+            harness.run_experiment(cfg, str(out))
+        assert not out.exists()
+
+    def test_values_take_the_default_type(self):
+        # an int for a float parameter must still print as 2.0 in the CSV
+        tables, _, _ = harness.run("theorem2-scan",
+                                   {"a": 2, "lam_exponents": [4, 5], "seeds": [0]})
+        a = tables["scan.csv"][1][0][3]
+        assert type(a) is float and a == 2.0
 
 
 class TestCsvFormat:
@@ -94,6 +114,15 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "p" / "summary.json").read_text())
         assert len(summary["measures"]) == 3
 
+    def test_scan_writes_plot_files(self, tmp_path):
+        cfg = ExperimentConfig("theorem2-scan", {"lam_exponents": [4, 5, 6], "seeds": [0]})
+        manifest = harness.run_experiment(cfg, str(tmp_path / "s"))
+        assert {"scan.csv", "plot.dat", "plot.gp"} <= set(manifest.files)
+        data, script = harness.emit_plot_data(
+            str(tmp_path / "s" / "scan.csv"), {"x": "lambda", "y": "normalized_ratio"})
+        assert (tmp_path / "s" / "plot.dat").read_text() == data
+        assert (tmp_path / "s" / "plot.gp").read_text() == script
+
     def test_config_verbatim(self, tmp_path):
         cfg = ExperimentConfig("seq-classify", {"gen": "log", "r": 2.0})
         harness.run_experiment(cfg, str(tmp_path / "c"))
@@ -102,12 +131,13 @@ class TestRunExperiment:
 
 class TestProp3Runner:
     def test_margins_per_order(self):
-        tables, summary, verdict = harness.run_prop3_bound({"profiles": 3})
+        tables, summary, verdict = harness.run("prop3-bound", {"profiles": 3})
         margins = summary["worst_margin_by_two_nu"]
         assert set(margins) == {"-1", "0", "1", "2", "3"}
-        # nu = -1/2 has K = 0, so rem_norm = bound = 0; every other order has room
+        # nu = +-1/2 have K = 0, so rem_norm = bound = 0; every other order has room
         assert margins["-1"] == 0.0
-        assert all(margins[t] < 0.0 for t in ("0", "1", "2", "3"))
+        assert margins["1"] == 0.0
+        assert all(margins[t] < 0.0 for t in ("0", "2", "3"))
         assert summary["worst_margin"] == max(margins.values())
         rows = tables["remainder.csv"][1]
         assert verdict == "pass"
@@ -116,19 +146,19 @@ class TestProp3Runner:
 
 class TestSeqClassifyRunner:
     def test_log_flagged_growing(self):
-        _, summary, verdict = harness.run_seq_classify({"gen": "log", "r": 2.0})
+        _, summary, verdict = harness.run("seq-classify", {"gen": "log", "r": 2.0})
         assert verdict == "pass"
         assert summary["growing"]
         assert not summary["lr_convergent"]
 
     def test_geometric_clean(self):
-        _, summary, _ = harness.run_seq_classify({"gen": "geometric", "r": 0.5})
+        _, summary, _ = harness.run("seq-classify", {"gen": "geometric", "r": 0.5})
         assert not summary["growing"]
         assert summary["lr_convergent"]
 
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
-            harness.run_seq_classify({"gen": "zeta"})
+            harness.run("seq-classify", {"gen": "zeta"})
 
 
 class TestEmitPlotData:
@@ -165,3 +195,12 @@ class TestEmitPlotData:
     def test_empty_selection(self, scan_csv):
         with pytest.raises(ValueError):
             harness.emit_plot_data(str(scan_csv), {"x": "", "y": "ratio"})
+
+
+def test_import_leaves_out_scipy_integrate():
+    code = ("import sys, schromax.harness, schromax.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from schromax import maximal, sequences, spectral
-from schromax.maximal import MaximalReport, ProductSet, TimeWindow
+from schromax.maximal import ProductSet, TimeWindow
 
 
 GRID = spectral.GridSpec(256, 8.0)
@@ -144,36 +144,7 @@ class TestMaximalOverE:
                 F, ProductSet(3.0, TimeWindow(0.0, 0.25)), 2.0)
 
 
-def _report(lam, ratio, window=1.0):
-    return MaximalReport(lam=lam, window_length=window, ball_radius=0.0,
-                         a=2.0, s=0.0, seed=0, ratio=ratio, sample_count=10,
-                         refinement_residual=0.0)
-
-
 class TestFits:
-    def test_report_rejects_subunit_ratio(self):
-        with pytest.raises(ValueError):
-            _report(16.0, 0.5)
-
-    def test_scaling_fit_recovers_exact_slope(self):
-        model = (0.5, 1.0)
-        reports = [_report(lam, 3.0 * maximal.predictor_value(model, lam, 1.0) ** 0.7)
-                   for lam in (16.0, 32.0, 64.0, 128.0)]
-        fit = maximal.scaling_fit(reports, model)
-        assert fit.slope == pytest.approx(0.7, abs=1e-12)
-        assert fit.residual < 1e-12
-
-    def test_scaling_fit_needs_spread(self):
-        with pytest.raises(ValueError):
-            maximal.scaling_fit([_report(16.0, 2.0)] * 4, (0.5, 1.0))
-
-    def test_normalized_slope_zero_for_saturating_data(self):
-        model = (0.5, 1.0)
-        reports = [_report(lam, 2.0 * (1.0 + maximal.predictor_value(model, lam, 1.0)))
-                   for lam in (16.0, 32.0, 64.0, 128.0)]
-        fit = maximal.normalized_slope(reports, model)
-        assert abs(fit.slope) < 1e-12
-
     def test_thm3_predictor_shape(self):
         # lam = 1 collapses to |J|^{1/4} + r^{1/2} + 1
         assert maximal.thm3_predictor(1.0, 0.0625, 0.25, 2.0) == pytest.approx(

@@ -127,11 +127,6 @@ class TestPropagator:
             np.maximum(loop, np.abs(field.samples), out=loop)
         assert np.max(np.abs(sup - loop)) < 1e-11
 
-    def test_evolve_fields_shape(self):
-        F = spectral.make_bandlimited_random(8.0, "ball", 0, GRID)
-        out = spectral.evolve_fields(F, np.linspace(0, 1, 7), 2.0)
-        assert out.shape == (7, GRID.point_count)
-
 
 class TestSobolevAndShells:
     def test_sobolev_s0_is_l2(self):
