@@ -190,7 +190,10 @@ def _run_scan(p, workers, *, item, item_keys, predictor, extras=None):
     """Measure item((lambda, seed, *p[item_keys])) for lambda = 2^e, e in
     lam_exponents, and every seed; the verdict passes when the fitted slope
     of the normalized ratio is at most slope_tol.  extras(p) adds summary
-    entries."""
+    entries.  The fit needs two distinct lambdas and at least one seed."""
+    if len(set(p["lam_exponents"])) < 2 or not p["seeds"]:
+        raise ValueError("a scan needs two distinct lam_exponents and a seed, got "
+                         f"lam_exponents {p['lam_exponents']} and seeds {p['seeds']}")
     items = [(2.0 ** e, seed, *(p[key] for key in item_keys))
              for e in p["lam_exponents"] for seed in p["seeds"]]
     results = _map_items(item, items, workers)

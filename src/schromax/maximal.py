@@ -24,8 +24,6 @@ class TimeWindow:
 
     t0: float
     length: float
-    initial_count: int = 0      # 0 = derive from the Nyquist rule
-    refine_factor: int = 2
 
     def __post_init__(self):
         if not (0.0 <= self.t0 <= 1.0 and self.length >= 0.0
@@ -37,11 +35,8 @@ class TimeWindow:
         phase at the top frequency moves by less than pi between samples."""
         if self.length == 0.0:
             return np.array([self.t0])
-        if self.initial_count:
-            n = self.initial_count
-        else:
-            step = min(0.5 * self.length, 0.5 * lam ** (-a))
-            n = max(2, int(math.ceil(self.length / step)) + 1)
+        step = min(0.5 * self.length, 0.5 * lam ** (-a))
+        n = max(2, int(math.ceil(self.length / step)) + 1)
         return self.t0 + np.linspace(0.0, self.length, n)
 
 
@@ -52,7 +47,6 @@ class ProductSet:
     ball_radius: float
     window: TimeWindow
     ball_center: float = 0.0
-    spatial_count: int = 0      # 0 = derive from the Nyquist rule
 
     def __post_init__(self):
         if self.ball_radius < 0:
@@ -61,15 +55,22 @@ class ProductSet:
     def seed_offsets(self, lam: float) -> np.ndarray:
         if self.ball_radius == 0.0:
             return np.array([self.ball_center])
-        if self.spatial_count:
-            n = self.spatial_count
-        else:
-            step = 0.5 / lam
-            n = max(2, int(math.ceil(2.0 * self.ball_radius / step)) + 1)
+        step = 0.5 / lam
+        n = max(2, int(math.ceil(2.0 * self.ball_radius / step)) + 1)
         return self.ball_center + np.linspace(-self.ball_radius, self.ball_radius, n)
 
 
-def _refine_until_stable(F, a, times, modulations, rel_tol, max_rounds=12):
+# Midpoint-doubling rounds after which the time refinement stops unconverged.
+REFINE_MAX_ROUNDS = 12
+
+
+def _phase_floor(F: SpectralFunction1D, a: float) -> float:
+    """1/(4 lam^a), lam the band limit (else xi_max): the phase-resolution floor."""
+    lam = F.band_limit if F.band_limit is not None else F.grid.xi_max
+    return 0.25 * lam ** (-a)
+
+
+def _refine_until_stable(F, a, times, modulations, rel_tol):
     """Pointwise sup over a (times x modulations) product grid, with midpoint
     doubling of the t-grid until the L2 norm moves by less than rel_tol.
 
@@ -81,7 +82,7 @@ def _refine_until_stable(F, a, times, modulations, rel_tol, max_rounds=12):
     total = times.size * len(modulations)
     norm = np.sqrt(np.sum(sup ** 2) * g.dx)
     residual = math.inf
-    for _ in range(max_rounds):
+    for _ in range(REFINE_MAX_ROUNDS):
         if times.size < 2:
             residual = 0.0
             break
@@ -114,7 +115,6 @@ def maximal_over_window(F: SpectralFunction1D, J: TimeWindow, a: float,
 
 def maximal_over_sequence(F: SpectralFunction1D, seq: TimeSequence, a: float,
                           cutoffs: tuple[float, float] | None = None,
-                          t_floor: float | None = None,
                           ) -> tuple[GridFunction1D, int]:
     """Pointwise sup of |S_{t_m} f| over sequence members in (b_low, b_high].
 
@@ -123,9 +123,7 @@ def maximal_over_sequence(F: SpectralFunction1D, seq: TimeSequence, a: float,
     such member.  Returns (field, number of members used); an empty selection
     returns the zero field with count 0.
     """
-    lam = F.band_limit if F.band_limit is not None else F.grid.xi_max
-    if t_floor is None:
-        t_floor = 0.25 * lam ** (-a)
+    t_floor = _phase_floor(F, a)
     b_low, b_high = cutoffs if cutoffs is not None else (0.0, 1.0)
     lo = max(b_low, t_floor)
     members = seq.members_in(lo, b_high) if lo < b_high else np.empty(0)
@@ -171,19 +169,17 @@ def thm3_predictor(lam: float, window_length: float, ball_radius: float,
 
 
 def convergence_probe(F: SpectralFunction1D, seq: TimeSequence, a: float,
-                      delta: float, tail_start: int, tail_count: int = 60) -> float:
+                      delta: float, tail_start: int) -> float:
     """Grid measure of {x : sup_{m >= tail_start} |S_{t_m} f(x) - f(x)| > delta}.
 
-    Uses tail members down to the phase-resolution floor; decays to 0 as
-    tail_start grows when f is smooth.
+    Uses the 60 members from tail_start on, down to the phase-resolution
+    floor; decays to 0 as tail_start grows when f is smooth.
     """
     g = F.grid
     f0 = inverse_transform(F).samples
-    lam = F.band_limit if F.band_limit is not None else g.xi_max
-    floor = 0.25 * lam ** (-a)
-    ms = np.arange(tail_start, tail_start + tail_count)
+    ms = np.arange(tail_start, tail_start + 60)
     times = np.asarray(seq.term(ms), dtype=float)
-    times = times[times >= min(floor, times[0])]
+    times = times[times >= min(_phase_floor(F, a), times[0])]
     if times.size == 0:
         times = np.array([seq.term(tail_start)])
     worst = np.zeros(g.point_count)

@@ -6,7 +6,8 @@ The Hankel-type evolution acts on a profile g on (0, inf) as
 
 and splitting the kernel as r^{1/2} J_nu(r) = gamma_nu e^{ir} +
 conj(gamma_nu) e^{-ir} + K_nu(r) expresses it as a one-dimensional evolution
-plus a remainder controlled by the Schur constant of |K_nu|.
+plus a remainder controlled by the Schur constant of |K_nu|; each part is a
+``KernelEvolution``.
 """
 
 from __future__ import annotations
@@ -14,18 +15,20 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import jv
 
 from schromax.special import (
     BesselOrder,
-    gamma_kernel,
     gamma_unit,
+    main_kernel,
     remainder_kernel,
 )
 from schromax.spectral import (
     SQRT_TWO_PI,
+    TWO_PI,
     GridSpec,
     SpectralFunction1D,
     alternating_signs,
@@ -96,20 +99,24 @@ def simpson_weights(count: int, h: float) -> np.ndarray:
     return (h / 3.0) * w[1:]
 
 
-def uniform_profile(func, r_max: float, count: int,
-                    rule: str = "trapezoid") -> RadialProfile:
-    """Sample a callable on the uniform nodes h, 2h, ..., r_max."""
+def uniform_profile(func, r_max: float, count: int) -> RadialProfile:
+    """Sample a callable on the uniform nodes h, 2h, ..., r_max with trapezoid
+    weights (value 0 at r = 0)."""
     h = r_max / count
     nodes = h * np.arange(1, count + 1)
     values = np.asarray(func(nodes), dtype=np.complex128)
-    if rule == "trapezoid":
-        weights = np.full(count, h)
-        weights[-1] = 0.5 * h
-    elif rule == "simpson":
-        weights = simpson_weights(count, h)
-    else:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
+    weights = np.full(count, h)
+    weights[-1] = 0.5 * h
     return RadialProfile(nodes, values, weights)
+
+
+def _output_quadrature(f1: RadialProfile, out_nodes, out_weights):
+    """(nodes, weights) to evaluate on: the profile's own quadrature when
+    out_nodes is None, else out_nodes with out_weights (default trapezoid)."""
+    if out_nodes is None:
+        return f1.nodes, f1.weights
+    out_nodes = np.asarray(out_nodes, dtype=float)
+    return out_nodes, trapezoid_weights(out_nodes) if out_weights is None else out_weights
 
 
 @dataclass(frozen=True)
@@ -129,7 +136,7 @@ class HarmonicContext:
 
     @property
     def alpha_n(self) -> float:
-        return (2.0 * math.pi) ** (self.n / 2.0)
+        return TWO_PI ** (self.n / 2.0)
 
 
 @dataclass
@@ -151,47 +158,45 @@ class SymmetrizedLine:
             raise ValueError("line data does not satisfy the phase symmetry")
 
 
-def _kernel_copy(op, f1: RadialProfile):
-    """A shallow copy of op bound to the profile f1, whose nodes must be op's."""
-    if not np.array_equal(f1.nodes, op.f1.nodes):
-        raise ValueError("profile nodes differ from the kernel's nodes")
-    new = copy.copy(op)
-    new.f1 = f1
-    return new
+class KernelEvolution:
+    """sum_s k(rs) f1(s) w_s e^{i t s^a} at fixed output nodes r, for a kernel k.
 
-
-class HankelEvolution:
-    """Evolution of a fixed profile under H_t, evaluated on fixed output nodes.
-
-    Precomputes the kernel matrix so batches of times cost one matrix-vector
-    product each; ``for_profile`` reuses it for other profiles on the same nodes.
+    ``kernel`` maps the matrix of products rs to the kernel matrix, built once;
+    a batch of times then costs one matrix product, and ``for_profile`` reuses
+    the matrix for other profiles on the same nodes.
     """
 
-    def __init__(self, f1: RadialProfile, nu: BesselOrder, out_nodes: np.ndarray):
+    def __init__(self, f1: RadialProfile, out_nodes: np.ndarray, kernel):
         self.f1 = f1
-        self.nu = nu
         self.out_nodes = np.asarray(out_nodes, dtype=float)
-        rs = np.outer(self.out_nodes, f1.nodes)
-        self._kernel = jv(nu.nu, rs) * np.sqrt(rs)
+        self._kernel = kernel(np.outer(self.out_nodes, f1.nodes))
         self._weighted = self._kernel * (f1.values * f1.weights)[None, :]
 
-    def for_profile(self, f1: RadialProfile) -> "HankelEvolution":
+    def for_profile(self, f1: RadialProfile) -> "KernelEvolution":
         """The evolution of f1 (same nodes as this profile), sharing the kernel matrix."""
-        evo = _kernel_copy(self, f1)
+        if not np.array_equal(f1.nodes, self.f1.nodes):
+            raise ValueError("profile nodes differ from the kernel's nodes")
+        evo = copy.copy(self)
+        evo.f1 = f1
         evo._weighted = self._kernel * (f1.values * f1.weights)[None, :]
         return evo
-
-    def phases(self, t_values, a: float) -> np.ndarray:
-        s_pow = self.f1.nodes ** a
-        return np.exp(1j * np.asarray(t_values, dtype=float)[:, None] * s_pow[None, :])
 
     def field(self, t: float, a: float) -> np.ndarray:
         return self._weighted @ np.exp(1j * t * self.f1.nodes ** a)
 
     def sup_field(self, t_values, a: float) -> np.ndarray:
-        """sup over the time batch of |H_t f1| at each output node."""
-        fields = self._weighted @ self.phases(t_values, a).T
-        return np.abs(fields).max(axis=1)
+        """sup over the time batch of |field| at each output node."""
+        s_pow = self.f1.nodes ** a
+        phases = np.exp(1j * np.asarray(t_values, dtype=float)[:, None] * s_pow[None, :])
+        return np.abs(self._weighted @ phases.T).max(axis=1)
+
+
+class HankelEvolution(KernelEvolution):
+    """H_t f1 on fixed output nodes: the kernel (rs)^{1/2} J_nu(rs)."""
+
+    def __init__(self, f1: RadialProfile, nu: BesselOrder, out_nodes: np.ndarray):
+        self.nu = nu
+        super().__init__(f1, out_nodes, lambda rs: jv(nu.nu, rs) * np.sqrt(rs))
 
 
 def hankel_propagate(f1: RadialProfile, t: float, a: float, nu: BesselOrder,
@@ -202,13 +207,8 @@ def hankel_propagate(f1: RadialProfile, t: float, a: float, nu: BesselOrder,
         raise ValueError("t must be nonnegative")
     if a <= 0:
         raise ValueError("a must be positive")
-    if out_nodes is None:
-        out_nodes = f1.nodes
-        out_weights = f1.weights
-    if out_weights is None:
-        out_weights = trapezoid_weights(np.asarray(out_nodes, dtype=float))
-    evo = HankelEvolution(f1, nu, np.asarray(out_nodes, dtype=float))
-    return RadialProfile(evo.out_nodes, evo.field(t, a), out_weights)
+    out_nodes, out_weights = _output_quadrature(f1, out_nodes, out_weights)
+    return RadialProfile(out_nodes, HankelEvolution(f1, nu, out_nodes).field(t, a), out_weights)
 
 
 def cosine_transform(f1: RadialProfile, out_nodes: np.ndarray) -> np.ndarray:
@@ -271,50 +271,25 @@ def symmetrize(f1: RadialProfile, nu: BesselOrder, variant: str,
     return SymmetrizedLine(line, two_nu)
 
 
-class RemainderOperator:
-    """The kernel split of H_t on fixed node sets: main + remainder parts.
+class RemainderOperator(KernelEvolution):
+    """The remainder part of H_t on fixed node sets: the kernel K_nu(rs).
 
-    main(r) = sum_s (gamma_nu e^{irs} + conj e^{-irs}) e^{its^a} f1(s) w_s,
-    which equals alpha_1 S_t^{(1)} f on r > 0 for the symmetrized line f;
-    rem uses the K_nu kernel, and sup_t |rem| <= integral |K_nu(rs)||f1(s)| ds.
-    The kernels depend on nu and the nodes only; ``for_profile`` reuses them.
+    The main part, with kernel gamma_nu e^{irs} + conj e^{-irs}, equals
+    alpha_1 S_t^{(1)} f on r > 0 for the symmetrized line f; the remainder
+    obeys sup_t |rem| <= integral |K_nu(rs)||f1(s)| ds.
     """
 
     def __init__(self, f1: RadialProfile, nu: BesselOrder, out_nodes: np.ndarray):
-        self.f1 = f1
-        self.nu = nu
-        self.out_nodes = np.asarray(out_nodes, dtype=float)
-        rs = np.outer(self.out_nodes, f1.nodes)
-        g = gamma_kernel(nu)
-        self._main_kernel = g * np.exp(1j * rs) + np.conj(g) * np.exp(-1j * rs)
-        if nu.kernel_vanishes:
-            self._k_kernel = np.zeros_like(rs, dtype=np.complex128)
-        else:
-            self._k_kernel = remainder_kernel(nu, rs)
+        kernel = (partial(np.zeros_like, dtype=np.complex128) if nu.kernel_vanishes
+                  else partial(remainder_kernel, nu))
+        super().__init__(f1, out_nodes, kernel)
 
-    def for_profile(self, f1: RadialProfile) -> "RemainderOperator":
-        """The operator for f1 (same nodes as this profile), sharing the kernels."""
-        return _kernel_copy(self, f1)
-
-    def main(self, t: float, a: float) -> np.ndarray:
-        wv = self.f1.values * self.f1.weights
-        return (self._main_kernel * wv[None, :]) @ np.exp(1j * t * self.f1.nodes ** a)
-
-    def rem(self, t: float, a: float) -> np.ndarray:
-        wv = self.f1.values * self.f1.weights
-        return (self._k_kernel * wv[None, :]) @ np.exp(1j * t * self.f1.nodes ** a)
-
-    def rem_sup(self, t_values, a: float) -> np.ndarray:
-        """sup over the time batch of |rem| at each output node."""
-        wv = self.f1.values * self.f1.weights
-        s_pow = self.f1.nodes ** a
-        phases = np.exp(1j * np.asarray(t_values, dtype=float)[None, :] * s_pow[:, None])
-        fields = (self._k_kernel * wv[None, :]) @ phases
-        return np.abs(fields).max(axis=1)
+    rem = KernelEvolution.field
+    rem_sup = KernelEvolution.sup_field
 
     def rem_dominator(self) -> np.ndarray:
         """Pointwise dominating operator: integral |K_nu(rs)| |f1(s)| ds."""
-        return np.abs(self._k_kernel) @ (np.abs(self.f1.values) * self.f1.weights)
+        return np.abs(self._kernel) @ (np.abs(self.f1.values) * self.f1.weights)
 
 
 def remainder_decompose(f1: RadialProfile, nu: BesselOrder, t: float, a: float,
@@ -324,27 +299,17 @@ def remainder_decompose(f1: RadialProfile, nu: BesselOrder, t: float, a: float,
 
     main + rem reconstructs H_t f1 exactly at the quadrature level.
     """
-    if out_nodes is None:
-        out_nodes = f1.nodes
-        out_weights = f1.weights
-    else:
-        out_nodes = np.asarray(out_nodes, dtype=float)
-        out_weights = trapezoid_weights(out_nodes)
-    op = RemainderOperator(f1, nu, out_nodes)
-    main = RadialProfile(out_nodes, op.main(t, a), out_weights)
-    rem = RadialProfile(out_nodes, op.rem(t, a), out_weights)
-    return main, rem
+    out_nodes, out_weights = _output_quadrature(f1, out_nodes, None)
+    main = KernelEvolution(f1, out_nodes, partial(main_kernel, nu)).field(t, a)
+    rem = RemainderOperator(f1, nu, out_nodes).rem(t, a)
+    return (RadialProfile(out_nodes, main, out_weights),
+            RadialProfile(out_nodes, rem, out_weights))
 
 
 def schur_apply(kernel, f: RadialProfile,
                 out_nodes: np.ndarray | None = None) -> RadialProfile:
     """T f(s) = integral K(r s) f(r) dr on the profile's quadrature."""
-    if out_nodes is None:
-        out_nodes = f.nodes
-        out_weights = f.weights
-    else:
-        out_nodes = np.asarray(out_nodes, dtype=float)
-        out_weights = trapezoid_weights(out_nodes)
+    out_nodes, out_weights = _output_quadrature(f, out_nodes, None)
     rs = np.outer(out_nodes, f.nodes)
     kvals = np.asarray(kernel(rs), dtype=float)
     values = kvals @ (f.values * f.weights)
@@ -355,35 +320,37 @@ def radial_sup_norm(f1: RadialProfile, nu: BesselOrder, t_values, a: float,
                     out_nodes: np.ndarray | None = None,
                     out_weights: np.ndarray | None = None) -> float:
     """|| sup_{t in E} |H_t f1| ||_{L2(R_+)} on the output quadrature."""
-    if out_nodes is None:
-        out_nodes = f1.nodes
-        out_weights = f1.weights
-    if out_weights is None:
-        out_weights = trapezoid_weights(np.asarray(out_nodes, dtype=float))
-    evo = HankelEvolution(f1, nu, np.asarray(out_nodes, dtype=float))
-    sup = evo.sup_field(t_values, a)
+    out_nodes, out_weights = _output_quadrature(f1, out_nodes, out_weights)
+    sup = HankelEvolution(f1, nu, out_nodes).sup_field(t_values, a)
     return float(np.sqrt(np.sum(out_weights * sup ** 2)))
+
+
+def _polar_lift_norm(ctx: HarmonicContext, nodes: np.ndarray, weights: np.ndarray,
+                     sup: np.ndarray) -> float:
+    """alpha_n ||S_E^{*(n)} f_P|| from sup_E |H_t f1| on radial nodes.
+
+    Integrates the pointwise formula |S_t f_P(x)| = alpha_n^{-1}
+    |x|^{(1-n)/2} |H_t f1(|x|)| |P(-x')| in polar coordinates; the angular
+    integral of |P|^2 over the sphere is 1 by normalization.
+    """
+    amp = (1.0 / ctx.alpha_n) * nodes ** ((1 - ctx.n) / 2.0) * sup
+    return ctx.alpha_n * math.sqrt(float(np.sum(weights * amp ** 2 * nodes ** (ctx.n - 1))))
 
 
 def lift_norm_identity(f1: RadialProfile, ctx: HarmonicContext, t_values,
                        a: float) -> tuple[float, float]:
     """Both sides of alpha_n ||S_E^{*(n)} f_P|| = ||H_E^* f1||_{L2(R_+)}.
 
-    The left side goes through the n-dimensional pointwise formula
-    |S_t f_P(x)| = alpha_n^{-1} |x|^{(1-n)/2} |H_t f1(|x|)| |P(-x')| and is
-    integrated in polar coordinates on an offset radial grid; the right side
-    is the direct radial maximal norm on the profile's own nodes.
+    The left side is the polar lift (``_polar_lift_norm``) on an offset
+    radial grid; the right side is the direct radial maximal norm on the
+    profile's own nodes.
     """
     nu = ctx.order
     # left: polar route on midpoint nodes (independent quadrature)
     mid = 0.5 * (f1.nodes[:-1] + f1.nodes[1:])
     mid_w = trapezoid_weights(mid, left_edge=f1.nodes[0])
-    evo = HankelEvolution(f1, nu, mid)
-    sup = evo.sup_field(t_values, a)
-    # angular integral of |P|^2 over the sphere is 1 by normalization
-    amp = (1.0 / ctx.alpha_n) * mid ** ((1 - ctx.n) / 2.0) * sup
-    lhs = ctx.alpha_n * math.sqrt(
-        float(np.sum(mid_w * amp ** 2 * mid ** (ctx.n - 1))))
+    sup = HankelEvolution(f1, nu, mid).sup_field(t_values, a)
+    lhs = _polar_lift_norm(ctx, mid, mid_w, sup)
     rhs = radial_sup_norm(f1, nu, t_values, a)
     return lhs, rhs
 
@@ -413,7 +380,7 @@ def oracle_2d_propagate(f1, t: float, a: float, grid: GridSpec,
         raise ValueError("profile support exceeds the 2-D grid Nyquist frequency")
     xi = grid.xi_nodes()
     rr = np.hypot(xi[:, None], xi[None, :])
-    p_const = 1.0 / math.sqrt(2.0 * math.pi)
+    p_const = 1.0 / SQRT_TWO_PI
     with np.errstate(divide="ignore"):
         radial_factor = np.where(rr > 0, rr ** -0.5, 0.0)
     spec = p_const * np.asarray(evaluate(rr), dtype=np.complex128) * radial_factor
@@ -439,13 +406,13 @@ def oracle_2d_radius_sweep(samples: np.ndarray, grid: GridSpec,
 # random smooth test profiles and the theorem-level two-sided checks
 # ---------------------------------------------------------------------------
 
-def random_profile_func(seed: int, n_bumps: int = 4):
-    """Seeded smooth random profile: a complex combination of bumps supported
-    strictly inside (0, 6).  Returns (callable, support_max)."""
+def random_profile_func(seed: int):
+    """Seeded smooth random profile: a complex combination of four bumps
+    supported strictly inside (0, 6).  Returns (callable, support_max)."""
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(1.5, 4.5, n_bumps)
-    widths = rng.uniform(0.5, 1.5, n_bumps)
-    coeffs = rng.standard_normal(n_bumps) + 1j * rng.standard_normal(n_bumps)
+    centers = rng.uniform(1.5, 4.5, 4)
+    widths = rng.uniform(0.5, 1.5, 4)
+    coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
 
     def func(s):
         s = np.asarray(s, dtype=float)
@@ -457,28 +424,27 @@ def random_profile_func(seed: int, n_bumps: int = 4):
     return func, 6.0
 
 
-def random_profile(seed: int, count: int = 384, n_bumps: int = 4) -> RadialProfile:
+def random_profile(seed: int, count: int = 384) -> RadialProfile:
     """The sampled, unit-norm version of random_profile_func."""
-    func, r_max = random_profile_func(seed, n_bumps)
+    func, r_max = random_profile_func(seed)
     prof = uniform_profile(func, r_max, count)
     scale = prof.norm()
     return RadialProfile(prof.nodes, prof.values / scale, prof.weights)
 
 
-def two_route_case(seed: int = 0, t: float = 0.1, a: float = 2.0,
-                   grid_n: int = 1024, grid_l: float = 80.0,
-                   r_lo: float = 1.0, r_hi: float = 10.0) -> dict:
-    """|S_t f_P| on radii in [r_lo, r_hi] for n = 2, k = 0, by two routes.
+def two_route_case(seed: int = 0, t: float = 0.1, a: float = 2.0) -> dict:
+    """|S_t f_P| on radii in [1, 10] for n = 2, k = 0, by two routes.
 
     Route one is the Hankel reduction (exact quadrature of the profile);
-    route two is the full 2-D tensor-grid propagation.  Radii are snapped to
-    the tensor grid so both routes evaluate at identical points.
+    route two is the full 2-D tensor-grid propagation on 1024^2 points of
+    [-80, 80)^2.  Radii are snapped to the tensor grid so both routes
+    evaluate at identical points.
     """
     func, support = random_profile_func(seed)
     ctx = HarmonicContext(n=2, k=0)
-    grid = GridSpec(grid_n, grid_l)
+    grid = GridSpec(1024, 80.0)
     x = grid.x_nodes()
-    radii = x[(x >= r_lo) & (x <= r_hi)][::8]
+    radii = x[(x >= 1.0) & (x <= 10.0)][::8]
 
     samples = oracle_2d_propagate(func, t, a, grid, support_max=support)
     oracle = oracle_2d_radius_sweep(samples, grid, radii)
@@ -491,13 +457,14 @@ def two_route_case(seed: int = 0, t: float = 0.1, a: float = 2.0,
     return {"radii": radii, "hankel": hankel, "oracle": oracle}
 
 
-def default_time_set(count: int = 60) -> np.ndarray:
-    """A fixed finite E subset of [0, 1] used by the inequality checks."""
-    return np.linspace(0.0, 1.0, count)
+def default_time_set() -> np.ndarray:
+    """A fixed finite E subset of [0, 1] (60 times) used by the inequality checks."""
+    return np.linspace(0.0, 1.0, 60)
 
 
 def thm6_evolution(seed: int = 0, n: int = 2, k: int = 0) -> HankelEvolution:
-    """The Hankel evolution of thm6_sides' left side for the seed's profile."""
+    """The Hankel evolution of the seed's profile on the output nodes of the
+    thm6_sides and thm7_sides left sides."""
     func, support = random_profile_func(seed)
     f1 = uniform_profile(func, support, 768)
     return HankelEvolution(f1, HarmonicContext(n=n, k=k).order,
@@ -505,7 +472,6 @@ def thm6_evolution(seed: int = 0, n: int = 2, k: int = 0) -> HankelEvolution:
 
 
 def thm6_sides(seed: int, n: int = 2, k: int = 0,
-               line_grid: GridSpec | None = None,
                evolution: HankelEvolution | None = None) -> tuple[float, float]:
     """Both sides of the dimension-reduction inequality
 
@@ -513,8 +479,8 @@ def thm6_sides(seed: int, n: int = 2, k: int = 0,
 
     The left side is the radial maximal norm via the Hankel reduction; the
     right side evolves the line function with spectrum f1 (supported on the
-    positive axis) on a periodic grid.  Truncations only lower the left side,
-    so the check is one-sided safe.  ``evolution``, from ``thm6_evolution``
+    positive axis) on a periodic grid of 1024 points on [-32, 32).
+    Truncations only lower the left side, so the check is one-sided safe.  ``evolution``, from ``thm6_evolution``
     for any seed and the same (n, k), lends its kernel matrix to this seed.
     """
     from schromax.special import schur_constant_for_order
@@ -532,8 +498,7 @@ def thm6_sides(seed: int, n: int = 2, k: int = 0,
     sup = evo.sup_field(times, 2.0)
     lhs = float(np.sqrt(np.sum(trapezoid_weights(evo.out_nodes) * sup ** 2)))
 
-    if line_grid is None:
-        line_grid = GridSpec(1024, 32.0)
+    line_grid = GridSpec(1024, 32.0)
     xi = line_grid.xi_nodes()
     coeffs = np.where(xi > 0, func(np.abs(xi)), 0.0)
     F = SpectralFunction1D(line_grid, coeffs)
@@ -550,15 +515,8 @@ def thm7_sides(seed: int) -> tuple[float, float]:
     Both pairs share nu = 1, so one evolution serves both and the maximal
     norms coincide; each side goes through its own dimensional polar lift.
     """
-    func, support = random_profile_func(seed)
-    f1 = uniform_profile(func, support, 768)
-    out = np.linspace(0.02, 40.0, 2000)
-    sup = HankelEvolution(f1, BesselOrder(2), out).sup_field(default_time_set(), 2.0)
-    w = trapezoid_weights(out)
-
-    def side(n: int, k: int) -> float:
-        ctx = HarmonicContext(n=n, k=k)
-        amp = (1.0 / ctx.alpha_n) * out ** ((1 - n) / 2.0) * sup
-        return ctx.alpha_n * math.sqrt(float(np.sum(w * amp ** 2 * out ** (n - 1))))
-
-    return side(4, 0), side(2, 1)
+    evo = thm6_evolution(seed, 4, 0)
+    sup = evo.sup_field(default_time_set(), 2.0)
+    w = trapezoid_weights(evo.out_nodes)
+    return (_polar_lift_norm(HarmonicContext(4, 0), evo.out_nodes, w, sup),
+            _polar_lift_norm(HarmonicContext(2, 1), evo.out_nodes, w, sup))

@@ -173,8 +173,14 @@ def symmetry_constant(nu: BesselOrder, nu1: BesselOrder) -> float:
     return math.sqrt(2.0)
 
 
+def main_kernel(nu: BesselOrder, r) -> np.ndarray:
+    """gamma_nu e^{ir} + conj(gamma_nu) e^{-ir}, the main part of r^{1/2} J_nu(r)."""
+    g = gamma_kernel(nu)
+    return g * np.exp(1j * r) + np.conj(g) * np.exp(-1j * r)
+
+
 def remainder_kernel(nu: BesselOrder, r) -> np.ndarray | complex:
-    """K_nu(r) = r^{1/2} J_nu(r) - gamma_nu e^{ir} - conj(gamma_nu) e^{-ir}.
+    """K_nu(r) = r^{1/2} J_nu(r) - main_kernel(nu, r).
 
     Identically zero at nu = +-1/2 (up to roundoff; see
     BesselOrder.kernel_vanishes); otherwise bounded by C_nu / (1 + r).
@@ -182,9 +188,7 @@ def remainder_kernel(nu: BesselOrder, r) -> np.ndarray | complex:
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0):
         raise ValueError("r must be positive")
-    g = gamma_kernel(nu)
-    main = g * np.exp(1j * r_arr) + np.conj(g) * np.exp(-1j * r_arr)
-    out = np.sqrt(r_arr) * jv(nu.nu, r_arr) - main
+    out = np.sqrt(r_arr) * jv(nu.nu, r_arr) - main_kernel(nu, r_arr)
     return out if np.ndim(r) else complex(out)
 
 

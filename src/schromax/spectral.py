@@ -166,6 +166,10 @@ def propagate(F: SpectralFunction1D, t: float, a: float) -> SpectralFunction1D:
     return SpectralFunction1D(F.grid, F.coefficients * phase, band_limit=F.band_limit)
 
 
+# Times per batch of sup_over_times; the chunk's phase rounding is ~1e-14.
+_TIME_CHUNK = 256
+
+
 def _phase_matrix(xi_pow: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """e^{i t xi_pow} for a batch of times, shape (len(ts), N).
 
@@ -188,8 +192,7 @@ def _phase_matrix(xi_pow: np.ndarray, ts: np.ndarray) -> np.ndarray:
 
 
 def sup_over_times(F: SpectralFunction1D, t_values, a: float,
-                   modulation: np.ndarray | None = None,
-                   chunk: int = 256) -> np.ndarray:
+                   modulation: np.ndarray | None = None) -> np.ndarray:
     """Pointwise sup of |S_t f| over the given times (nonnegative, real)."""
     g = F.grid
     coeffs = F.coefficients if modulation is None else F.coefficients * modulation
@@ -198,8 +201,8 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float,
     xi_pow = np.abs(g.xi_nodes()) ** a
     t_values = np.asarray(t_values, dtype=float)
     sup = np.zeros(g.point_count)
-    for start in range(0, t_values.size, chunk):
-        ts = t_values[start:start + chunk]
+    for start in range(0, t_values.size, _TIME_CHUNK):
+        ts = t_values[start:start + _TIME_CHUNK]
         spec = base[None, :] * _phase_matrix(xi_pow, ts)
         fields = np.abs(np.fft.ifft(spec, axis=1)) / g.dx
         np.maximum(sup, fields.max(axis=0), out=sup)

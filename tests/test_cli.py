@@ -92,6 +92,18 @@ class TestExperimentCommands:
         assert "lam_exponent" in err
         assert not out_dir.exists()
 
+    def test_degenerate_scan_is_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"experiment": "theorem1-scan",
+             "params": {"lam_exponents": [4], "seeds": [0]}}))
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, "theorem1-scan", "--config", str(cfg_path),
+                               "--out", str(out_dir))
+        assert code == 1
+        assert "two distinct lam_exponents" in err
+        assert not out_dir.exists()
+
     def test_config_file_accepted(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

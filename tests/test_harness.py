@@ -11,6 +11,8 @@ import pytest
 from schromax import harness
 from schromax.harness import ExperimentConfig
 
+SCAN_NAMES = ("theorem1-scan", "theorem2-scan", "eq6-scan", "lemma4-scan")
+
 
 class TestConfig:
     def test_rejects_unknown_experiment(self):
@@ -37,6 +39,20 @@ class TestConfig:
         out = tmp_path / "never"
         with pytest.raises(ValueError, match="lam_exponent'"):
             harness.run_experiment(cfg, str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", SCAN_NAMES)
+    @pytest.mark.parametrize("params", [{"lam_exponents": [4]},
+                                        {"lam_exponents": [4, 4]},
+                                        {"seeds": []}])
+    def test_degenerate_scan_rejected_before_any_item(self, name, params,
+                                                      monkeypatch, tmp_path):
+        def no_items(*args):
+            raise AssertionError("scan items ran")
+        monkeypatch.setattr(harness, "_map_items", no_items)
+        out = tmp_path / "never"
+        with pytest.raises(ValueError, match="two distinct lam_exponents"):
+            harness.run_experiment(ExperimentConfig(name, params), str(out))
         assert not out.exists()
 
     def test_values_take_the_default_type(self):

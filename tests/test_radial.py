@@ -1,13 +1,14 @@
 """Hankel-type evolution, kernel split and the dimensional lift identities."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from schromax import radial, spectral
+from schromax import radial, special, spectral
 from schromax.radial import HarmonicContext, RadialProfile
 from schromax.special import BesselOrder, gamma_unit
 
@@ -94,15 +95,28 @@ class TestHankelEvolution:
         cos = radial.cosine_transform(f1, out)
         assert np.max(np.abs(h.values - cos)) < 1e-12
 
-    def test_field_matches_quadrature_oracle(self):
+    @pytest.mark.parametrize("kernel", ["bessel", "remainder", "main"])
+    def test_field_matches_quadrature_oracle(self, kernel):
         from scipy.special import jv
         f1 = bump_profile(256)
-        evo = radial.HankelEvolution(f1, BesselOrder(0), np.array([1.7]))
-        got = evo.field(0.2, 2.0)[0]
-        integrand = (jv(0.0, 1.7 * f1.nodes) * np.sqrt(1.7 * f1.nodes)
-                     * f1.values * np.exp(1j * 0.2 * f1.nodes ** 2))
-        assert got == pytest.approx(complex(np.sum(integrand * f1.weights)),
-                                    abs=1e-12)
+        nu = BesselOrder(0)
+        out = np.array([0.4, 1.7, 9.0])
+        if kernel == "bessel":
+            evo = radial.HankelEvolution(f1, nu, out)
+        elif kernel == "remainder":
+            evo = radial.RemainderOperator(f1, nu, out)
+        else:
+            evo = radial.KernelEvolution(f1, out, partial(special.main_kernel, nu))
+        got = evo.field(0.2, 2.0)
+        gamma = np.exp(-1j * math.pi / 4.0) / math.sqrt(2.0 * math.pi)
+        for i, r in enumerate(out):
+            rs = r * f1.nodes
+            bessel = jv(0.0, rs) * np.sqrt(rs)
+            main = gamma * np.exp(1j * rs) + np.conj(gamma) * np.exp(-1j * rs)
+            k = {"bessel": bessel, "remainder": bessel - main, "main": main}[kernel]
+            integrand = k * f1.values * np.exp(1j * 0.2 * f1.nodes ** 2)
+            assert got[i] == pytest.approx(complex(np.sum(integrand * f1.weights)),
+                                           abs=1e-12)
 
     def test_sup_field_dominates_single_time(self):
         f1 = bump_profile(128)
