@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from schromax import harness, special
+from schromax import harness
 
 
 def _default_workers() -> int | None:
@@ -71,6 +71,7 @@ def _run_counterexample(args) -> int:
 
 
 def _run_bessel_table(args) -> int:
+    from schromax import special
     nu = special.BesselOrder(args.two_nu)
     r = np.linspace(args.r_min, args.r_max, args.count)
     print("r,J_nu,K_nu_re,K_nu_im")

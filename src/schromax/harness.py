@@ -20,7 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from schromax import blowup, maximal, radial, sequences, special, spectral
+# radial, special and blowup import scipy.special; they are imported inside
+# the runners that use them, so the scans and their pool workers go without.
+from schromax import maximal, sequences, spectral
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -220,6 +222,7 @@ def _window_scan(e: float):
 # ---------------------------------------------------------------------------
 
 def _prop2_check(p, workers):
+    from schromax import radial
     case = radial.two_route_case(seed=p["seed"], t=p["t"], a=p["a"])
     rows = [(float(r), h, o, abs(h - o) / o)
             for r, h, o in zip(case["radii"], case["hankel"], case["oracle"])]
@@ -231,6 +234,7 @@ def _prop2_check(p, workers):
 
 
 def _prop3_bound(p, workers):
+    from schromax import radial, special
     times = np.linspace(0.0, 1.0, 160)
     rows = []
     margins = {}
@@ -257,6 +261,7 @@ def _prop3_bound(p, workers):
 
 
 def _thm6_ineq(p, workers):
+    from schromax import radial
     rows = []
     worst = -math.inf
     evolution = radial.thm6_evolution(0, p["n"], p["k"])
@@ -270,6 +275,7 @@ def _thm6_ineq(p, workers):
 
 
 def _thm7_identity(p, workers):
+    from schromax import radial
     rows = []
     worst = 0.0
     for seed in range(p["profiles"]):
@@ -288,6 +294,7 @@ def _thm7_identity(p, workers):
 # ---------------------------------------------------------------------------
 
 def _counterexample_growth(p, workers):
+    from schromax import blowup
     a, s, eps = p["a"], p["s"], p["eps"]
     reports = blowup.run_family(blowup.BlowupParams(a=a, s=s, n=p["n"], eps=eps),
                                 p["j_values"])

@@ -7,10 +7,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from schromax.sequences import TimeSequence
 from schromax.spectral import (
     GridFunction1D,
+    GridSpec,
     SpectralFunction1D,
     propagate,
     inverse_transform,
@@ -70,27 +72,30 @@ def _phase_floor(F: SpectralFunction1D, a: float) -> float:
     return 0.25 * lam ** (-a)
 
 
-def _refine_until_stable(F, a, times, modulations, rel_tol):
-    """Pointwise sup over a (times x modulations) product grid, with midpoint
-    doubling of the t-grid until the L2 norm moves by less than rel_tol.
+def _refine_until_stable(grid, a, times, passes, reduce, rel_tol):
+    """Pointwise sup over t of several evolutions, with midpoint doubling of
+    the t-grid until the L2 norm of the reduced sup on grid moves by less
+    than rel_tol.
 
-    Returns (sup_field, total_samples, last relative change)."""
-    g = F.grid
-    sup = np.zeros(g.point_count)
-    for mod in modulations:
-        np.maximum(sup, sup_over_times(F, times, a, modulation=mod), out=sup)
-    total = times.size * len(modulations)
-    norm = np.sqrt(np.sum(sup ** 2) * g.dx)
+    passes is a list of (spectral function, modulation) pairs; each keeps its
+    own running sup over the times, and reduce maps the list of those sups to
+    the sup on grid.  Returns (sup_field, total_samples, last relative change).
+    """
+    pass_sups = [sup_over_times(G, times, a, modulation=mod) for G, mod in passes]
+    sup = reduce(pass_sups)
+    total = times.size * len(passes)
+    norm = np.sqrt(np.sum(sup ** 2) * grid.dx)
     residual = math.inf
     for _ in range(REFINE_MAX_ROUNDS):
         if times.size < 2:
             residual = 0.0
             break
         mids = 0.5 * (times[:-1] + times[1:])
-        for mod in modulations:
-            np.maximum(sup, sup_over_times(F, mids, a, modulation=mod), out=sup)
-        total += mids.size * len(modulations)
-        new_norm = np.sqrt(np.sum(sup ** 2) * g.dx)
+        for (G, mod), pass_sup in zip(passes, pass_sups):
+            np.maximum(pass_sup, sup_over_times(G, mids, a, modulation=mod), out=pass_sup)
+        total += mids.size * len(passes)
+        sup = reduce(pass_sups)
+        new_norm = np.sqrt(np.sum(sup ** 2) * grid.dx)
         residual = (new_norm - norm) / norm if norm > 0 else 0.0
         norm = new_norm
         if residual < rel_tol:
@@ -109,7 +114,8 @@ def maximal_over_window(F: SpectralFunction1D, J: TimeWindow, a: float,
     if F.band_limit is None:
         raise ValueError("maximal estimates require a band-limited input")
     times = J.seed_times(F.band_limit, a)
-    sup, _, _ = _refine_until_stable(F, a, times, [None], rel_tol)
+    sup, _, _ = _refine_until_stable(F.grid, a, times, [(F, None)],
+                                     lambda sups: sups[0], rel_tol)
     return GridFunction1D(F.grid, sup)
 
 
@@ -142,22 +148,62 @@ def maximal_over_E(F: SpectralFunction1D, E: ProductSet, a: float,
                    rel_tol: float = 1e-3) -> GridFunction1D:
     """sup over (y, t) in B x J of |S_t f(x + y)|.
 
-    Translation is exact spectral modulation by e^{i xi y}, so offsets need not
-    lie on the spatial grid.  The t-axis is refined adaptively; the y-grid uses
-    step <= 1/(2 lam).
+    Translation is exact spectral modulation by e^{i xi y}, so offsets need
+    not lie on the spatial grid, and the sups over y and t commute.  With the
+    end points c +- r and the step h of E.seed_offsets(lam), let m be the
+    least power of two with delta = dx / m <= h (m = 1 when r = 0) and
+    K = floor(2r / delta).  B is sampled on the lattice
+
+        {c - r + k delta : 0 <= k <= K}  U  {c + r},
+
+    which keeps both end points and is never coarser than h.  Pass A evolves
+    the coefficients zero-padded to N m points (exact trigonometric
+    interpolation) and modulated by e^{i xi (c - r)}; its t-sup M_A at the
+    fine nodes gives out(x_j) = max_{0 <= k <= K} M_A[(j m + k) mod N m], a
+    wrapped sliding maximum.  Pass B, the offset c + r on the coarse grid,
+    runs only when K delta < 2r.  The t-axis is refined adaptively for both
+    passes together.
     """
     if F.band_limit is None:
         raise ValueError("maximal estimates require a band-limited input")
     lam = F.band_limit
-    guard = 0.25 * F.grid.half_length
+    g = F.grid
+    guard = 0.25 * g.half_length
     if E.ball_radius > guard:
         raise ValueError("ball radius exceeds the domain guard zone L/4")
-    xi = F.grid.xi_nodes()
     offsets = E.seed_offsets(lam)
-    modulations = [np.exp(1j * xi * y) if y != 0.0 else None for y in offsets]
+    low, high = offsets[0], offsets[-1]
+    m = 1
+    if offsets.size > 1:
+        while g.dx / m > offsets[1] - offsets[0]:
+            m *= 2
+    delta = g.dx / m
+    K = math.floor((high - low) / delta)
+
+    n = g.point_count
+    fine = GridSpec(n * m, g.half_length)
+    padded = np.zeros(n * m, dtype=np.complex128)
+    padded[(n * m - n) // 2:(n * m + n) // 2] = F.coefficients
+    G = SpectralFunction1D(fine, padded, band_limit=lam)
+    passes = [(G, _modulation(fine, low))]
+    if K * delta < high - low:
+        passes.append((F, _modulation(g, high)))
+
+    def reduce(sups):
+        wrapped = np.concatenate([sups[0], sups[0][:K]])
+        out = sliding_window_view(wrapped, K + 1)[::m].max(axis=1)
+        for edge in sups[1:]:
+            np.maximum(out, edge, out=out)
+        return out
+
     times = E.window.seed_times(lam, a)
-    sup, _, _ = _refine_until_stable(F, a, times, modulations, rel_tol)
-    return GridFunction1D(F.grid, sup)
+    sup, _, _ = _refine_until_stable(g, a, times, passes, reduce, rel_tol)
+    return GridFunction1D(g, sup)
+
+
+def _modulation(grid: GridSpec, y: float) -> np.ndarray | None:
+    """e^{i xi y} on the grid's frequencies (None at y = 0): translation by y."""
+    return np.exp(1j * grid.xi_nodes() * y) if y != 0.0 else None
 
 
 def thm3_predictor(lam: float, window_length: float, ball_radius: float,

@@ -95,23 +95,25 @@ class TimeSequence:
             count += 1
         return count
 
-    def members_in(self, low: float, high: float, max_count: int = 10_000_000) -> np.ndarray:
-        """All t_m with low < t_m <= high, in decreasing order."""
+    def members_in(self, low: float, high: float) -> np.ndarray:
+        """All t_m with low < t_m <= high, in decreasing order; at most 10^7
+        of them."""
         if not (0 <= low < high):
             raise ValueError("need 0 <= low < high")
         n_hi = self.count_above(high)   # members strictly above high: skip
         n_lo = self.count_above(low) if low > 0 else None
         if n_lo is None:
             raise ValueError("low = 0 would select infinitely many members")
-        if n_lo - n_hi > max_count:
-            raise ValueError("selection too large; raise max_count or low")
+        if n_lo - n_hi > 10_000_000:
+            raise ValueError("selection too large; raise low")
         if n_lo == n_hi:
             return np.empty(0)
         return self.term(np.arange(n_hi + 1, n_lo + 1))
 
-    def differences_decreasing(self, M: int = 1000) -> bool:
-        """Check (t_k - t_{k+1}) decreasing on the prefix (Theorem-9 hypothesis)."""
-        t = self.prefix(M + 1)
+    def differences_decreasing(self) -> bool:
+        """Check (t_k - t_{k+1}) decreasing on the first 1001 terms (Theorem-9
+        hypothesis)."""
+        t = self.prefix(1001)
         d = -np.diff(t)
         return bool(np.all(np.diff(d) <= 1e-15))
 
@@ -159,14 +161,14 @@ def lr_partial_sum(seq: TimeSequence, r: float, M: int) -> float:
     return float(np.sum(seq.prefix(M) ** r))
 
 
-def lr_converges(seq: TimeSequence, r: float, M: int = 100_000,
-                 rel_tol: float = 0.01) -> bool:
-    """Doubling heuristic: the sum looks convergent if S_{2M} - S_M is small."""
-    s1 = lr_partial_sum(seq, r, M)
-    s2 = lr_partial_sum(seq, r, 2 * M)
+def lr_converges(seq: TimeSequence, r: float) -> bool:
+    """Doubling heuristic: the sum looks convergent if S_{2M} - S_M is below
+    1% of S_{2M}, M = 10^5."""
+    s1 = lr_partial_sum(seq, r, 100_000)
+    s2 = lr_partial_sum(seq, r, 200_000)
     if s1 == 0:
         return True
-    return (s2 - s1) / s2 < rel_tol
+    return (s2 - s1) / s2 < 0.01
 
 
 def critical_exponent_l2(a: float, s: float) -> float:

@@ -57,8 +57,8 @@ def bessel_j(nu: BesselOrder, r) -> np.ndarray | float:
     return out if np.ndim(r) else float(out)
 
 
-def bessel_j_series(nu: BesselOrder, r: float, terms: int = 60) -> float:
-    """Truncated power series sum_m (-1)^m (r/2)^{2m+nu} / (m! Gamma(m+nu+1)).
+def bessel_j_series(nu: BesselOrder, r: float) -> float:
+    """Power series sum_m (-1)^m (r/2)^{2m+nu} / (m! Gamma(m+nu+1)), m < 60.
 
     Independent evaluation path, also the small-argument oracle in tests.
     """
@@ -70,7 +70,7 @@ def bessel_j_series(nu: BesselOrder, r: float, terms: int = 60) -> float:
     half = r / 2.0
     total = 0.0
     term = half ** v / gamma_fn(v + 1.0)
-    for m in range(terms):
+    for m in range(60):
         total += term
         term *= -half * half / ((m + 1.0) * (m + 1.0 + v))
     return total
@@ -90,15 +90,14 @@ def _hankel_poly_coeffs(two_nu: int, count: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class AsymptoticExpansion:
-    """J_nu(r) ~ sum_m [ a_m e^{ir} + b_m e^{-ir} ] / r^{m+1/2} for r >= cutoff.
+    """J_nu(r) ~ sum_m [ a_m e^{ir} + b_m e^{-ir} ] / r^{m+1/2} for r >= 12.
 
-    b_m = conj(a_m); the truncation remainder is O(r^{-terms-1/2}) beyond the
-    cutoff, which the test suite validates against bessel_j.
+    b_m = conj(a_m); the truncation remainder is O(r^{-terms-1/2}) beyond
+    r = 12, which the test suite validates against bessel_j.
     """
 
     order: BesselOrder
     terms: int = 3
-    cutoff: float = 12.0
 
     def a_coefficients(self) -> np.ndarray:
         poly = _hankel_poly_coeffs(self.order.two_nu, self.terms)
@@ -116,9 +115,10 @@ class AsymptoticExpansion:
         out = total.real
         return out if np.ndim(r) else float(out)
 
-    def remainder_bound_constant(self, r_max: float = 1e4, samples: int = 400) -> float:
-        """sup of |J_nu - expansion| * r^{terms + 1/2} on [cutoff, r_max]."""
-        r = np.geomspace(self.cutoff, r_max, samples)
+    def remainder_bound_constant(self) -> float:
+        """sup of |J_nu - expansion| * r^{terms + 1/2} at 400 geometric
+        samples of [12, 1e4]."""
+        r = np.geomspace(12.0, 1e4, 400)
         err = np.abs(bessel_j(self.order, r) - self.evaluate(r))
         return float(np.max(err * r ** (self.terms + 0.5)))
 
@@ -192,10 +192,10 @@ def remainder_kernel(nu: BesselOrder, r) -> np.ndarray | complex:
     return out if np.ndim(r) else complex(out)
 
 
-def kernel_sup_constant(nu: BesselOrder, r_min: float = 1e-3, r_max: float = 1e4,
-                        samples: int = 4000) -> float:
-    """Numerically fitted sup of (1 + r) |K_nu(r)| — the operative C_nu."""
-    r = np.geomspace(r_min, r_max, samples)
+def kernel_sup_constant(nu: BesselOrder) -> float:
+    """Numerically fitted sup of (1 + r) |K_nu(r)| — the operative C_nu —
+    at 4000 geometric samples of [1e-3, 1e4]."""
+    r = np.geomspace(1e-3, 1e4, 4000)
     return float(np.max((1.0 + r) * np.abs(remainder_kernel(nu, r))))
 
 
@@ -203,6 +203,8 @@ def kernel_sup_constant(nu: BesselOrder, r_min: float = 1e-3, r_max: float = 1e4
 GAUSS_NODES = 8
 # Panels per vectorised kernel call: 4096 x 8 nodes keeps each array under 1 MiB.
 _PANEL_CHUNK = 4096
+# Upper end U of the Schur quadrature; the tail beyond it is bounded.
+SCHUR_UPPER = 1e6
 # Beyond about max(this radius, 2 nu^2) the panel edges come from the Hankel
 # expansion, whose terms then shrink fast.
 _FAR_RADIUS = 20.0
@@ -264,16 +266,16 @@ def _far_zeros(nu: BesselOrder, k: np.ndarray) -> np.ndarray:
     return r
 
 
-def schur_panel_edges(nu: BesselOrder, upper: float = 1e6) -> np.ndarray:
-    """Panel edges on [0, upper] with every zero of K_nu, so every kink of
-    |K_nu|, on an edge.
+def schur_panel_edges(nu: BesselOrder) -> np.ndarray:
+    """Panel edges on [0, U], U = ``SCHUR_UPPER``, with every zero of K_nu,
+    so every kink of |K_nu|, on an edge.
 
     Near region, up to the point r_split midway between the half-periods
     just below and just past max(``_FAR_RADIUS``, 2 nu^2): a uniform grid of
     step 1/2 plus the zeros of K_nu found by bisection.  Far region: one
     panel per half-period, edged by the zeros of the Hankel expansion
-    (``_far_zeros``), then ``upper`` itself.  Arrays stay within a few MiB:
-    at upper = 1e6 the far region has about 3.2e5 edges, computed
+    (``_far_zeros``), then U itself.  Arrays stay within a few MiB: at
+    U = 1e6 the far region has about 3.2e5 edges, computed
     ``_PANEL_CHUNK`` at a time.
     """
     phase = nu.nu / 2.0 + 0.25
@@ -281,26 +283,27 @@ def schur_panel_edges(nu: BesselOrder, upper: float = 1e6) -> np.ndarray:
     r_split = (k_first - 0.5 + phase) * math.pi
     near = np.union1d(np.append(np.arange(0.0, r_split, 0.5), r_split),
                       _near_zeros(nu, r_split))
-    k_end = math.floor(upper / math.pi - phase) + 1
+    k_end = math.floor(SCHUR_UPPER / math.pi - phase) + 1
     far = [_far_zeros(nu, np.arange(k, min(k + _PANEL_CHUNK, k_end), dtype=float))
            for k in range(k_first, k_end, _PANEL_CHUNK)]
     if far:
-        far[-1] = far[-1][far[-1] < upper]
-    return np.concatenate([near[near < upper], *far, [upper]])
+        far[-1] = far[-1][far[-1] < SCHUR_UPPER]
+    return np.concatenate([near[near < SCHUR_UPPER], *far, [SCHUR_UPPER]])
 
 
 @lru_cache(maxsize=None)
-def schur_constant_for_order(two_nu: int, upper: float = 1e6) -> float:
+def schur_constant_for_order(two_nu: int) -> float:
     """A_nu = integral |K_nu(r)| r^{-1/2} dr, the Schur bound of Prop-3 type.
 
-    ``schur_integral`` of |K_nu| on ``schur_panel_edges(nu, upper)`` with
-    ``GAUSS_NODES`` nodes a panel, plus the tail bound 2 C_nu / sqrt(upper)
-    with the fitted C_nu of ``kernel_sup_constant``; the value is an upper
-    estimate.  It is exactly 0 where K_nu vanishes (2 nu = +-1).
+    ``schur_integral`` of |K_nu| on ``schur_panel_edges(nu)`` with
+    ``GAUSS_NODES`` nodes a panel, plus the tail bound 2 C_nu / sqrt(U),
+    U = ``SCHUR_UPPER``, with the fitted C_nu of ``kernel_sup_constant``;
+    the value is an upper estimate.  It is exactly 0 where K_nu vanishes
+    (2 nu = +-1).
     """
     nu = BesselOrder(two_nu)
     if nu.kernel_vanishes:
         return 0.0
     return schur_integral(lambda r: np.abs(remainder_kernel(nu, r)),
-                          schur_panel_edges(nu, upper),
+                          schur_panel_edges(nu),
                           tail_constant=kernel_sup_constant(nu))

@@ -214,9 +214,13 @@ class TestEmitPlotData:
 
 
 def test_import_leaves_out_scipy_integrate():
+    # scipy.special stays out of the scan processes too: every pool worker
+    # is forked from the process that imported the harness
     code = ("import sys, schromax.harness, schromax.cli; "
-            "print('scipy.integrate' in sys.modules)")
+            "print('scipy.integrate' in sys.modules); "
+            "schromax.harness.run('eq6-scan', {'lam_exponents': [4, 5], 'seeds': [0]}); "
+            "print('scipy.special' in sys.modules)")
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

@@ -144,6 +144,53 @@ class TestMaximalOverE:
                 F, ProductSet(3.0, TimeWindow(0.0, 0.25)), 2.0)
 
 
+def explicit_lattice(E, lam, dx):
+    """(m, pass B runs, offsets) of the lattice maximal_over_E documents:
+    {c - r + k delta : 0 <= k <= K} U {c + r}, delta = dx / m <= h."""
+    offs = E.seed_offsets(lam)
+    low, high = offs[0], offs[-1]
+    m = 1
+    while offs.size > 1 and dx / m > offs[1] - offs[0]:
+        m *= 2
+    delta = dx / m
+    K = math.floor((high - low) / delta)
+    return m, K * delta < high - low, np.append(low + delta * np.arange(K + 1), high)
+
+
+class TestMaximalOverELattice:
+    """The sliding-maximum evaluation against the sup over the explicit lattice,
+    one modulated evolution per offset."""
+
+    @pytest.mark.parametrize("lam, radius, center, m, edge_pass", [
+        (4.0, 0.3, 0.0, 1, True),
+        (8.0, 0.3, 0.0, 2, True),
+        (8.0, 0.3, 0.7, 2, True),
+        (8.0, 0.5, 0.0, 1, False),   # 2r / delta = 16
+    ])
+    def test_matches_explicit_lattice_at_one_time(self, lam, radius, center, m,
+                                                  edge_pass):
+        F = band_input(seed=1, lam=lam)
+        E = ProductSet(radius, TimeWindow(0.2, 0.0), ball_center=center)
+        got_m, got_edge, offsets = explicit_lattice(E, lam, GRID.dx)
+        assert (got_m, got_edge) == (m, edge_pass)
+        xi = GRID.xi_nodes()
+        direct = np.max([spectral.sup_over_times(F, [0.2], 2.0,
+                                                 modulation=np.exp(1j * xi * y))
+                         for y in offsets], axis=0)
+        sup = maximal.maximal_over_E(F, E, 2.0)
+        assert np.max(np.abs(sup.samples - direct)) < 1e-12
+
+    def test_dominates_end_points_over_seed_times(self):
+        F = band_input(seed=2)
+        E = ProductSet(0.3, TimeWindow(0.1, 0.25), ball_center=0.4)
+        sup = maximal.maximal_over_E(F, E, 2.0).samples.real
+        xi = GRID.xi_nodes()
+        times = E.window.seed_times(LAM, 2.0)
+        for y in (0.1, 0.7):
+            edge = spectral.sup_over_times(F, times, 2.0, modulation=np.exp(1j * xi * y))
+            assert np.all(sup >= edge * (1.0 - 1e-12))
+
+
 class TestFits:
     def test_thm3_predictor_shape(self):
         # lam = 1 collapses to |J|^{1/4} + r^{1/2} + 1
