@@ -7,8 +7,6 @@ from schromax.spectral import (
     forward_transform,
     inverse_transform,
     propagate,
-    sobolev_norm,
-    littlewood_paley_split,
     make_bandlimited_random,
 )
 
@@ -19,8 +17,6 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "propagate",
-    "sobolev_norm",
-    "littlewood_paley_split",
     "make_bandlimited_random",
 ]
 

@@ -33,14 +33,14 @@ from schromax.spectral import TWO_PI, bump_value
 class BlowupParams:
     """Family parameters: exponents (a, s), dimension n and the tilt eps.
 
-    The stage schedules default to M_j = 2^{j+3} and b_j = 1/M_j.  Validity
+    The stage schedules are M_j = 2^{j+3} and b_j = 1/M_j.  Validity
     needs 0 < s < a/4 and eps < 1 / (10 (a + 2)).
     """
 
     a: float
     s: float
-    n: int = 2
-    eps: float = 0.02
+    n: int
+    eps: float
 
     def __post_init__(self):
         if not (self.a > 0 and self.a != 1.0 and 0.0 < self.s < self.a / 4.0):
@@ -58,7 +58,7 @@ class BlowupParams:
 
 
 def derive_scales(M: float, b: float, params: BlowupParams,
-                  j: int = 0) -> "StageScales":
+                  j: int) -> "StageScales":
     """Compute (lam, rho) from (M, b) and cross-check the equivalent forms."""
     if not (M > 1.0 and 0.0 < b < 1.0):
         raise ValueError("need M > 1 and 0 < b < 1")
@@ -123,8 +123,8 @@ class StageScales:
         return (x * self.lam + TWO_PI * k) / la
 
 
-def build_witness_profile(scales: StageScales, n: int = 2,
-                          nodes_per_rho: int = 256) -> RadialProfile:
+def build_witness_profile(scales: StageScales, n: int,
+                          nodes_per_rho: int) -> RadialProfile:
     """The reduced profile f1(s) = sqrt(|S^{n-1}|) s^{(n-1)/2} fhat(s) of the
     radial witness with annular spectrum fhat(s) = (1/rho) g((s - lam)/rho).
 
@@ -144,25 +144,6 @@ def build_witness_profile(scales: StageScales, n: int = 2,
     fhat = bump_value(u) / scales.rho
     values = math.sqrt(surface_area(n)) * nodes ** ((n - 1) / 2.0) * fhat
     return RadialProfile(nodes, values, np.full(count + 1, h))
-
-
-def phase(xi, x: float, t: float, scales: StageScales) -> np.ndarray | float:
-    """Phi(xi, x, t) = x (rho xi - lam) + t (lam - rho xi)^a for |xi| <= 1/2."""
-    xi_arr = np.asarray(xi, dtype=float)
-    if np.any(np.abs(xi_arr) > 0.5):
-        raise ValueError("xi must lie in [-1/2, 1/2]")
-    s = scales.lam - scales.rho * xi_arr
-    out = -x * s + t * s ** scales.a
-    return out if np.ndim(xi) else float(out)
-
-
-def phase_companion(xi, x: float, t: float, scales: StageScales) -> np.ndarray | float:
-    """Phi_1(xi) = |x| (lam - rho xi) + t (lam - rho xi)^a (the counter-rotating
-    branch)."""
-    xi_arr = np.asarray(xi, dtype=float)
-    s = scales.lam - scales.rho * xi_arr
-    out = abs(x) * s + t * s ** scales.a
-    return out if np.ndim(xi) else float(out)
 
 
 def hs_norm_witness(f1: RadialProfile, s: float, n: int) -> float:

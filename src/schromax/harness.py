@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -48,15 +49,31 @@ class Experiment:
     plot: dict | None = None
 
 
+def _is_number(value) -> bool:
+    """A finite real number; JSON's NaN and Infinity are not numbers here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and float(value).is_integer()
+
+
 def _resolve_params(name: str, params: dict) -> dict:
     """The experiment's defaults updated by params.
 
-    A value whose default is a float or an int is converted to that type.
-    Raises ValueError for an unknown experiment or a key not in its defaults.
+    Each value must have its default's kind: a list of integers for a list
+    (every list parameter holds integers), a string for a string, None or a
+    finite number for None, an integer for an int and a finite number for a
+    float; numbers are converted to the default's type.  Raises ValueError
+    for an unknown experiment, params that are not a dict, a key not in the
+    defaults, or a value of the wrong kind, naming the key.
     """
-    row = EXPERIMENTS.get(name)
+    row = EXPERIMENTS.get(name) if isinstance(name, str) else None
     if row is None:
         raise ValueError(f"unknown experiment {name!r}")
+    if not isinstance(params, dict):
+        raise ValueError(f"{name} params must be an object, got {params!r}")
     unknown = sorted(set(params) - set(row.defaults))
     if unknown:
         raise ValueError(f"{name} has no parameter {', '.join(map(repr, unknown))} "
@@ -64,13 +81,30 @@ def _resolve_params(name: str, params: dict) -> dict:
     p = dict(row.defaults)
     for key, value in params.items():
         default = row.defaults[key]
-        p[key] = type(default)(value) if isinstance(default, (float, int)) else value
+        if isinstance(default, list):
+            kind = "a list of integers"
+            ok = isinstance(value, list) and all(map(_is_integer, value))
+        elif isinstance(default, str):
+            ok, kind = isinstance(value, str), "a string"
+        elif default is None:
+            ok, kind = value is None or _is_number(value), "null or a finite number"
+        elif isinstance(default, int):
+            ok, kind = _is_integer(value), "an integer"
+        else:
+            ok, kind = _is_number(value), "a finite number"
+        if not ok:
+            raise ValueError(f"{name} parameter {key!r} must be {kind}, got {value!r}")
+        if isinstance(default, list):
+            value = [int(v) for v in value]
+        elif isinstance(default, (float, int)):
+            value = type(default)(value)
+        p[key] = value
     return p
 
 
-def run(name: str, params: dict | None = None, workers: int | None = None):
+def run(name: str, params: dict, workers: int | None = None):
     """(tables, summary, verdict) of the named experiment, computed in memory."""
-    p = _resolve_params(name, params or {})
+    p = _resolve_params(name, params)
     return EXPERIMENTS[name].runner(p, workers)
 
 
@@ -78,7 +112,7 @@ def run(name: str, params: dict | None = None, workers: int | None = None):
 class ExperimentConfig:
     """Named experiment plus its parameter block (JSON-serializable).
 
-    Construction rejects an unknown experiment or parameter key.
+    Construction rejects what _resolve_params rejects.
     """
 
     experiment: str
@@ -94,6 +128,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         doc = json.loads(text)
+        if not isinstance(doc, dict) or "experiment" not in doc:
+            raise ValueError('a config must be an object with an "experiment" key')
         return cls(doc["experiment"], doc.get("params", {}))
 
     def sha256(self) -> str:
@@ -102,11 +138,16 @@ class ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """Provenance record written once per output directory."""
+    """Provenance record written once per output directory: besides checksums
+    and timings, the resolved parameters, the worker count the runner was
+    given and the python, numpy and scipy versions."""
 
     experiment: str
     config_sha256: str
     version: str
+    params: dict
+    workers: int
+    versions: dict
     files: dict
     timings: dict
     verdict: str
@@ -422,18 +463,30 @@ def _plot_texts(out_dir: str, plot: dict, summary: dict) -> tuple[str, str]:
     return emit_plot_data(os.path.join(out_dir, csv_name), spec)
 
 
+def _library_versions() -> dict:
+    """The python, numpy and scipy versions, from package metadata so that
+    recording them loads no scipy module.  The imports are deferred to keep
+    them out of the time of importing the harness."""
+    import platform
+    from importlib import metadata
+    return {"python": platform.python_version(), "numpy": metadata.version("numpy"),
+            "scipy": metadata.version("scipy")}
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
                    workers: int | None = None) -> RunManifest:
     """Execute the named experiment into out_dir and write its manifest.
 
-    Raises on an unknown experiment or parameter key (before any work or file
-    write) and on output collisions unless force is set.
+    Raises ValueError on a malformed config (see _resolve_params) before any
+    work or file write, and FileExistsError on output collisions unless force
+    is set.
     """
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise FileExistsError(f"output directory {out_dir!r} is not empty "
                               "(use force to overwrite)")
+    params = _resolve_params(cfg.experiment, cfg.params)
     start = time.perf_counter()
-    tables, summary, verdict = run(cfg.experiment, cfg.params, workers)
+    tables, summary, verdict = EXPERIMENTS[cfg.experiment].runner(params, workers)
     elapsed = time.perf_counter() - start
 
     os.makedirs(out_dir, exist_ok=True)
@@ -457,6 +510,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
         experiment=cfg.experiment,
         config_sha256=cfg.sha256(),
         version=ARTIFACT_VERSION,
+        params=params,
+        workers=workers or 1,
+        versions=_library_versions(),
         files=files,
         timings={"total_seconds": elapsed},
         verdict=verdict,

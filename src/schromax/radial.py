@@ -20,12 +20,7 @@ from functools import partial
 import numpy as np
 from scipy.special import jv
 
-from schromax.special import (
-    BesselOrder,
-    gamma_unit,
-    main_kernel,
-    remainder_kernel,
-)
+from schromax.special import BesselOrder, remainder_kernel
 from schromax.spectral import (
     SQRT_TWO_PI,
     TWO_PI,
@@ -60,24 +55,10 @@ class RadialProfile:
         """Discrete L2(R_+) norm."""
         return float(np.sqrt(np.sum(self.weights * np.abs(self.values) ** 2)))
 
-    def interp(self, r, left: float = 0.0, right: float = 0.0) -> np.ndarray:
-        """Linear interpolation of the profile, zero outside the node range."""
-        r = np.asarray(r, dtype=float)
-        re = np.interp(r, self.nodes, self.values.real, left=left, right=right)
-        im = np.interp(r, self.nodes, self.values.imag, left=left, right=right)
-        return re + 1j * im
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("r,re,im,weight\n")
-            for r, v, w in zip(self.nodes, self.values, self.weights):
-                fh.write(f"{float(r)!r},{float(v.real)!r},"
-                         f"{float(v.imag)!r},{float(w)!r}\n")
-
-
-def trapezoid_weights(nodes: np.ndarray, left_edge: float = 0.0) -> np.ndarray:
-    """Composite trapezoid weights on [left_edge, nodes[-1]] (value 0 at the edge)."""
-    edges = np.concatenate([[left_edge], nodes])
+def trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
+    """Composite trapezoid weights on [0, nodes[-1]] (value 0 at r = 0)."""
+    edges = np.concatenate([[0.0], nodes])
     w = np.empty(nodes.size)
     w[:-1] = 0.5 * (edges[2:] - edges[:-2])
     w[-1] = 0.5 * (nodes[-1] - edges[-2])
@@ -110,15 +91,6 @@ def uniform_profile(func, r_max: float, count: int) -> RadialProfile:
     return RadialProfile(nodes, values, weights)
 
 
-def _output_quadrature(f1: RadialProfile, out_nodes, out_weights):
-    """(nodes, weights) to evaluate on: the profile's own quadrature when
-    out_nodes is None, else out_nodes with out_weights (default trapezoid)."""
-    if out_nodes is None:
-        return f1.nodes, f1.weights
-    out_nodes = np.asarray(out_nodes, dtype=float)
-    return out_nodes, trapezoid_weights(out_nodes) if out_weights is None else out_weights
-
-
 @dataclass(frozen=True)
 class HarmonicContext:
     """(n, k) with the derived Bessel order nu = n/2 + k - 1 and alpha_n."""
@@ -137,25 +109,6 @@ class HarmonicContext:
     @property
     def alpha_n(self) -> float:
         return TWO_PI ** (self.n / 2.0)
-
-
-@dataclass
-class SymmetrizedLine:
-    """A line spectrum satisfying gamma(nu) F(-r) = conj(gamma(nu)) F(r)."""
-
-    line: SpectralFunction1D
-    two_nu: int
-
-    def __post_init__(self):
-        nu = BesselOrder(self.two_nu)
-        g = gamma_unit(nu)
-        F = self.line.coefficients
-        n = self.line.grid.point_count
-        # grid index k maps xi -> -xi to index n - k (k >= 1)
-        pos = F[n // 2 + 1:]
-        neg = F[1:n // 2][::-1]
-        if np.max(np.abs(g * neg - np.conj(g) * pos)) > 1e-12 * max(1.0, np.max(np.abs(F))):
-            raise ValueError("line data does not satisfy the phase symmetry")
 
 
 class KernelEvolution:
@@ -207,68 +160,13 @@ def hankel_propagate(f1: RadialProfile, t: float, a: float, nu: BesselOrder,
         raise ValueError("t must be nonnegative")
     if a <= 0:
         raise ValueError("a must be positive")
-    out_nodes, out_weights = _output_quadrature(f1, out_nodes, out_weights)
-    return RadialProfile(out_nodes, HankelEvolution(f1, nu, out_nodes).field(t, a), out_weights)
-
-
-def cosine_transform(f1: RadialProfile, out_nodes: np.ndarray) -> np.ndarray:
-    """sqrt(2/pi) * integral cos(rs) f1(s) ds — the nu = -1/2, t = 0 reduction."""
-    rs = np.outer(np.asarray(out_nodes, dtype=float), f1.nodes)
-    return math.sqrt(2.0 / math.pi) * (np.cos(rs) @ (f1.values * f1.weights))
-
-
-def even_odd_split(F: SpectralFunction1D) -> tuple[SpectralFunction1D, SpectralFunction1D]:
-    """F = F_even + F_odd by reflecting the coefficient grid; Pythagoras holds."""
-    c = F.coefficients
-    n = F.grid.point_count
-    refl = np.empty_like(c)
-    refl[0] = c[0]          # -xi_max has no partner on the grid
-    refl[1:] = c[1:][::-1]
-    even = 0.5 * (c + refl)
-    odd = 0.5 * (c - refl)
-    odd[0] = 0.0
-    even[0] = c[0]
-    return (SpectralFunction1D(F.grid, even, band_limit=F.band_limit),
-            SpectralFunction1D(F.grid, odd, band_limit=F.band_limit))
-
-
-def symmetrize(f1: RadialProfile, nu: BesselOrder, variant: str,
-               grid: GridSpec, nu1: BesselOrder | None = None) -> SymmetrizedLine:
-    """Build the line spectrum realizing the requested phase symmetry.
-
-    variant "prop1": F(xi) = gamma(nu) f1(xi) for xi > 0 and
-    conj(gamma(nu)) f1(-xi) for xi < 0.  The "lemma7_P" / "lemma7_Q" pair
-    treats f1 as a spectrum supported on the positive axis and builds the two
-    symmetrized combinations whose sum has modulus c = 2|sin(pi(nu-nu1)/2)|
-    times the original.
-    """
-    xi = grid.xi_nodes()
-    pos_vals = f1.interp(np.abs(xi))
-    coeffs = np.zeros(grid.point_count, dtype=np.complex128)
-    if variant == "prop1":
-        g = gamma_unit(nu)
-        coeffs[xi > 0] = g * pos_vals[xi > 0]
-        coeffs[xi < 0] = np.conj(g) * pos_vals[xi < 0]
-        two_nu = nu.two_nu
-    elif variant in ("lemma7_P", "lemma7_Q"):
-        if nu1 is None:
-            raise ValueError("lemma7 variants need the second order nu1")
-        from schromax.special import symmetry_constant
-        symmetry_constant(nu, nu1)  # rejects the degenerate c = 0 case
-        if variant == "lemma7_P":
-            base = -np.conj(gamma_unit(nu1)) * pos_vals
-            g = gamma_unit(nu)
-            two_nu = nu.two_nu
-        else:
-            base = np.conj(gamma_unit(nu)) * pos_vals
-            g = gamma_unit(nu1)
-            two_nu = nu1.two_nu
-        coeffs[xi > 0] = g * base[xi > 0]
-        coeffs[xi < 0] = np.conj(g) * base[xi < 0]
+    if out_nodes is None:
+        out_nodes, out_weights = f1.nodes, f1.weights
     else:
-        raise ValueError(f"unknown symmetrize variant {variant!r}")
-    line = SpectralFunction1D(grid, coeffs)
-    return SymmetrizedLine(line, two_nu)
+        out_nodes = np.asarray(out_nodes, dtype=float)
+        if out_weights is None:
+            out_weights = trapezoid_weights(out_nodes)
+    return RadialProfile(out_nodes, HankelEvolution(f1, nu, out_nodes).field(t, a), out_weights)
 
 
 class RemainderOperator(KernelEvolution):
@@ -284,45 +182,7 @@ class RemainderOperator(KernelEvolution):
                   else partial(remainder_kernel, nu))
         super().__init__(f1, out_nodes, kernel)
 
-    rem = KernelEvolution.field
     rem_sup = KernelEvolution.sup_field
-
-    def rem_dominator(self) -> np.ndarray:
-        """Pointwise dominating operator: integral |K_nu(rs)| |f1(s)| ds."""
-        return np.abs(self._kernel) @ (np.abs(self.f1.values) * self.f1.weights)
-
-
-def remainder_decompose(f1: RadialProfile, nu: BesselOrder, t: float, a: float,
-                        out_nodes: np.ndarray | None = None,
-                        ) -> tuple[RadialProfile, RadialProfile]:
-    """Split H_t f1 into the one-dimensional main part and the K-kernel remainder.
-
-    main + rem reconstructs H_t f1 exactly at the quadrature level.
-    """
-    out_nodes, out_weights = _output_quadrature(f1, out_nodes, None)
-    main = KernelEvolution(f1, out_nodes, partial(main_kernel, nu)).field(t, a)
-    rem = RemainderOperator(f1, nu, out_nodes).rem(t, a)
-    return (RadialProfile(out_nodes, main, out_weights),
-            RadialProfile(out_nodes, rem, out_weights))
-
-
-def schur_apply(kernel, f: RadialProfile,
-                out_nodes: np.ndarray | None = None) -> RadialProfile:
-    """T f(s) = integral K(r s) f(r) dr on the profile's quadrature."""
-    out_nodes, out_weights = _output_quadrature(f, out_nodes, None)
-    rs = np.outer(out_nodes, f.nodes)
-    kvals = np.asarray(kernel(rs), dtype=float)
-    values = kvals @ (f.values * f.weights)
-    return RadialProfile(out_nodes, values, out_weights)
-
-
-def radial_sup_norm(f1: RadialProfile, nu: BesselOrder, t_values, a: float,
-                    out_nodes: np.ndarray | None = None,
-                    out_weights: np.ndarray | None = None) -> float:
-    """|| sup_{t in E} |H_t f1| ||_{L2(R_+)} on the output quadrature."""
-    out_nodes, out_weights = _output_quadrature(f1, out_nodes, out_weights)
-    sup = HankelEvolution(f1, nu, out_nodes).sup_field(t_values, a)
-    return float(np.sqrt(np.sum(out_weights * sup ** 2)))
 
 
 def _polar_lift_norm(ctx: HarmonicContext, nodes: np.ndarray, weights: np.ndarray,
@@ -337,45 +197,20 @@ def _polar_lift_norm(ctx: HarmonicContext, nodes: np.ndarray, weights: np.ndarra
     return ctx.alpha_n * math.sqrt(float(np.sum(weights * amp ** 2 * nodes ** (ctx.n - 1))))
 
 
-def lift_norm_identity(f1: RadialProfile, ctx: HarmonicContext, t_values,
-                       a: float) -> tuple[float, float]:
-    """Both sides of alpha_n ||S_E^{*(n)} f_P|| = ||H_E^* f1||_{L2(R_+)}.
-
-    The left side is the polar lift (``_polar_lift_norm``) on an offset
-    radial grid; the right side is the direct radial maximal norm on the
-    profile's own nodes.
-    """
-    nu = ctx.order
-    # left: polar route on midpoint nodes (independent quadrature)
-    mid = 0.5 * (f1.nodes[:-1] + f1.nodes[1:])
-    mid_w = trapezoid_weights(mid, left_edge=f1.nodes[0])
-    sup = HankelEvolution(f1, nu, mid).sup_field(t_values, a)
-    lhs = _polar_lift_norm(ctx, mid, mid_w, sup)
-    rhs = radial_sup_norm(f1, nu, t_values, a)
-    return lhs, rhs
-
-
 # ---------------------------------------------------------------------------
 # two-dimensional tensor-grid oracle (n = 2, k = 0 only)
 # ---------------------------------------------------------------------------
 
 def oracle_2d_propagate(f1, t: float, a: float, grid: GridSpec,
-                        support_max: float | None = None) -> np.ndarray:
+                        support_max: float) -> np.ndarray:
     """Full 2-D spectral propagation of the planar function f_P built from f1.
 
     The 2-D spectrum is F(xi) = P f1(|xi|) |xi|^{-1/2} with the constant
-    harmonic P = (2 pi)^{-1/2}; f1 may be a RadialProfile (linear interp) or
-    a callable evaluated exactly on the grid.  Returns the propagated spatial
+    harmonic P = (2 pi)^{-1/2}; f1 is a callable, evaluated exactly on the
+    grid, that vanishes beyond support_max.  Returns the propagated spatial
     samples on the (N, N) tensor grid.  Used only as an independent
     cross-check of the Hankel route.
     """
-    if callable(f1):
-        if support_max is None:
-            raise ValueError("callable profile needs an explicit support_max")
-        evaluate = f1
-    else:
-        support_max = f1.nodes[-1]
-        evaluate = f1.interp
     if support_max > grid.xi_max:
         raise ValueError("profile support exceeds the 2-D grid Nyquist frequency")
     xi = grid.xi_nodes()
@@ -383,7 +218,7 @@ def oracle_2d_propagate(f1, t: float, a: float, grid: GridSpec,
     p_const = 1.0 / SQRT_TWO_PI
     with np.errstate(divide="ignore"):
         radial_factor = np.where(rr > 0, rr ** -0.5, 0.0)
-    spec = p_const * np.asarray(evaluate(rr), dtype=np.complex128) * radial_factor
+    spec = p_const * np.asarray(f1(rr), dtype=np.complex128) * radial_factor
     spec = spec * np.exp(1j * t * rr ** a)
     sign = alternating_signs(grid.point_count)
     checker = np.outer(sign, sign)
@@ -462,7 +297,7 @@ def default_time_set() -> np.ndarray:
     return np.linspace(0.0, 1.0, 60)
 
 
-def thm6_evolution(seed: int = 0, n: int = 2, k: int = 0) -> HankelEvolution:
+def thm6_evolution(seed: int, n: int, k: int) -> HankelEvolution:
     """The Hankel evolution of the seed's profile on the output nodes of the
     thm6_sides and thm7_sides left sides."""
     func, support = random_profile_func(seed)

@@ -1,10 +1,10 @@
-"""Decreasing time sequences, summability classes and the dyadic threshold
-arithmetic used by the convergence experiments."""
+"""Decreasing time sequences, their counting functions and the summability
+classes used by the sequence experiments."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,50 +14,34 @@ class TimeSequence:
     """A strictly decreasing sequence 1 > t_1 > t_2 > ... > 0.
 
     kind:
-      power      t_m = scale * (m + 1)^{-alpha}   (alpha > 0; the +1 shift keeps t_1 < 1)
-      geometric  t_m = scale * ratio^m            (0 < ratio < 1)
-      log        t_m = 1 / log(m + 2)             (slowly decaying; in no l^{r,inf})
-      explicit   a finite list supplied directly
+      power      t_m = (m + 1)^{-alpha}   (alpha > 0; the +1 shift keeps t_1 < 1)
+      geometric  t_m = ratio^m            (0 < ratio < 1)
+      log        t_m = 1 / log(m + 2)     (slowly decaying; in no l^{r,inf})
     """
 
     kind: str
     alpha: float = 1.0
     ratio: float = 0.5
-    scale: float = 1.0
-    values: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("power", "geometric", "log", "explicit"):
+        if self.kind not in ("power", "geometric", "log"):
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if self.kind == "power" and self.alpha <= 0:
             raise ValueError("power sequence needs alpha > 0")
         if self.kind == "geometric" and not (0 < self.ratio < 1):
             raise ValueError("geometric sequence needs 0 < ratio < 1")
-        if self.kind == "explicit":
-            vals = np.asarray(self.values, dtype=float)
-            if vals.size == 0:
-                raise ValueError("explicit sequence must be nonempty")
-            if not (vals[0] < 1.0 and np.all(vals > 0) and np.all(np.diff(vals) < 0)):
-                raise ValueError("explicit sequence must satisfy 1 > t_1 > t_2 > ... > 0")
-        first = self.term(1)
-        if not (0.0 < first < 1.0):
+        if not 0.0 < self.term(1) < 1.0:
             raise ValueError("need 1 > t_1 > 0")
 
     def term(self, m) -> np.ndarray | float:
         """t_m for 1-indexed m (vectorized)."""
         m_arr = np.asarray(m, dtype=float)
         if self.kind == "power":
-            out = self.scale * (m_arr + 1.0) ** (-self.alpha)
+            out = (m_arr + 1.0) ** (-self.alpha)
         elif self.kind == "geometric":
-            out = self.scale * self.ratio ** m_arr
-        elif self.kind == "log":
-            out = 1.0 / np.log(m_arr + 2.0)
+            out = self.ratio ** m_arr
         else:
-            vals = np.asarray(self.values, dtype=float)
-            idx = np.asarray(m, dtype=int) - 1
-            if np.any(idx < 0) or np.any(idx >= vals.size):
-                raise IndexError("explicit sequence index out of range")
-            out = vals[idx]
+            out = 1.0 / np.log(m_arr + 2.0)
         return out if np.ndim(m) else float(out)
 
     def prefix(self, M: int) -> np.ndarray:
@@ -70,19 +54,12 @@ class TimeSequence:
         if self.term(1) <= b:
             return 0
         if self.kind == "power":
-            # t_m > b  <=>  m + 1 < (b/scale)^{-1/alpha}
-            x = (b / self.scale) ** (-1.0 / self.alpha)
-            count = int(math.ceil(x)) - 2
+            # t_m > b  <=>  m + 1 < b^{-1/alpha}
+            count = int(math.ceil(b ** (-1.0 / self.alpha))) - 2
         elif self.kind == "geometric":
-            x = math.log(b / self.scale) / math.log(self.ratio)
-            count = int(math.floor(x))
-        elif self.kind == "log":
-            x = math.exp(1.0 / b)
-            count = int(math.ceil(x)) - 2
+            count = int(math.floor(math.log(b) / math.log(self.ratio)))
         else:
-            vals = np.asarray(self.values, dtype=float)
-            count = int(np.searchsorted(-vals, -b, side="left"))
-            return count
+            count = int(math.ceil(math.exp(1.0 / b))) - 2
         # closed forms can be off by one at exact boundaries; fix locally.
         # Beyond exact float-integer range the boundary comparison cannot
         # resolve anyway (and the walk would not terminate), so return as is.
@@ -109,13 +86,6 @@ class TimeSequence:
         if n_lo == n_hi:
             return np.empty(0)
         return self.term(np.arange(n_hi + 1, n_lo + 1))
-
-    def differences_decreasing(self) -> bool:
-        """Check (t_k - t_{k+1}) decreasing on the first 1001 terms (Theorem-9
-        hypothesis)."""
-        t = self.prefix(1001)
-        d = -np.diff(t)
-        return bool(np.all(np.diff(d) <= 1e-15))
 
 
 def default_b_grid(depth: int = 16) -> np.ndarray:
@@ -169,38 +139,3 @@ def lr_converges(seq: TimeSequence, r: float) -> bool:
     if s1 == 0:
         return True
     return (s2 - s1) / s2 < 0.01
-
-
-def critical_exponent_l2(a: float, s: float) -> float:
-    """r = 2s / (a - 2s), the l^{r,inf} convergence threshold (n >= 2)."""
-    if not (0 < s < a / 2):
-        raise ValueError("need 0 < s < a/2")
-    return 2.0 * s / (a - 2.0 * s)
-
-
-def critical_exponent_l4(a: float, s: float) -> float:
-    """r(s) = 2s / (a - 4s), the counterexample threshold."""
-    if not (0 < s < a / 4):
-        raise ValueError("need 0 < s < a/4")
-    return 2.0 * s / (a - 4.0 * s)
-
-
-def split_thresholds(j: int, a: float, s: float, eps: float) -> tuple[float, float, float, float]:
-    """(k(j), b(j), b1(j), b2(j)) with k(j) = (a-2s) j and the eps-tilted cutoffs.
-
-    b(j) = 2^{-k(j)}, b1(j) = 2^{-k(j)-eps1 j}, b2(j) = 2^{-k(j)+eps2 j} where
-    eps1 = 2 eps and eps2 = 2 eps / r with r = 2s/(a-2s); the identity
-    (a-2s) j = 2 s j / r holds by construction.
-    """
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    r = critical_exponent_l2(a, s)
-    k_j = (a - 2.0 * s) * j
-    eps1 = 2.0 * eps
-    eps2 = 2.0 * eps / r
-    return (k_j,
-            2.0 ** (-k_j),
-            2.0 ** (-k_j - eps1 * j),
-            2.0 ** (-k_j + eps2 * j))

@@ -1,6 +1,6 @@
-"""Bessel functions of half-integer step order, their large-argument expansion,
-the sphere-measure Fourier transform, the unit phases gamma(nu), and the
-remainder kernel K_nu with its Schur constant."""
+"""Bessel functions of half-integer step order, the coefficients of their
+large-argument expansion, the unit phases gamma(nu), and the remainder kernel
+K_nu with its Schur constant."""
 
 from __future__ import annotations
 
@@ -37,10 +37,6 @@ class BesselOrder:
         return cls(n + 2 * k - 2)
 
     @property
-    def is_half_integer(self) -> bool:
-        return self.two_nu % 2 != 0
-
-    @property
     def kernel_vanishes(self) -> bool:
         """K_nu = 0 exactly: r^{1/2} J_{+-1/2}(r) = 2 Re(gamma_nu e^{ir})."""
         return self.two_nu in (-1, 1)
@@ -57,25 +53,6 @@ def bessel_j(nu: BesselOrder, r) -> np.ndarray | float:
     return out if np.ndim(r) else float(out)
 
 
-def bessel_j_series(nu: BesselOrder, r: float) -> float:
-    """Power series sum_m (-1)^m (r/2)^{2m+nu} / (m! Gamma(m+nu+1)), m < 60.
-
-    Independent evaluation path, also the small-argument oracle in tests.
-    """
-    if r < 0:
-        raise ValueError("argument must be nonnegative")
-    v = nu.nu
-    if r == 0.0:
-        return 1.0 if nu.two_nu == 0 else 0.0
-    half = r / 2.0
-    total = 0.0
-    term = half ** v / gamma_fn(v + 1.0)
-    for m in range(60):
-        total += term
-        term *= -half * half / ((m + 1.0) * (m + 1.0 + v))
-    return total
-
-
 @lru_cache(maxsize=None)
 def _hankel_poly_coeffs(two_nu: int, count: int) -> tuple[float, ...]:
     # a_m(nu) = prod_{i=1..m} (4 nu^2 - (2i-1)^2) / (m! 8^m)
@@ -90,58 +67,18 @@ def _hankel_poly_coeffs(two_nu: int, count: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class AsymptoticExpansion:
-    """J_nu(r) ~ sum_m [ a_m e^{ir} + b_m e^{-ir} ] / r^{m+1/2} for r >= 12.
+    """J_nu(r) ~ sum_{m < terms} [ a_m e^{ir} + b_m e^{-ir} ] / r^{m+1/2}.
 
-    b_m = conj(a_m); the truncation remainder is O(r^{-terms-1/2}) beyond
-    r = 12, which the test suite validates against bessel_j.
+    b_m = conj(a_m); the truncation remainder is O(r^{-terms-1/2}), which the
+    test suite checks against bessel_j beyond r = 12.
     """
 
     order: BesselOrder
-    terms: int = 3
+    terms: int
 
     def a_coefficients(self) -> np.ndarray:
         poly = _hankel_poly_coeffs(self.order.two_nu, self.terms)
-        front = 0.5 * math.sqrt(2.0 / math.pi) * np.exp(
-            -1j * (math.pi * self.order.nu / 2.0 + math.pi / 4.0))
-        return front * (1j ** np.arange(self.terms)) * np.array(poly)
-
-    def evaluate(self, r) -> np.ndarray | float:
-        r_arr = np.asarray(r, dtype=float)
-        a = self.a_coefficients()
-        total = np.zeros_like(r_arr, dtype=np.complex128)
-        for m in range(self.terms):
-            total += (a[m] * np.exp(1j * r_arr)
-                      + np.conj(a[m]) * np.exp(-1j * r_arr)) / r_arr ** (m + 0.5)
-        out = total.real
-        return out if np.ndim(r) else float(out)
-
-    def remainder_bound_constant(self) -> float:
-        """sup of |J_nu - expansion| * r^{terms + 1/2} at 400 geometric
-        samples of [12, 1e4]."""
-        r = np.geomspace(12.0, 1e4, 400)
-        err = np.abs(bessel_j(self.order, r) - self.evaluate(r))
-        return float(np.max(err * r ** (self.terms + 0.5)))
-
-
-def sphere_fourier(n: int, rho) -> np.ndarray | complex:
-    """Fourier transform of the unit-sphere surface measure in R^n.
-
-    sigma_hat(rho) = (2 pi)^{n/2} rho^{1-n/2} J_{(n-2)/2}(rho); the constant is
-    pinned by sigma_hat(0) = |S^{n-1}| and the n = 2, 3 closed forms.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rho_arr = np.atleast_1d(np.asarray(rho, dtype=float))
-    if np.any(rho_arr < 0):
-        raise ValueError("rho must be nonnegative")
-    m = (n - 2) / 2.0
-    c = (2.0 * math.pi) ** (n / 2.0)
-    out = np.empty(rho_arr.shape, dtype=np.complex128)
-    pos = rho_arr > 0
-    out[pos] = c * rho_arr[pos] ** (1.0 - n / 2.0) * jv(m, rho_arr[pos])
-    # limit rho -> 0: J_m(rho) rho^{-m} -> 1 / (2^m Gamma(m+1))
-    out[~pos] = c / (2.0 ** m * gamma_fn(m + 1.0))
-    return out if np.ndim(rho) else complex(out[0])
+        return gamma_kernel(self.order) * (1j ** np.arange(self.terms)) * np.array(poly)
 
 
 def surface_area(n: int) -> float:
@@ -157,20 +94,6 @@ def gamma_unit(nu: BesselOrder) -> complex:
 def gamma_kernel(nu: BesselOrder) -> complex:
     """gamma_nu = (2 pi)^{-1/2} e^{-i (pi nu / 2 + pi / 4)}."""
     return gamma_unit(nu) / SQRT_TWO_PI
-
-
-def symmetry_constant(nu: BesselOrder, nu1: BesselOrder) -> float:
-    """c = 2 |sin(pi (nu - nu1) / 2)|, exactly sqrt(2) or 2 for half-integer gaps.
-
-    Degenerate when 2 nu1 = 2 nu (mod 4), where c would vanish.
-    """
-    diff = nu.two_nu - nu1.two_nu
-    residue = diff % 4
-    if residue == 0:
-        raise ValueError("degenerate pair: 2 nu1 = 2 nu (mod 4) gives c = 0")
-    if residue == 2:
-        return 2.0
-    return math.sqrt(2.0)
 
 
 def main_kernel(nu: BesselOrder, r) -> np.ndarray:

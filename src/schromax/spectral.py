@@ -11,7 +11,6 @@ With these, ||F||_{L^2} = sqrt(2 pi) ||f||_{L^2} in one dimension.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -88,30 +87,6 @@ class SpectralFunction1D:
 
     def l2_spatial(self) -> float:
         return self.l2_coefficients() / SQRT_TWO_PI
-
-    def to_csv(self, path) -> None:
-        header = {
-            "N": self.grid.point_count,
-            "L": self.grid.half_length,
-            "band_limit": self.band_limit,
-        }
-        xi = self.grid.xi_nodes()
-        with open(path, "w", newline="\n") as fh:
-            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-            fh.write("xi,re,im\n")
-            for k in range(self.grid.point_count):
-                c = self.coefficients[k]
-                fh.write(f"{float(xi[k])!r},{float(c.real)!r},{float(c.imag)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "SpectralFunction1D":
-        with open(path) as fh:
-            header = json.loads(fh.readline().lstrip("# "))
-            fh.readline()  # column names
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        grid = GridSpec(int(header["N"]), float(header["L"]))
-        coeffs = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-        return cls(grid, coeffs, band_limit=header.get("band_limit"))
 
 
 @dataclass
@@ -217,34 +192,6 @@ def grid_for_bandlimit(lam: float, half_length: float = 1.0,
     while n < need:
         n *= 2
     return GridSpec(n, half_length)
-
-
-def sobolev_norm(F: SpectralFunction1D, s: float) -> float:
-    """Quadrature approximation of ( integral (1+xi^2)^s |F|^2 dxi )^{1/2}."""
-    xi = F.grid.xi_nodes()
-    weight = (1.0 + xi * xi) ** s
-    return float(np.sqrt(np.sum(weight * np.abs(F.coefficients) ** 2) * F.grid.dxi))
-
-
-def littlewood_paley_split(F: SpectralFunction1D) -> list[SpectralFunction1D]:
-    """Sharp dyadic shell decomposition of the coefficients.
-
-    Shell 0 is {|xi| <= 1}; shell j >= 1 is {2^{j-1} < |xi| <= 2^j}.  The
-    shells partition the grid frequencies, so the pieces sum back to F.
-    """
-    xi = np.abs(F.grid.xi_nodes())
-    j_max = max(0, math.ceil(math.log2(max(float(xi.max()), 1.0))))
-    pieces = []
-    for j in range(j_max + 1):
-        if j == 0:
-            mask = xi <= 1.0
-        else:
-            mask = (xi > 2.0 ** (j - 1)) & (xi <= 2.0 ** j)
-        if j == j_max:
-            mask = mask | (xi > 2.0 ** j)  # catch the -xi_max endpoint
-        coeffs = np.where(mask, F.coefficients, 0.0)
-        pieces.append(SpectralFunction1D(F.grid, coeffs, band_limit=2.0 ** j))
-    return pieces
 
 
 def make_bandlimited_random(lam: float, shape: str, seed: int,

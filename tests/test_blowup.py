@@ -17,13 +17,13 @@ PARAMS = BlowupParams(a=2.0, s=0.25, n=2, eps=0.02)
 class TestParams:
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
-            BlowupParams(a=1.0, s=0.2)          # degenerate a
+            BlowupParams(a=1.0, s=0.2, n=2, eps=0.02)   # degenerate a
         with pytest.raises(ValueError):
-            BlowupParams(a=2.0, s=0.5)          # s >= a/4
+            BlowupParams(a=2.0, s=0.5, n=2, eps=0.02)   # s >= a/4
         with pytest.raises(ValueError):
-            BlowupParams(a=2.0, s=0.25, eps=0.5)
+            BlowupParams(a=2.0, s=0.25, n=2, eps=0.5)
         with pytest.raises(ValueError):
-            BlowupParams(a=2.0, s=0.25, n=1)
+            BlowupParams(a=2.0, s=0.25, n=1, eps=0.02)
 
     def test_stage_schedule(self):
         assert PARAMS.stage_m(1) == 16.0
@@ -49,9 +49,9 @@ class TestScales:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            blowup.derive_scales(0.5, 0.5, PARAMS)
+            blowup.derive_scales(0.5, 0.5, PARAMS, 0)
         with pytest.raises(ValueError):
-            blowup.derive_scales(16.0, 2.0, PARAMS)
+            blowup.derive_scales(16.0, 2.0, PARAMS, 0)
 
     def test_drift_increases_along_schedule(self):
         drifts = [blowup.derive_scales(PARAMS.stage_m(j), PARAMS.stage_b(j),
@@ -82,7 +82,7 @@ class TestScales:
 class TestWitness:
     def test_profile_support_and_amplitude(self):
         sc = blowup.derive_scales(16.0, 1.0 / 16.0, PARAMS, j=1)
-        f1 = blowup.build_witness_profile(sc, n=2)
+        f1 = blowup.build_witness_profile(sc, 2, 256)
         assert f1.nodes[0] == pytest.approx(sc.lam - 0.5 * sc.rho)
         assert f1.nodes[-1] == pytest.approx(sc.lam + 0.5 * sc.rho)
         # center value: sqrt(|S^1|) lam^{1/2} g(0)/rho
@@ -96,7 +96,7 @@ class TestWitness:
     def test_profile_needs_resolution(self):
         sc = blowup.derive_scales(16.0, 1.0 / 16.0, PARAMS, j=1)
         with pytest.raises(ValueError):
-            blowup.build_witness_profile(sc, nodes_per_rho=8)
+            blowup.build_witness_profile(sc, 2, 8)
 
     def test_hs_norm_scaling(self):
         # ||f||_{H^s}^2 ~ rho^{-1} lam^{2s + n - 1} const across stages
@@ -104,24 +104,10 @@ class TestWitness:
         for j in (2, 4, 6):
             sc = blowup.derive_scales(PARAMS.stage_m(j), PARAMS.stage_b(j),
                                       PARAMS, j)
-            f1 = blowup.build_witness_profile(sc, n=2)
+            f1 = blowup.build_witness_profile(sc, 2, 256)
             hs = blowup.hs_norm_witness(f1, PARAMS.s, 2)
             consts.append(hs ** 2 * sc.rho / sc.lam ** (2 * PARAMS.s + 1))
         assert max(consts) / min(consts) == pytest.approx(1.0, rel=1e-3)
-
-    def test_phase_domain_and_value(self):
-        sc = blowup.derive_scales(16.0, 1.0 / 16.0, PARAMS, j=1)
-        x, t = 1.0, 0.003
-        assert blowup.phase(0.0, x, t, sc) == pytest.approx(
-            -x * sc.lam + t * sc.lam ** sc.a)
-        with pytest.raises(ValueError):
-            blowup.phase(0.6, x, t, sc)
-
-    def test_companion_phase_counter_rotates(self):
-        sc = blowup.derive_scales(16.0, 1.0 / 16.0, PARAMS, j=1)
-        # at t = 0 the two branches differ by the sign of the x s term
-        assert blowup.phase_companion(0.1, 2.0, 0.0, sc) == pytest.approx(
-            -blowup.phase(0.1, 2.0, 0.0, sc))
 
 
 class TestGrowth:
@@ -156,7 +142,7 @@ def per_radius_norms(params, j, x_count, t_count):
     a one-row Hankel evolution per radius for the full field, and the
     stationary branch summed directly at the aligned time."""
     scales = blowup.derive_scales(params.stage_m(j), params.stage_b(j), params, j)
-    f1 = blowup.build_witness_profile(scales, params.n)
+    f1 = blowup.build_witness_profile(scales, params.n, 256)
     ctx = radial.HarmonicContext(params.n, 0)
     g = gamma_kernel(ctx.order)
     xs = np.linspace(*scales.interval_j, x_count)

@@ -92,6 +92,23 @@ class TestExperimentCommands:
         assert "lam_exponent" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("doc,key", [
+        pytest.param({"experiment": "eq6-scan", "params": {"lam_exponents": 5}},
+                     "lam_exponents", id="list-not-list"),
+        pytest.param({"experiment": "eq6-scan", "params": {"a": None}},
+                     "'a'", id="number-null"),
+        pytest.param({"params": {}}, "experiment", id="no-experiment"),
+    ])
+    def test_malformed_config_is_error(self, capsys, tmp_path, doc, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, "eq6-scan", "--config", str(cfg_path),
+                               "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error:") and key in err
+        assert not out_dir.exists()
+
     def test_degenerate_scan_is_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(

@@ -1,6 +1,7 @@
 """Experiment orchestration: configs, determinism, artifacts, plot emission."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -40,6 +41,42 @@ class TestConfig:
         with pytest.raises(ValueError, match="lam_exponent'"):
             harness.run_experiment(cfg, str(out))
         assert not out.exists()
+
+    @pytest.mark.parametrize("doc,key", [
+        pytest.param({"experiment": "eq6-scan", "params": {"lam_exponents": 5}},
+                     "lam_exponents", id="list-not-list"),
+        pytest.param({"experiment": "eq6-scan", "params": {"seeds": [0, "1"]}},
+                     "seeds", id="list-of-strings"),
+        pytest.param({"experiment": "eq6-scan", "params": {"seeds": [0.5, 1]}},
+                     "seeds", id="list-of-fractions"),
+        pytest.param({"experiment": "eq6-scan", "params": {"a": None}},
+                     "'a'", id="number-null"),
+        pytest.param({"experiment": "eq6-scan", "params": {"a": "2"}},
+                     "'a'", id="number-string"),
+        pytest.param({"experiment": "eq6-scan", "params": {"a": math.inf}},
+                     "'a'", id="number-infinite"),
+        pytest.param({"experiment": "eq6-scan", "params": {"a": math.nan}},
+                     "'a'", id="number-nan"),
+        pytest.param({"experiment": "thm7-identity", "params": {"profiles": 2.5}},
+                     "profiles", id="int-fraction"),
+        pytest.param({"experiment": "seq-classify", "params": {"depth": [9]}},
+                     "depth", id="null-list"),
+        pytest.param({"experiment": "seq-classify", "params": {"gen": 2}},
+                     "gen", id="string-number"),
+        pytest.param({"experiment": "eq6-scan", "params": [4]},
+                     "params", id="params-not-object"),
+        pytest.param({"params": {}}, "experiment", id="no-experiment"),
+    ])
+    def test_malformed_config_rejected_before_any_write(self, doc, key, tmp_path):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_json(json.dumps(doc))
+        if "experiment" in doc:
+            cfg = ExperimentConfig(doc["experiment"])
+            cfg.params = doc["params"]  # bypass constructor validation
+            out = tmp_path / "never"
+            with pytest.raises(ValueError, match=key):
+                harness.run_experiment(cfg, str(out))
+            assert not out.exists()
 
     @pytest.mark.parametrize("name", SCAN_NAMES)
     @pytest.mark.parametrize("params", [{"lam_exponents": [4]},
@@ -129,6 +166,15 @@ class TestRunExperiment:
         assert manifest.verdict == "pass"
         summary = json.loads((tmp_path / "p" / "summary.json").read_text())
         assert len(summary["measures"]) == 3
+
+    def test_manifest_records_resolved_params_workers_versions(self, tmp_path):
+        harness.run_experiment(ExperimentConfig("convergence-probe"), str(tmp_path / "p"))
+        doc = json.loads((tmp_path / "p" / "manifest.json").read_text())
+        assert doc["params"]["N"] == 256
+        assert doc["params"] == harness.EXPERIMENTS["convergence-probe"].defaults
+        assert doc["workers"] == 1
+        assert set(doc["versions"]) == {"python", "numpy", "scipy"}
+        assert doc["versions"]["numpy"] == np.__version__
 
     def test_scan_writes_plot_files(self, tmp_path):
         cfg = ExperimentConfig("theorem2-scan", {"lam_exponents": [4, 5, 6], "seeds": [0]})

@@ -103,7 +103,7 @@ class TestMaximalOverSequence:
 
     def test_empty_selection(self):
         F = band_input(shape="annulus")
-        seq = sequences.TimeSequence("explicit", values=(0.9,))
+        seq = sequences.TimeSequence("power", alpha=1.0)   # t_1 = 1/2
         sup, count = maximal.maximal_over_sequence(F, seq, 2.0,
                                                    cutoffs=(0.95, 0.99))
         assert count == 0

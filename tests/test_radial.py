@@ -5,12 +5,9 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
 from schromax import radial, special, spectral
 from schromax.radial import HarmonicContext, RadialProfile
-from schromax.special import BesselOrder, gamma_unit
+from schromax.special import BesselOrder
 
 
 def bump_profile(count=256):
@@ -32,27 +29,14 @@ class TestRadialProfile:
         prof = radial.uniform_profile(lambda s: np.ones_like(s), 1.0, 200)
         assert prof.norm() == pytest.approx(1.0, abs=5e-3)
 
-    def test_interp_zero_outside(self):
-        prof = bump_profile()
-        assert radial.trapezoid_weights(prof.nodes).shape == prof.nodes.shape
-        assert prof.interp(100.0) == 0.0
-
-    def test_csv_emission(self, tmp_path):
-        prof = bump_profile(16)
-        path = tmp_path / "p.csv"
-        prof.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "r,re,im,weight"
-        assert len(lines) == 17
-
 
 class TestQuadratureWeights:
     def test_trapezoid_integrates_linear_exactly(self):
         nodes = np.linspace(0.5, 4.0, 29)
-        w = radial.trapezoid_weights(nodes, left_edge=0.5)
-        # integral of (2r + 1) over [0.5, 4]: exact for piecewise-linear rule
-        assert float(w @ (2 * nodes + 1)) == pytest.approx(
-            (16.0 + 4.0) - (0.25 + 0.5), rel=1e-12)
+        w = radial.trapezoid_weights(nodes)
+        # integral of 2r over [0, 4]: exact for the piecewise-linear rule
+        # with value 0 at r = 0
+        assert float(w @ (2 * nodes)) == pytest.approx(16.0, rel=1e-12)
 
     def test_simpson_oracle(self):
         h = 0.01
@@ -92,7 +76,9 @@ class TestHankelEvolution:
         out = np.linspace(0.1, 10.0, 50)
         h = radial.hankel_propagate(f1, 0.0, 2.0, BesselOrder(-1), out,
                                     radial.trapezoid_weights(out))
-        cos = radial.cosine_transform(f1, out)
+        # sqrt(2/pi) integral cos(rs) f1(s) ds: the nu = -1/2, t = 0 reduction
+        cos = math.sqrt(2.0 / math.pi) * (np.cos(np.outer(out, f1.nodes))
+                                          @ (f1.values * f1.weights))
         assert np.max(np.abs(h.values - cos)) < 1e-12
 
     @pytest.mark.parametrize("kernel", ["bessel", "remainder", "main"])
@@ -135,74 +121,36 @@ class TestHankelEvolution:
             radial.hankel_propagate(f1, 0.0, -2.0, BesselOrder(0))
 
 
-class TestEvenOddAndSymmetry:
-    @given(seed=st.integers(0, 50))
-    def test_even_odd_reconstruction_and_pythagoras(self, seed):
-        grid = spectral.GridSpec(128, 8.0)
-        rng = np.random.default_rng(seed)
-        c = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        F = spectral.SpectralFunction1D(grid, c)
-        even, odd = radial.even_odd_split(F)
-        assert np.max(np.abs(even.coefficients + odd.coefficients
-                             - F.coefficients)) < 1e-14
-        total = even.l2_coefficients() ** 2 + odd.l2_coefficients() ** 2
-        assert total == pytest.approx(F.l2_coefficients() ** 2, rel=1e-12)
-
-    def test_symmetrize_prop1_satisfies_phase_symmetry(self):
-        # construction passes the SymmetrizedLine validator
-        f1 = bump_profile(128)
-        grid = spectral.GridSpec(256, 16.0)
-        line = radial.symmetrize(f1, BesselOrder(0), "prop1", grid)
-        assert line.two_nu == 0
-
-    def test_symmetrized_line_validator_rejects_asymmetric(self):
-        grid = spectral.GridSpec(128, 8.0)
-        coeffs = np.zeros(128, dtype=complex)
-        coeffs[70] = 1.0  # positive-frequency mass only
-        F = spectral.SpectralFunction1D(grid, coeffs)
-        with pytest.raises(ValueError):
-            radial.SymmetrizedLine(F, 0)
-
-    def test_lemma7_combination_modulus(self):
-        # P + Q recombine to c = 2|sin(pi(nu - nu1)/2)| times the profile
-        f1 = bump_profile(128)
-        grid = spectral.GridSpec(256, 16.0)
-        nu, nu1 = BesselOrder(2), BesselOrder(0)
-        P = radial.symmetrize(f1, nu, "lemma7_P", grid, nu1)
-        Q = radial.symmetrize(f1, nu, "lemma7_Q", grid, nu1)
-        xi = grid.xi_nodes()
-        pos = xi > 0
-        combo = P.line.coefficients[pos] + Q.line.coefficients[pos]
-        base = f1.interp(xi[pos])
-        mask = np.abs(base) > 1e-6
-        from schromax.special import symmetry_constant
-        c = symmetry_constant(nu, nu1)
-        assert np.max(np.abs(np.abs(combo[mask]) - c * np.abs(base[mask]))) < 1e-10
-
-    def test_symmetrize_rejects_degenerate_pair(self):
-        f1 = bump_profile(64)
-        grid = spectral.GridSpec(128, 8.0)
-        with pytest.raises(ValueError):
-            radial.symmetrize(f1, BesselOrder(4), "lemma7_P", grid, BesselOrder(0))
-
-
 class TestRemainderSplit:
+    @staticmethod
+    def _main(f1, nu):
+        return radial.KernelEvolution(f1, f1.nodes, partial(special.main_kernel, nu))
+
     def test_exact_reconstruction(self):
         f1 = bump_profile(192)
-        main, rem = radial.remainder_decompose(f1, BesselOrder(0), 0.3, 2.0)
-        h = radial.hankel_propagate(f1, 0.3, 2.0, BesselOrder(0))
-        assert np.max(np.abs(main.values + rem.values - h.values)) < 1e-12
+        nu = BesselOrder(0)
+        rem = radial.RemainderOperator(f1, nu, f1.nodes)
+        h = radial.hankel_propagate(f1, 0.3, 2.0, nu)
+        assert np.max(np.abs(self._main(f1, nu).field(0.3, 2.0)
+                             + rem.field(0.3, 2.0) - h.values)) < 1e-12
 
     def test_minus_half_remainder_vanishes(self):
+        # the main part alone is H_t f1, so the zero remainder kernel is exact
         f1 = bump_profile(192)
-        _, rem = radial.remainder_decompose(f1, BesselOrder(-1), 0.3, 2.0)
-        assert np.max(np.abs(rem.values)) < 1e-13
+        nu = BesselOrder(-1)
+        h = radial.hankel_propagate(f1, 0.3, 2.0, nu)
+        assert np.max(np.abs(self._main(f1, nu).field(0.3, 2.0) - h.values)) < 1e-13
+        assert not np.any(radial.RemainderOperator(f1, nu, f1.nodes).field(0.3, 2.0))
 
     def test_sup_below_dominator(self):
         f1 = radial.random_profile(3)
-        op = radial.RemainderOperator(f1, BesselOrder(0), f1.nodes)
+        nu = BesselOrder(0)
+        op = radial.RemainderOperator(f1, nu, f1.nodes)
         sup = op.rem_sup(np.linspace(0.0, 1.0, 64), 2.0)
-        assert np.all(sup <= op.rem_dominator() + 1e-12)
+        # the pointwise dominating operator integral |K_nu(rs)| |f1(s)| ds
+        kernel = special.remainder_kernel(nu, np.outer(f1.nodes, f1.nodes))
+        dominator = np.abs(kernel) @ (np.abs(f1.values) * f1.weights)
+        assert np.all(sup <= dominator + 1e-12)
 
     @pytest.mark.parametrize("two_nu", [0, 3])
     def test_shared_kernel_matches_fresh_build(self, two_nu):
@@ -227,22 +175,23 @@ class TestRemainderSplit:
         with pytest.raises(ValueError):
             op.for_profile(radial.random_profile(0, count=64))
 
-    def test_schur_apply_oracle(self):
-        f = bump_profile(256)
-        out = np.array([0.5, 1.0, 2.0])
-        got = radial.schur_apply(lambda rs: np.exp(-rs), f, out)
-        for i, r in enumerate(out):
-            direct = np.sum(np.exp(-r * f.nodes) * f.values * f.weights)
-            assert got.values[i] == pytest.approx(complex(direct), abs=1e-14)
-
-
 class TestDimensionalLift:
     @pytest.mark.parametrize("n,k", [(2, 0), (3, 0), (2, 1), (4, 0)])
     def test_lift_norm_identity(self, n, k):
+        # alpha_n ||S_E^{*(n)} f_P|| = ||H_E^* f1||_{L2(R_+)}: the polar lift
+        # on midpoint nodes (trapezoid weights on [nodes[0], mid[-1]]) against
+        # the radial norm on the profile's own nodes, two independent
+        # quadratures of the same sup field
         f1 = radial.random_profile(0, count=256)
-        lhs, rhs = radial.lift_norm_identity(
-            f1, HarmonicContext(n, k), np.linspace(0.0, 0.5, 16), 2.0)
-        # two independent quadratures of the same sup field
+        ctx = HarmonicContext(n, k)
+        times = np.linspace(0.0, 0.5, 16)
+        mid = 0.5 * (f1.nodes[:-1] + f1.nodes[1:])
+        edges = np.concatenate([f1.nodes[:1], mid])
+        mid_w = np.append(0.5 * (edges[2:] - edges[:-2]), 0.5 * (mid[-1] - mid[-2]))
+        sup = radial.HankelEvolution(f1, ctx.order, mid).sup_field(times, 2.0)
+        lhs = radial._polar_lift_norm(ctx, mid, mid_w, sup)
+        sup = radial.HankelEvolution(f1, ctx.order, f1.nodes).sup_field(times, 2.0)
+        rhs = math.sqrt(float(np.sum(f1.weights * sup ** 2)))
         assert lhs == pytest.approx(rhs, rel=5e-3)
 
     def test_two_route_agreement(self):
@@ -251,9 +200,10 @@ class TestDimensionalLift:
         assert np.max(rel) < 1e-3
 
     def test_oracle_requires_support_bound(self):
+        # the support bound must lie inside the grid's Nyquist frequency
         with pytest.raises(ValueError):
             radial.oracle_2d_propagate(lambda r: np.exp(-r), 0.1, 2.0,
-                                       spectral.GridSpec(64, 8.0))
+                                       spectral.GridSpec(64, 8.0), 100.0)
 
     def test_thm7_sides_close(self):
         left, right = radial.thm7_sides(0)
@@ -264,10 +214,10 @@ class TestDimensionalLift:
         assert lhs <= rhs
 
     def test_thm6_shared_evolution_matches_fresh(self):
-        shared = radial.thm6_sides(1, evolution=radial.thm6_evolution(0))
+        shared = radial.thm6_sides(1, evolution=radial.thm6_evolution(0, 2, 0))
         assert shared == radial.thm6_sides(1)
         with pytest.raises(ValueError):
-            radial.thm6_sides(1, n=3, evolution=radial.thm6_evolution(0))
+            radial.thm6_sides(1, n=3, evolution=radial.thm6_evolution(0, 2, 0))
 
 
 class TestRandomProfiles:

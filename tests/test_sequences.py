@@ -25,20 +25,15 @@ class TestConstruction:
             TimeSequence("power", alpha=0.0)
         with pytest.raises(ValueError):
             TimeSequence("geometric", ratio=1.0)
-        with pytest.raises(ValueError):
-            TimeSequence("explicit", values=())
-        with pytest.raises(ValueError):
-            TimeSequence("explicit", values=(0.5, 0.6))
 
     @pytest.mark.parametrize("seq", [
         TimeSequence("power", alpha=1.0),
         TimeSequence("power", alpha=0.5),
         TimeSequence("geometric", ratio=0.5),
         TimeSequence("log"),
-        TimeSequence("explicit", values=(0.9, 0.5, 0.1)),
-    ], ids=["power1", "power.5", "geom", "log", "explicit"])
+    ], ids=["power1", "power.5", "geom", "log"])
     def test_strictly_decreasing_positive(self, seq):
-        t = seq.prefix(3 if seq.kind == "explicit" else 500)
+        t = seq.prefix(500)
         assert np.all(t > 0)
         assert np.all(np.diff(t) < 0)
         assert t[0] < 1.0
@@ -47,9 +42,9 @@ class TestConstruction:
 class TestCounting:
     @pytest.mark.parametrize("seq", [
         TimeSequence("power", alpha=1.0),
-        TimeSequence("power", alpha=2.0, scale=0.7),
+        TimeSequence("power", alpha=2.0),
         TimeSequence("geometric", ratio=0.5),
-        TimeSequence("geometric", ratio=0.3, scale=0.9),
+        TimeSequence("geometric", ratio=0.3),
         TimeSequence("log"),
     ], ids=["power1", "power2s", "geom5", "geom3s", "log"])
     @given(b=st.floats(1e-2, 0.95))
@@ -70,11 +65,6 @@ class TestCounting:
         with pytest.raises(ValueError):
             TimeSequence("log").count_above(0.0)
 
-    def test_explicit_count(self):
-        seq = TimeSequence("explicit", values=(0.9, 0.5, 0.1))
-        assert seq.count_above(0.5) == 1
-        assert seq.count_above(0.05) == 3
-
     @given(low=st.floats(1e-2, 0.4), width=st.floats(1e-2, 0.5))
     def test_members_in_consistency(self, low, width):
         seq = TimeSequence("power", alpha=1.5)
@@ -88,10 +78,6 @@ class TestCounting:
     def test_members_in_rejects_zero_low(self):
         with pytest.raises(ValueError):
             TimeSequence("power").members_in(0.0, 0.5)
-
-    def test_differences_decreasing(self):
-        assert TimeSequence("power", alpha=1.0).differences_decreasing()
-        assert TimeSequence("geometric", ratio=0.5).differences_decreasing()
 
 
 class TestWeakClasses:
@@ -129,29 +115,3 @@ class TestWeakClasses:
         # sum_{m=1..M} 2^{-m} = 1 - 2^{-M}
         assert sequences.lr_partial_sum(seq, 1.0, 20) == pytest.approx(
             1.0 - 2.0 ** -20)
-
-
-class TestCriticalExponents:
-    def test_l2_value(self):
-        assert sequences.critical_exponent_l2(2.0, 0.5) == pytest.approx(1.0)
-
-    def test_l4_value(self):
-        assert sequences.critical_exponent_l4(2.0, 0.25) == pytest.approx(0.5)
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            sequences.critical_exponent_l2(2.0, 1.0)
-        with pytest.raises(ValueError):
-            sequences.critical_exponent_l4(2.0, 0.5)
-
-    @given(j=st.integers(0, 40), a=st.floats(1.5, 4.0), s=st.floats(0.05, 0.7),
-           eps=st.floats(1e-3, 0.05))
-    def test_split_threshold_identity(self, j, a, s, eps):
-        if not s < a / 2:
-            return
-        k_j, b, b1, b2 = sequences.split_thresholds(j, a, s, eps)
-        r = sequences.critical_exponent_l2(a, s)
-        # (a - 2s) j = 2 s j / r by construction
-        assert k_j == pytest.approx(2.0 * s * j / r, rel=1e-12)
-        assert b1 <= b <= b2
-        assert b == pytest.approx(2.0 ** (-k_j))

@@ -1,4 +1,4 @@
-"""Bessel evaluation, asymptotics, sphere transform, kernel split constants."""
+"""Bessel evaluation, asymptotics, kernel split constants."""
 
 import math
 import tracemalloc
@@ -13,6 +13,26 @@ from schromax import special
 from schromax.special import BesselOrder
 
 ORDERS = [BesselOrder(t) for t in (-1, 0, 1, 2, 3)]
+
+
+def bessel_j_series(nu, r):
+    """sum_m (-1)^m (r/2)^{2m+nu} / (m! Gamma(m+nu+1)), m < 60: an evaluation
+    path independent of scipy's jv."""
+    half = r / 2.0
+    total = 0.0
+    term = half ** nu.nu / math.gamma(nu.nu + 1.0)
+    for m in range(60):
+        total += term
+        term *= -half * half / ((m + 1.0) * (m + 1.0 + nu.nu))
+    return total
+
+
+def asymptotic_value(expansion, r):
+    """sum_m [a_m e^{ir} + conj(a_m) e^{-ir}] / r^{m+1/2} from the expansion's
+    coefficients."""
+    a = expansion.a_coefficients()
+    return sum(2.0 * (a[m] * np.exp(1j * r)).real / r ** (m + 0.5)
+               for m in range(expansion.terms))
 
 
 class TestBesselOrder:
@@ -35,7 +55,7 @@ class TestBesselEvaluation:
     def test_series_agrees_with_scipy(self, order):
         for r in np.linspace(0.05, 12.0, 40):
             assert special.bessel_j(order, float(r)) == pytest.approx(
-                special.bessel_j_series(order, float(r)), abs=1e-12)
+                bessel_j_series(order, float(r)), abs=1e-12)
 
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"2nu={o.two_nu}")
     def test_agrees_with_mpmath(self, order):
@@ -64,42 +84,25 @@ class TestAsymptoticExpansion:
     def test_remainder_order(self, order):
         exp = special.AsymptoticExpansion(order, terms=3)
         # error decays at the advertised power: the scaled sup is bounded
-        assert exp.remainder_bound_constant() < 10.0
+        r = np.geomspace(12.0, 1e4, 400)
+        err = np.abs(special.bessel_j(order, r) - asymptotic_value(exp, r))
+        assert np.max(err * r ** 3.5) < 10.0
 
     def test_more_terms_tighter_beyond_cutoff(self):
         r = np.geomspace(20.0, 200.0, 50)
         e2 = special.AsymptoticExpansion(BesselOrder(0), terms=2)
         e4 = special.AsymptoticExpansion(BesselOrder(0), terms=4)
-        err2 = np.abs(special.bessel_j(BesselOrder(0), r) - e2.evaluate(r))
-        err4 = np.abs(special.bessel_j(BesselOrder(0), r) - e4.evaluate(r))
+        err2 = np.abs(special.bessel_j(BesselOrder(0), r) - asymptotic_value(e2, r))
+        err4 = np.abs(special.bessel_j(BesselOrder(0), r) - asymptotic_value(e4, r))
         assert np.max(err4) < np.max(err2)
 
     def test_leading_term_prefactor(self):
         # leading coefficient has modulus (2 pi)^{-1/2} in e^{ir} pairing
-        a = special.AsymptoticExpansion(BesselOrder(0)).a_coefficients()
+        a = special.AsymptoticExpansion(BesselOrder(0), terms=3).a_coefficients()
         assert abs(a[0]) == pytest.approx(0.5 * math.sqrt(2.0 / math.pi))
 
 
-class TestSphereFourier:
-    def test_value_at_zero_is_surface_area(self):
-        for n in (2, 3, 4, 5):
-            assert special.sphere_fourier(n, 0.0) == pytest.approx(
-                special.surface_area(n), rel=1e-12)
-
-    def test_n3_closed_form(self):
-        # 4 pi sin(rho)/rho in three dimensions
-        rho = np.linspace(0.1, 30.0, 200)
-        expected = 4.0 * math.pi * np.sin(rho) / rho
-        got = special.sphere_fourier(3, rho)
-        assert np.max(np.abs(got - expected)) < 1e-12
-
-    def test_n2_oracle_by_quadrature(self):
-        # sigma_hat(rho) = integral_0^{2 pi} e^{-i rho cos(theta)} dtheta
-        theta = np.linspace(0.0, 2.0 * math.pi, 20001)
-        for rho in (0.5, 2.0, 7.5):
-            oracle = np.trapezoid(np.exp(-1j * rho * np.cos(theta)), theta)
-            assert special.sphere_fourier(2, rho) == pytest.approx(oracle, abs=1e-8)
-
+class TestSurfaceArea:
     def test_surface_area_values(self):
         assert special.surface_area(2) == pytest.approx(2 * math.pi)
         assert special.surface_area(3) == pytest.approx(4 * math.pi)
@@ -110,13 +113,6 @@ class TestKernelSplit:
     @pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"2nu={o.two_nu}")
     def test_gamma_unit_modulus(self, order):
         assert abs(special.gamma_unit(order)) == pytest.approx(1.0, abs=1e-15)
-
-    def test_symmetry_constant_values(self):
-        assert special.symmetry_constant(BesselOrder(2), BesselOrder(0)) == 2.0
-        assert special.symmetry_constant(BesselOrder(1), BesselOrder(0)) == \
-            pytest.approx(math.sqrt(2.0))
-        with pytest.raises(ValueError):
-            special.symmetry_constant(BesselOrder(4), BesselOrder(0))
 
     def test_remainder_kernel_minus_half_vanishes(self):
         r = np.linspace(0.1, 50.0, 200)

@@ -128,31 +128,6 @@ class TestPropagator:
         assert np.max(np.abs(sup - loop)) < 1e-11
 
 
-class TestSobolevAndShells:
-    def test_sobolev_s0_is_l2(self):
-        F = spectral.forward_transform(random_field(7))
-        assert spectral.sobolev_norm(F, 0.0) == pytest.approx(F.l2_coefficients())
-
-    def test_sobolev_monotone_in_s(self):
-        F = spectral.forward_transform(random_field(8))
-        assert spectral.sobolev_norm(F, 1.0) >= spectral.sobolev_norm(F, 0.5)
-
-    @given(st.integers(0, 100))
-    def test_littlewood_paley_partition(self, seed):
-        F = spectral.forward_transform(random_field(seed))
-        pieces = spectral.littlewood_paley_split(F)
-        total = sum(p.coefficients for p in pieces)
-        assert np.array_equal(total, F.coefficients)
-        # sharp cutoffs never overlap: Parseval is exact
-        sq = sum(np.sum(np.abs(p.coefficients) ** 2) for p in pieces)
-        assert sq == pytest.approx(np.sum(np.abs(F.coefficients) ** 2), rel=1e-14)
-
-    def test_littlewood_paley_band_limits(self):
-        F = spectral.forward_transform(random_field(9))
-        for j, piece in enumerate(spectral.littlewood_paley_split(F)):
-            assert piece.band_limit == 2.0 ** j
-
-
 class TestRandomData:
     def test_bandlimited_support_and_norm(self):
         F = spectral.make_bandlimited_random(4.0, "ball", 0, GRID)
@@ -201,21 +176,3 @@ class TestBump:
         mass = quad(lambda u: math.exp(-1.0 / (1.0 - 4.0 * u * u)),
                     -0.5, 0.5, epsabs=1e-14, epsrel=1e-13)[0]
         assert spectral._BUMP_MASS == mass
-
-
-class TestCsvRoundtrip:
-    def test_spectral_function_roundtrip(self, tmp_path):
-        F = spectral.make_bandlimited_random(4.0, "ball", 0, GRID)
-        path = tmp_path / "f.csv"
-        F.to_csv(path)
-        back = spectral.SpectralFunction1D.from_csv(path)
-        assert back.grid == F.grid
-        assert back.band_limit == F.band_limit
-        assert np.array_equal(back.coefficients, F.coefficients)
-
-    def test_lf_line_endings(self, tmp_path):
-        F = spectral.make_bandlimited_random(4.0, "ball", 0, GRID)
-        path = tmp_path / "f.csv"
-        F.to_csv(path)
-        raw = path.read_bytes()
-        assert b"\r" not in raw
