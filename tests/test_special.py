@@ -102,7 +102,7 @@ class TestAsymptoticExpansion:
         assert abs(a[0]) == pytest.approx(0.5 * math.sqrt(2.0 / math.pi))
 
 
-class TestSurfaceArea:
+class TestSphereFourier:
     def test_surface_area_values(self):
         assert special.surface_area(2) == pytest.approx(2 * math.pi)
         assert special.surface_area(3) == pytest.approx(4 * math.pi)
