@@ -233,10 +233,16 @@ def _run_scan(p, workers, *, item, item_keys, predictor, extras=None):
     """Measure item((lambda, seed, *p[item_keys])) for lambda = 2^e, e in
     lam_exponents, and every seed; the verdict passes when the fitted slope
     of the normalized ratio is at most slope_tol.  extras(p) adds summary
-    entries.  The fit needs two distinct lambdas and at least one seed."""
+    entries.  The fit needs two distinct lambdas and at least one seed, the
+    random data lambda >= 1, and the time steps of about lam^-a need a > 0
+    and no underflow at the largest lambda."""
     if len(set(p["lam_exponents"])) < 2 or not p["seeds"]:
         raise ValueError("a scan needs two distinct lam_exponents and a seed, got "
                          f"lam_exponents {p['lam_exponents']} and seeds {p['seeds']}")
+    exps = p["lam_exponents"]
+    if not (min(exps) >= 0 and p["a"] > 0 and 0.5 * 2.0 ** (-p["a"] * max(exps)) > 0):
+        raise ValueError("a scan needs lam_exponents >= 0 and a > 0 with a nonzero "
+                         f"lam^-a, got lam_exponents {exps} and a {p['a']}")
     items = [(2.0 ** e, seed, *(p[key] for key in item_keys))
              for e in p["lam_exponents"] for seed in p["seeds"]]
     results = _map_items(item, items, workers)
@@ -262,6 +268,12 @@ def _window_scan(e: float):
 # dimension-reduction experiments
 # ---------------------------------------------------------------------------
 
+def _require_profiles(p):
+    """A profile gate with no profile would pass on nothing."""
+    if p["profiles"] < 1:
+        raise ValueError(f"profiles must be at least 1, got {p['profiles']}")
+
+
 def _prop2_check(p, workers):
     from schromax import radial
     case = radial.two_route_case(seed=p["seed"], t=p["t"], a=p["a"])
@@ -275,6 +287,7 @@ def _prop2_check(p, workers):
 
 
 def _prop3_bound(p, workers):
+    _require_profiles(p)
     from schromax import radial, special
     times = np.linspace(0.0, 1.0, 160)
     rows = []
@@ -302,6 +315,7 @@ def _prop3_bound(p, workers):
 
 
 def _thm6_ineq(p, workers):
+    _require_profiles(p)
     from schromax import radial
     rows = []
     worst = -math.inf
@@ -316,6 +330,7 @@ def _thm6_ineq(p, workers):
 
 
 def _thm7_identity(p, workers):
+    _require_profiles(p)
     from schromax import radial
     rows = []
     worst = 0.0
@@ -361,7 +376,11 @@ def _counterexample_growth(p, workers):
 
 def _seq_classify(p, workers):
     gen, r = p["gen"], p["r"]
-    depth = int(p["depth"]) if p["depth"] is not None else (9 if gen == "log" else 16)
+    depth = p["depth"]
+    if depth is not None and not (_is_integer(depth) and depth >= 1):
+        raise ValueError(f"seq-classify parameter 'depth' must be null or a "
+                         f"positive integer, got {depth!r}")
+    depth = int(depth) if depth is not None else (9 if gen == "log" else 16)
     if gen == "power":
         alpha = float(p["alpha"]) if p["alpha"] is not None else 1.0 / r
         seq = sequences.TimeSequence("power", alpha=alpha)

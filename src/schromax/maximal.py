@@ -100,7 +100,10 @@ def _refine_until_stable(grid, a, times, passes, reduce, rel_tol):
         norm = new_norm
         if residual < rel_tol:
             break
-        times = np.sort(np.concatenate([times, mids]))
+        merged = np.empty(times.size + mids.size)
+        merged[0::2] = times
+        merged[1::2] = mids
+        times = merged
     return sup, total, residual
 
 

@@ -141,40 +141,95 @@ def propagate(F: SpectralFunction1D, t: float, a: float) -> SpectralFunction1D:
     return SpectralFunction1D(F.grid, F.coefficients * phase, band_limit=F.band_limit)
 
 
-# Times per batch of sup_over_times; the chunk's phase rounding is ~1e-14.
+# Times per batch of sup_over_times, and rows of its step table.
 _TIME_CHUNK = 256
 
 
 def _phase_matrix(xi_pow: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """e^{i t xi_pow} for a batch of times, shape (len(ts), N).
 
-    Uniformly spaced batches use a cumulative product (one exp per row chain
-    instead of one per entry); accumulated rounding over a chunk is ~1e-14.
-    Other batches take one exp per distinct value of xi_pow, which on the
-    symmetric grid is about half the entries, and equal the direct formula
-    exactly.
+    One exp per distinct value of xi_pow, which on the symmetric grid is
+    about half the entries; equal to the direct formula exactly.
     """
-    if ts.size >= 3:
-        dt = np.diff(ts)
-        if np.all(np.abs(dt - dt[0]) <= 1e-12 * max(float(np.max(np.abs(ts))), 1e-300)):
-            first = np.exp(1j * ts[0] * xi_pow)
-            step = np.exp(1j * dt[0] * xi_pow)
-            rows = np.vstack([first[None, :],
-                              np.broadcast_to(step, (ts.size - 1, xi_pow.size))])
-            return np.cumprod(rows, axis=0)
     distinct, where = np.unique(xi_pow, return_inverse=True)
     return np.exp(1j * ts[:, None] * distinct[None, :])[:, where]
 
 
+def _uniform_step(ts: np.ndarray) -> float | None:
+    """dt when ts[k] = ts[0] + k dt for every k to within 16 ulps of the
+    largest |t|, for at least three times; otherwise None.  The check runs
+    over blocks of 4096 times (32 KiB temporaries), so it makes no temporary
+    the size of ts."""
+    n = ts.size
+    if n < 3:
+        return None
+    dt = (ts[-1] - ts[0]) / (n - 1)
+    tol = 16.0 * np.finfo(float).eps * max(abs(ts[0]), abs(ts[-1]))
+    for start in range(0, n, 4096):
+        block = ts[start:start + 4096]
+        lattice = ts[0] + dt * np.arange(start, start + block.size)
+        if np.max(np.abs(block - lattice)) > tol:
+            return None
+    return dt
+
+
+def _step_table(distinct: np.ndarray, where: np.ndarray, dt: float,
+                rows: int) -> np.ndarray:
+    """e^{i j dt v} for j < rows and v = distinct[where], shape
+    (rows, where.size), with one exp per distinct value and row."""
+    return np.exp(1j * np.outer(dt * np.arange(rows), distinct))[:, where]
+
+
+def _uniform_grid_sup(base: np.ndarray, xi_pow: np.ndarray, t_values: np.ndarray,
+                      dt: float) -> np.ndarray:
+    """max over t_values of |ifft(base e^{i t xi_pow})| for t_values uniform
+    with step dt.  One step table per call, over the distinct xi_pow between
+    the first and the last nonzero entry of base: the chunk starting at t0
+    is that table times the row base e^{i t0 xi_pow}, one multiply per entry
+    with no accumulated rounding, written into a reused spectrum buffer
+    whose columns outside that span stay zero."""
+    n = base.size
+    sup = np.zeros(n)
+    support = np.flatnonzero(base)
+    if support.size == 0:
+        return sup
+    lo, hi = support[0], support[-1] + 1
+    distinct, where = np.unique(xi_pow[lo:hi], return_inverse=True)
+    rows = min(_TIME_CHUNK, t_values.size)
+    table = _step_table(distinct, where, dt, rows)
+    spec = np.zeros((rows, n), dtype=np.complex128)
+    field = np.empty((rows, n), dtype=np.complex128)
+    modulus = np.empty((rows, n))
+    for start in range(0, t_values.size, _TIME_CHUNK):
+        ts = t_values[start:start + _TIME_CHUNK]
+        m = ts.size
+        first = base[lo:hi] * np.exp(1j * ts[0] * distinct)[where]
+        np.multiply(table[:m], first, out=spec[:m, lo:hi])
+        np.fft.ifft(spec[:m], axis=1, out=field[:m])
+        np.abs(field[:m], out=modulus[:m])
+        np.maximum(sup, modulus[:m].max(axis=0), out=sup)
+    return sup
+
+
 def sup_over_times(F: SpectralFunction1D, t_values, a: float,
                    modulation: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise sup of |S_t f| over the given times (nonnegative, real)."""
+    """Pointwise sup of |S_t f| over the given times (nonnegative, real).
+
+    The times go in chunks of _TIME_CHUNK through one batched inverse FFT
+    each.  A uniformly spaced grid (see _uniform_step) takes
+    _uniform_grid_sup, with the 1/dx scale applied after the max, which is
+    exact because correctly rounded division is monotone.  Other times take
+    _phase_matrix, one exp per distinct |xi|^a and time.
+    """
     g = F.grid
     coeffs = F.coefficients if modulation is None else F.coefficients * modulation
     sign = alternating_signs(g.point_count)
     base = sign * coeffs
     xi_pow = np.abs(g.xi_nodes()) ** a
     t_values = np.asarray(t_values, dtype=float)
+    dt = _uniform_step(t_values)
+    if dt is not None:
+        return _uniform_grid_sup(base, xi_pow, t_values, dt) / g.dx
     sup = np.zeros(g.point_count)
     for start in range(0, t_values.size, _TIME_CHUNK):
         ts = t_values[start:start + _TIME_CHUNK]

@@ -121,6 +121,35 @@ class TestExperimentCommands:
         assert "two distinct lam_exponents" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("name", ["prop3-bound", "thm6-ineq", "thm7-identity"])
+    def test_zero_profiles_is_error(self, capsys, tmp_path, name):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": name, "params": {"profiles": 0}}))
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, name, "--config", str(cfg_path),
+                               "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error:") and "profiles" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("name,params,key", [
+        ("seq-classify", {"depth": 9.5}, "depth"),
+        ("theorem1-scan", {"a": 1000.0, "lam_exponents": [4, 5], "seeds": [0]}, "lam^-a"),
+    ], ids=["fractional-depth", "underflowing-step"])
+    def test_out_of_range_value_is_error(self, capsys, tmp_path, monkeypatch,
+                                         name, params, key):
+        def no_items(*args):
+            raise AssertionError("scan items ran")
+        monkeypatch.setattr(harness, "_map_items", no_items)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": name, "params": params}))
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, name, "--config", str(cfg_path),
+                               "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error:") and key in err
+        assert not out_dir.exists()
+
     def test_config_file_accepted(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(

@@ -1,6 +1,7 @@
 """Maximal scans over windows, sequences and translation-time sets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,21 @@ class TestMaximalOverWindow:
         F = band_input()
         sup = maximal.maximal_over_window(F, TimeWindow(0.0, 1.0), 2.0)
         assert sup.l2() / F.l2_spatial() >= 1.0 - 1e-9
+
+
+class TestWindowMemory:
+    @pytest.mark.parametrize("seed", [0, 3, 5])
+    def test_bounded_temporaries_at_top_lambda(self, seed):
+        # lam = 2^8 seeds 131,073 times (1 MiB) and refines with their midpoints
+        grid = spectral.grid_for_bandlimit(256.0)
+        F = spectral.make_bandlimited_random(256.0, "ball", seed, grid)
+        tracemalloc.start()
+        try:
+            maximal.maximal_over_window(F, TimeWindow(0.0, 1.0), 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2 ** 20
 
 
 class TestMaximalOverSequence:

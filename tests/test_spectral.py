@@ -77,6 +77,15 @@ class TestTransforms:
         assert np.max(np.abs(F.coefficients - expected)) < 1e-10
 
 
+def loop_sup(F, ts, a=2.0):
+    """sup over ts of |S_t f|, one propagate and inverse transform per time."""
+    loop = np.zeros(F.grid.point_count)
+    for t in ts:
+        field = spectral.inverse_transform(spectral.propagate(F, t, a))
+        np.maximum(loop, np.abs(field.samples), out=loop)
+    return loop
+
+
 class TestPropagator:
     @given(st.floats(0.0, 1.0), st.floats(0.5, 3.0))
     def test_unitary(self, t, a):
@@ -103,12 +112,14 @@ class TestPropagator:
         with pytest.raises(ValueError):
             spectral.propagate(F, math.inf, 2.0)
 
-    def test_phase_matrix_uniform_fast_path(self):
+    def test_step_table_matches_direct_exp(self):
         xi_pow = np.abs(GRID.xi_nodes()) ** 2
-        ts = np.linspace(0.0, 1.0, 97)
-        fast = spectral._phase_matrix(xi_pow, ts)
+        ts = np.linspace(0.3, 1.0, 97)
+        distinct, where = np.unique(xi_pow, return_inverse=True)
+        table = spectral._step_table(distinct, where, ts[1] - ts[0], ts.size)
+        first = np.exp(1j * ts[0] * xi_pow)
         direct = np.exp(1j * ts[:, None] * xi_pow[None, :])
-        assert np.max(np.abs(fast - direct)) < 1e-10
+        assert np.max(np.abs(first * table - direct)) < 1e-10
 
     def test_phase_matrix_nonuniform(self):
         xi_pow = np.abs(GRID.xi_nodes()) ** 2
@@ -121,11 +132,64 @@ class TestPropagator:
         F = spectral.make_bandlimited_random(8.0, "ball", 0, GRID)
         ts = np.linspace(0.0, 0.5, 11)
         sup = spectral.sup_over_times(F, ts, 2.0)
-        loop = np.zeros(GRID.point_count)
-        for t in ts:
-            field = spectral.inverse_transform(spectral.propagate(F, t, 2.0))
-            np.maximum(loop, np.abs(field.samples), out=loop)
-        assert np.max(np.abs(sup - loop)) < 1e-11
+        assert np.max(np.abs(sup - loop_sup(F, ts))) < 1e-11
+
+
+class TestSupOverTimes:
+    @pytest.mark.parametrize("count", [513, 514])
+    def test_table_across_chunks_and_short_tail(self, count):
+        # 513 and 514 times leave tail chunks of one and two times
+        F = spectral.make_bandlimited_random(40.0, "ball", 1, GRID)
+        ts = np.linspace(0.1, 0.6, count)
+        assert spectral._uniform_step(ts) is not None
+        assert np.max(np.abs(spectral.sup_over_times(F, ts, 2.0) - loop_sup(F, ts))) < 1e-11
+
+    def test_modulated_zero_padded_input(self):
+        # shaped like the fine pass of maximal_over_E: N m points, 1/m of them nonzero
+        F = spectral.make_bandlimited_random(16.0, "ball", 2, GRID)
+        n, m = GRID.point_count, 4
+        fine = spectral.GridSpec(n * m, GRID.half_length)
+        padded = np.zeros(n * m, dtype=np.complex128)
+        padded[(n * m - n) // 2:(n * m + n) // 2] = F.coefficients
+        G = spectral.SpectralFunction1D(fine, padded, band_limit=16.0)
+        modulation = np.exp(1j * fine.xi_nodes() * -0.3)
+        ts = np.linspace(0.0, 0.5, 300)
+        sup = spectral.sup_over_times(G, ts, 2.0, modulation=modulation)
+        shifted = spectral.SpectralFunction1D(fine, padded * modulation)
+        assert np.max(np.abs(sup - loop_sup(shifted, ts))) < 1e-11
+
+    @pytest.mark.parametrize("nonzero", [slice(0, 12), slice(244, 256), [0, 255]],
+                             ids=["first", "last", "both-ends"])
+    def test_support_at_the_grid_edge(self, nonzero):
+        rng = np.random.default_rng(3)
+        coeffs = np.zeros(GRID.point_count, dtype=np.complex128)
+        coeffs[nonzero] = 1.0 + rng.standard_normal(coeffs[nonzero].size)
+        F = spectral.SpectralFunction1D(GRID, coeffs)
+        ts = np.linspace(0.0, 0.01, 300)
+        assert np.max(np.abs(spectral.sup_over_times(F, ts, 2.0) - loop_sup(F, ts))) < 1e-11
+
+    def test_zero_coefficients(self):
+        F = spectral.SpectralFunction1D(GRID, np.zeros(GRID.point_count))
+        sup = spectral.sup_over_times(F, np.linspace(0.0, 1.0, 300), 2.0)
+        assert np.array_equal(sup, np.zeros(GRID.point_count))
+
+    def test_nonuniform_grid(self):
+        F = spectral.make_bandlimited_random(40.0, "ball", 4, GRID)
+        ts = 1.0 / np.arange(1, 400)
+        assert spectral._uniform_step(ts) is None
+        assert np.max(np.abs(spectral.sup_over_times(F, ts, 2.0) - loop_sup(F, ts))) < 1e-11
+
+    def test_uniform_step_detection(self):
+        ts = np.linspace(0.25, 0.75, 5001)
+        assert spectral._uniform_step(ts) == pytest.approx(1e-4, rel=1e-12)
+        merged = np.empty(2 * ts.size - 1)
+        merged[0::2], merged[1::2] = ts, 0.5 * (ts[:-1] + ts[1:])
+        assert spectral._uniform_step(merged) == pytest.approx(5e-5, rel=1e-12)
+        assert spectral._uniform_step(ts[:2]) is None
+        for k in (700, 4500):
+            bent = ts.copy()
+            bent[k] += 1e-13
+            assert spectral._uniform_step(bent) is None
 
 
 class TestRandomData:
