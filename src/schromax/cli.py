@@ -77,8 +77,9 @@ def _run_bessel_table(args) -> int:
     print("r,J_nu,K_nu_re,K_nu_im")
     for ri in map(float, r):
         j = special.bessel_j(nu, ri)
-        k = complex(0) if nu.kernel_vanishes else special.remainder_kernel(nu, ri)
-        print(f"{ri!r},{j!r},{k.real!r},{k.imag!r}")
+        k = 0.0 if nu.kernel_vanishes else special.remainder_kernel(nu, ri)
+        # K_nu is real; the K_nu_im column stays for readers of the old table
+        print(f"{ri!r},{j!r},{k!r},0.0")
     return 0
 
 

@@ -181,13 +181,19 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
 # the scaling scans
 # ---------------------------------------------------------------------------
 
-def _window_scan_item(args):
+def _window_scan_refined(args):
     lam, seed, a, window_len, support = args
     grid = spectral.grid_for_bandlimit(lam)
     F = spectral.make_bandlimited_random(lam, support, seed, grid)
-    sup = maximal.maximal_over_window(
+    sup, refinement = maximal.maximal_over_window(
         F, maximal.TimeWindow(0.0, window_len), a)
-    return lam, seed, sup.l2() / F.l2_spatial()
+    return lam, seed, sup.l2() / F.l2_spatial(), refinement
+
+
+def _window_scan_item(args):
+    """(lambda, seed, ratio) of one window-scan item, the form in which
+    tests/test_acceptance.py measures the window scan."""
+    return _window_scan_refined(args)[:3]
 
 
 def _product_scan_item(args):
@@ -195,8 +201,8 @@ def _product_scan_item(args):
     grid = spectral.grid_for_bandlimit(lam)
     F = spectral.make_bandlimited_random(lam, "ball", seed, grid)
     E = maximal.ProductSet(ball_r, maximal.TimeWindow(0.0, window_len))
-    sup = maximal.maximal_over_E(F, E, a)
-    return lam, seed, sup.l2() / F.l2_spatial()
+    sup, refinement = maximal.maximal_over_E(F, E, a)
+    return lam, seed, sup.l2() / F.l2_spatial(), refinement
 
 
 def _sequence_scan_item(args):
@@ -220,7 +226,7 @@ def _scan_rows_and_fit(results, p, predictor):
     against log(lambda).  A column the scan has no parameter for reads 0.0."""
     window, ball_r, s = p.get("window", 0.0), p.get("ball_radius", 0.0), p.get("s", 0.0)
     rows = []
-    for lam, seed, ratio in results:
+    for lam, seed, ratio, *_ in results:
         pred = predictor(lam, p)
         rows.append((float(lam), window, ball_r, p["a"], s, seed,
                      ratio, pred, ratio / pred))
@@ -233,9 +239,11 @@ def _run_scan(p, workers, *, item, item_keys, predictor, extras=None):
     """Measure item((lambda, seed, *p[item_keys])) for lambda = 2^e, e in
     lam_exponents, and every seed; the verdict passes when the fitted slope
     of the normalized ratio is at most slope_tol.  extras(p) adds summary
-    entries.  The fit needs two distinct lambdas and at least one seed, the
-    random data lambda >= 1, and the time steps of about lam^-a need a > 0
-    and no underflow at the largest lambda."""
+    entries; a scan whose items end with their maximal.Refinement adds the
+    largest final residual, the total time samples and the number of items
+    stopped at maximal.REFINE_MAX_ROUNDS.  The fit needs two distinct
+    lambdas and at least one seed, the random data lambda >= 1, and the time
+    steps of about lam^-a need a > 0 and no underflow at the largest lambda."""
     if len(set(p["lam_exponents"])) < 2 or not p["seeds"]:
         raise ValueError("a scan needs two distinct lam_exponents and a seed, got "
                          f"lam_exponents {p['lam_exponents']} and seeds {p['seeds']}")
@@ -252,6 +260,12 @@ def _run_scan(p, workers, *, item, item_keys, predictor, extras=None):
                "slope_tol": p["slope_tol"], "verdict": verdict}
     if extras is not None:
         summary.update(extras(p))
+    refinements = [result[3] for result in results if len(result) > 3]
+    if refinements:
+        summary.update(
+            refine_max_residual=max(r.residual for r in refinements),
+            time_samples=sum(r.time_samples for r in refinements),
+            refine_capped=sum(r.capped for r in refinements))
     return {"scan.csv": (SCAN_COLUMNS, rows)}, summary, verdict
 
 
@@ -259,7 +273,7 @@ def _window_scan(e: float):
     """The window scan against 1 + |J|^e lam^{a e}: e = 1/2 is theorem 1's
     bound shape and e = 1/4 theorem 2's."""
     return partial(
-        _run_scan, item=_window_scan_item, item_keys=("a", "window", "support"),
+        _run_scan, item=_window_scan_refined, item_keys=("a", "window", "support"),
         predictor=lambda lam, p: 1.0 + p["window"] ** e * lam ** (p["a"] * e),
         extras=lambda p: {"model": [e, p["a"] * e]})
 
@@ -292,9 +306,16 @@ def _prop3_bound(p, workers):
     times = np.linspace(0.0, 1.0, 160)
     rows = []
     margins = {}
+    quadrature = {}
     for two_nu in map(int, p["two_nu_values"]):
         nu = special.BesselOrder(two_nu)
-        bound = special.schur_constant_for_order(two_nu)
+        schur = special.schur_constant_for_order(two_nu)
+        bound = schur.value
+        radius = special.far_radius(nu)
+        # the tail term shows how much of A_nu rests on the sampled C_nu
+        quadrature[str(two_nu)] = {
+            "far_radius": radius if math.isfinite(radius) else None,
+            "panels": schur.panels, "tail": schur.tail}
         op = None
         for seed in range(p["profiles"]):
             f1 = radial.random_profile(seed)
@@ -309,6 +330,7 @@ def _prop3_bound(p, workers):
     verdict = "pass" if worst_margin <= 0.0 else "violation"
     summary = {"worst_margin": worst_margin,
                "worst_margin_by_two_nu": {str(t): m for t, m in margins.items()},
+               "schur_quadrature": quadrature,
                "verdict": verdict}
     return ({"remainder.csv": (("two_nu", "seed", "rem_norm", "bound"), rows)},
             summary, verdict)

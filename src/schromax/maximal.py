@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,6 +67,15 @@ class ProductSet:
 REFINE_MAX_ROUNDS = 12
 
 
+class Refinement(NamedTuple):
+    """How the time refinement of one maximal_over_window / maximal_over_E
+    call ended."""
+
+    time_samples: int   # evolutions evaluated, summed over the passes
+    residual: float     # relative change of the L2 norm in the last round
+    capped: bool        # stopped after REFINE_MAX_ROUNDS rounds above rel_tol
+
+
 def _phase_floor(F: SpectralFunction1D, a: float) -> float:
     """1/(4 lam^a), lam the band limit (else xi_max): the phase-resolution floor."""
     lam = F.band_limit if F.band_limit is not None else F.grid.xi_max
@@ -79,13 +89,13 @@ def _refine_until_stable(grid, a, times, passes, reduce, rel_tol):
 
     passes is a list of (spectral function, modulation) pairs; each keeps its
     own running sup over the times, and reduce maps the list of those sups to
-    the sup on grid.  Returns (sup_field, total_samples, last relative change).
+    the sup on grid.  Returns (sup_field, Refinement).
     """
     pass_sups = [sup_over_times(G, times, a, modulation=mod) for G, mod in passes]
     sup = reduce(pass_sups)
     total = times.size * len(passes)
     norm = np.sqrt(np.sum(sup ** 2) * grid.dx)
-    residual = math.inf
+    residual, capped = math.inf, False
     for _ in range(REFINE_MAX_ROUNDS):
         if times.size < 2:
             residual = 0.0
@@ -104,12 +114,15 @@ def _refine_until_stable(grid, a, times, passes, reduce, rel_tol):
         merged[0::2] = times
         merged[1::2] = mids
         times = merged
-    return sup, total, residual
+    else:
+        capped = True
+    return sup, Refinement(total, residual, capped)
 
 
 def maximal_over_window(F: SpectralFunction1D, J: TimeWindow, a: float,
-                        rel_tol: float = 1e-3) -> GridFunction1D:
-    """Pointwise sup over t in J of |S_t f| on an adaptively refined t-grid.
+                        rel_tol: float = 1e-3) -> tuple[GridFunction1D, Refinement]:
+    """Pointwise sup over t in J of |S_t f| on an adaptively refined t-grid,
+    and how the refinement ended.
 
     Refinement doubles the grid until the L2 norm of the sup changes by less
     than rel_tol (default 0.1%); the sup is monotone under refinement.
@@ -117,9 +130,9 @@ def maximal_over_window(F: SpectralFunction1D, J: TimeWindow, a: float,
     if F.band_limit is None:
         raise ValueError("maximal estimates require a band-limited input")
     times = J.seed_times(F.band_limit, a)
-    sup, _, _ = _refine_until_stable(F.grid, a, times, [(F, None)],
-                                     lambda sups: sups[0], rel_tol)
-    return GridFunction1D(F.grid, sup)
+    sup, refinement = _refine_until_stable(F.grid, a, times, [(F, None)],
+                                           lambda sups: sups[0], rel_tol)
+    return GridFunction1D(F.grid, sup), refinement
 
 
 def maximal_over_sequence(F: SpectralFunction1D, seq: TimeSequence, a: float,
@@ -148,8 +161,9 @@ def maximal_over_sequence(F: SpectralFunction1D, seq: TimeSequence, a: float,
 
 
 def maximal_over_E(F: SpectralFunction1D, E: ProductSet, a: float,
-                   rel_tol: float = 1e-3) -> GridFunction1D:
-    """sup over (y, t) in B x J of |S_t f(x + y)|.
+                   rel_tol: float = 1e-3) -> tuple[GridFunction1D, Refinement]:
+    """sup over (y, t) in B x J of |S_t f(x + y)|, and how the time
+    refinement ended.
 
     Translation is exact spectral modulation by e^{i xi y}, so offsets need
     not lie on the spatial grid, and the sups over y and t commute.  With the
@@ -200,8 +214,8 @@ def maximal_over_E(F: SpectralFunction1D, E: ProductSet, a: float,
         return out
 
     times = E.window.seed_times(lam, a)
-    sup, _, _ = _refine_until_stable(g, a, times, passes, reduce, rel_tol)
-    return GridFunction1D(g, sup)
+    sup, refinement = _refine_until_stable(g, a, times, passes, reduce, rel_tol)
+    return GridFunction1D(g, sup), refinement
 
 
 def _modulation(grid: GridSpec, y: float) -> np.ndarray | None:

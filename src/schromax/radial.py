@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import jv
 
-from schromax.special import BesselOrder, remainder_kernel
+from schromax.special import BesselOrder, bessel_kernel, remainder_kernel
 from schromax.spectral import (
     SQRT_TWO_PI,
     TWO_PI,
@@ -149,7 +148,7 @@ class HankelEvolution(KernelEvolution):
 
     def __init__(self, f1: RadialProfile, nu: BesselOrder, out_nodes: np.ndarray):
         self.nu = nu
-        super().__init__(f1, out_nodes, lambda rs: jv(nu.nu, rs) * np.sqrt(rs))
+        super().__init__(f1, out_nodes, partial(bessel_kernel, nu))
 
 
 def hankel_propagate(f1: RadialProfile, t: float, a: float, nu: BesselOrder,
@@ -178,8 +177,7 @@ class RemainderOperator(KernelEvolution):
     """
 
     def __init__(self, f1: RadialProfile, nu: BesselOrder, out_nodes: np.ndarray):
-        kernel = (partial(np.zeros_like, dtype=np.complex128) if nu.kernel_vanishes
-                  else partial(remainder_kernel, nu))
+        kernel = np.zeros_like if nu.kernel_vanishes else partial(remainder_kernel, nu)
         super().__init__(f1, out_nodes, kernel)
 
     rem_sup = KernelEvolution.sup_field
@@ -339,7 +337,7 @@ def thm6_sides(seed: int, n: int = 2, k: int = 0,
     F = SpectralFunction1D(line_grid, coeffs)
     sup = sup_over_times(F, times, 2.0)
     line_norm = float(np.sqrt(np.sum(sup ** 2) * line_grid.dx))
-    a_nu = schur_constant_for_order(ctx.order.two_nu)
+    a_nu = schur_constant_for_order(ctx.order.two_nu).value
     rhs = SQRT_TWO_PI * math.sqrt(2.0) * line_norm + a_nu * f1.norm()
     return lhs, rhs
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, listing, small end-to-end runs."""
 
 import json
+import math
 import os
 
 import pytest
@@ -190,6 +191,20 @@ class TestBesselTable:
         assert len(lines) == 6
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(0.1)
+
+    def test_three_halves_kernel_column(self, capsys):
+        # K_{3/2}(r) = sqrt(2/pi) sin r / r; from R_{3/2} = 8 on the column is
+        # its Hankel expansion, below it jv's value minus the main kernel
+        code, out, _ = run_cli(capsys, "bessel-table", "--two-nu", "3")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "r,J_nu,K_nu_re,K_nu_im"
+        for line in lines[1:]:
+            r, _, k_re, k_im = line.split(",")
+            r = float(r)
+            closed_form = math.sqrt(2 / math.pi) * math.sin(r) / r
+            assert abs(float(k_re) - closed_form) <= (1e-15 if r >= 8.0 else 3e-14)
+            assert k_im == "0.0"
 
     def test_minus_half_kernel_column_zero(self, capsys):
         code, out, _ = run_cli(capsys, "bessel-table", "--two-nu", "-1",

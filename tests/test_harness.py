@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from schromax import harness
+from schromax import harness, special
 from schromax.harness import ExperimentConfig
 
 SCAN_NAMES = ("theorem1-scan", "theorem2-scan", "eq6-scan", "lemma4-scan")
@@ -204,6 +204,36 @@ class TestProp3Runner:
         rows = tables["remainder.csv"][1]
         assert verdict == "pass"
         assert all(rem_norm <= bound for _, _, rem_norm, bound in rows)
+        quadrature = summary["schur_quadrature"]
+        assert set(quadrature) == set(margins)
+        for key in ("-1", "1"):
+            assert quadrature[key]["panels"] == 0 and quadrature[key]["tail"] == 0.0
+        for key in ("0", "2", "3"):
+            nu = special.BesselOrder(int(key))
+            assert quadrature[key]["far_radius"] == special.far_radius(nu)
+            assert quadrature[key]["panels"] == special.schur_panel_edges(nu).size - 1
+            assert quadrature[key]["tail"] == pytest.approx(
+                2.0 * special.kernel_sup_constant(nu) / math.sqrt(special.SCHUR_UPPER))
+
+
+class TestScanRefinement:
+    @pytest.mark.parametrize("name, item, keys", [
+        ("theorem1-scan", harness._window_scan_refined, ("a", "window", "support")),
+        ("eq6-scan", harness._product_scan_item, ("a", "window", "ball_radius")),
+    ])
+    def test_summary_records_refinement(self, name, item, keys):
+        params = {"lam_exponents": [4, 5], "seeds": [0, 1]}
+        _, summary, _ = harness.run(name, params)
+        p = harness._resolve_params(name, params)
+        outcomes = [item((2.0 ** e, seed, *(p[k] for k in keys)))[3]
+                    for e in (4, 5) for seed in (0, 1)]
+        assert summary["time_samples"] == sum(r.time_samples for r in outcomes)
+        assert summary["refine_max_residual"] == max(r.residual for r in outcomes)
+        assert summary["refine_capped"] == sum(r.capped for r in outcomes) == 0
+
+    def test_sequence_scan_records_no_refinement(self):
+        _, summary, _ = harness.run("lemma4-scan", {"lam_exponents": [4, 5], "seeds": [0]})
+        assert not {"time_samples", "refine_max_residual", "refine_capped"} & set(summary)
 
 
 class TestSeqClassifyRunner:

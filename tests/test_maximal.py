@@ -54,7 +54,7 @@ class TestProductSet:
 class TestMaximalOverWindow:
     def test_dominates_each_time_slice(self):
         F = band_input()
-        sup = maximal.maximal_over_window(F, TimeWindow(0.0, 0.5), 2.0)
+        sup, _ = maximal.maximal_over_window(F, TimeWindow(0.0, 0.5), 2.0)
         for t in (0.0, 0.123, 0.5):
             field = spectral.inverse_transform(spectral.propagate(F, t, 2.0))
             # refinement may miss exact t, but the sup cannot sit far below
@@ -62,13 +62,13 @@ class TestMaximalOverWindow:
 
     def test_monotone_in_window(self):
         F = band_input()
-        small = maximal.maximal_over_window(F, TimeWindow(0.0, 0.25), 2.0)
-        large = maximal.maximal_over_window(F, TimeWindow(0.0, 0.5), 2.0)
+        small, _ = maximal.maximal_over_window(F, TimeWindow(0.0, 0.25), 2.0)
+        large, _ = maximal.maximal_over_window(F, TimeWindow(0.0, 0.5), 2.0)
         assert large.l2() >= small.l2() * (1.0 - 1e-9)
 
     def test_zero_window_is_single_slice(self):
         F = band_input()
-        sup = maximal.maximal_over_window(F, TimeWindow(0.2, 0.0), 2.0)
+        sup, _ = maximal.maximal_over_window(F, TimeWindow(0.2, 0.0), 2.0)
         field = spectral.inverse_transform(spectral.propagate(F, 0.2, 2.0))
         assert np.max(np.abs(sup.samples - np.abs(field.samples))) < 1e-12
 
@@ -79,8 +79,40 @@ class TestMaximalOverWindow:
 
     def test_ratio_at_least_one(self):
         F = band_input()
-        sup = maximal.maximal_over_window(F, TimeWindow(0.0, 1.0), 2.0)
+        sup, _ = maximal.maximal_over_window(F, TimeWindow(0.0, 1.0), 2.0)
         assert sup.l2() / F.l2_spatial() >= 1.0 - 1e-9
+
+
+class TestRefinementOutcome:
+    def test_converged_refinement(self):
+        F = band_input()
+        window = TimeWindow(0.0, 0.5)
+        _, ref = maximal.maximal_over_window(F, window, 2.0, rel_tol=1e-3)
+        seeds = window.seed_times(LAM, 2.0).size
+        rounds = math.log2((ref.time_samples - 1) / (seeds - 1))
+        # each round evaluates the midpoints: seeds + (seeds - 1)(2^k - 1) times
+        assert rounds.is_integer() and 1 <= rounds <= maximal.REFINE_MAX_ROUNDS
+        assert 0.0 <= ref.residual < 1e-3 and not ref.capped
+
+    def test_single_time_needs_no_round(self):
+        _, ref = maximal.maximal_over_window(band_input(), TimeWindow(0.2, 0.0), 2.0)
+        assert ref == maximal.Refinement(1, 0.0, False)
+
+    def test_capped_refinement(self):
+        # no relative change is below -1, so every round runs
+        window = TimeWindow(0.0, 0.01)
+        _, ref = maximal.maximal_over_window(band_input(), window, 2.0, rel_tol=-1.0)
+        seeds = window.seed_times(LAM, 2.0).size
+        assert ref.capped and ref.residual >= 0.0
+        assert ref.time_samples == 1 + (seeds - 1) * 2 ** maximal.REFINE_MAX_ROUNDS
+
+    def test_translation_counts_both_passes(self):
+        # r = 0.3 at lam = 8 needs the edge pass B besides the fine pass A
+        E = ProductSet(0.3, TimeWindow(0.0, 0.01))
+        _, ref = maximal.maximal_over_E(band_input(), E, 2.0, rel_tol=-1.0)
+        seeds = E.window.seed_times(LAM, 2.0).size
+        assert ref.capped
+        assert ref.time_samples == 2 * (1 + (seeds - 1) * 2 ** maximal.REFINE_MAX_ROUNDS)
 
 
 class TestWindowMemory:
@@ -130,15 +162,15 @@ class TestMaximalOverE:
     def test_zero_radius_matches_window(self):
         F = band_input()
         window = TimeWindow(0.0, 0.25)
-        a = maximal.maximal_over_E(F, ProductSet(0.0, window), 2.0)
-        b = maximal.maximal_over_window(F, window, 2.0)
+        a, _ = maximal.maximal_over_E(F, ProductSet(0.0, window), 2.0)
+        b, _ = maximal.maximal_over_window(F, window, 2.0)
         assert np.max(np.abs(a.samples - b.samples)) < 1e-12
 
     def test_translation_dominates_origin(self):
         F = band_input()
         window = TimeWindow(0.0, 0.25)
-        small = maximal.maximal_over_E(F, ProductSet(0.0, window), 2.0)
-        big = maximal.maximal_over_E(F, ProductSet(0.2, window), 2.0)
+        small, _ = maximal.maximal_over_E(F, ProductSet(0.0, window), 2.0)
+        big, _ = maximal.maximal_over_E(F, ProductSet(0.2, window), 2.0)
         assert big.l2() >= small.l2() * (1.0 - 1e-9)
 
     def test_exact_modulation_shift(self):
@@ -146,7 +178,7 @@ class TestMaximalOverE:
         F = band_input()
         y = 0.3
         E = ProductSet(0.0, TimeWindow(0.0, 0.0), ball_center=y)
-        sup = maximal.maximal_over_E(F, E, 2.0)
+        sup, _ = maximal.maximal_over_E(F, E, 2.0)
         xi = GRID.xi_nodes()
         shifted = spectral.SpectralFunction1D(
             GRID, F.coefficients * np.exp(1j * xi * y), band_limit=F.band_limit)
@@ -193,13 +225,13 @@ class TestMaximalOverELattice:
         direct = np.max([spectral.sup_over_times(F, [0.2], 2.0,
                                                  modulation=np.exp(1j * xi * y))
                          for y in offsets], axis=0)
-        sup = maximal.maximal_over_E(F, E, 2.0)
+        sup, _ = maximal.maximal_over_E(F, E, 2.0)
         assert np.max(np.abs(sup.samples - direct)) < 1e-12
 
     def test_dominates_end_points_over_seed_times(self):
         F = band_input(seed=2)
         E = ProductSet(0.3, TimeWindow(0.1, 0.25), ball_center=0.4)
-        sup = maximal.maximal_over_E(F, E, 2.0).samples.real
+        sup = maximal.maximal_over_E(F, E, 2.0)[0].samples.real
         xi = GRID.xi_nodes()
         times = E.window.seed_times(LAM, 2.0)
         for y in (0.1, 0.7):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import jv as scipy_jv
 
-from schromax import special
+from schromax import radial, special
 from schromax.special import BesselOrder
 
 ORDERS = [BesselOrder(t) for t in (-1, 0, 1, 2, 3)]
@@ -135,6 +136,140 @@ class TestKernelSplit:
             special.remainder_kernel(BesselOrder(0), 0.0)
 
 
+def mp_kernels(two_nu, r):
+    """(r^{1/2} J_nu(r), K_nu(r)) at 40 significant digits."""
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(two_nu) / 2
+        x = mpmath.mpf(float(r))
+        field = mpmath.sqrt(x) * mpmath.besselj(nu, x)
+        main = mpmath.sqrt(2 / mpmath.pi) * mpmath.cos(x - mpmath.pi * (2 * nu + 1) / 4)
+        return float(field), float(field - main)
+
+
+KERNEL_ORDERS = (0, 2, 3, 4, 6)
+KERNEL_RADII = np.geomspace(1e-3, 1e6, 241)
+
+
+@pytest.fixture(scope="module")
+def kernel_reference():
+    """{2 nu: (r^{1/2} J_nu, K_nu) on KERNEL_RADII} from mpmath."""
+    return {t: np.array([mp_kernels(t, r) for r in KERNEL_RADII]).T
+            for t in KERNEL_ORDERS}
+
+
+class TestKernelEvaluator:
+    """r^{1/2} J_nu and K_nu on both sides of R_nu against 40-digit mpmath."""
+
+    @pytest.mark.parametrize("two_nu", KERNEL_ORDERS)
+    def test_far_field_absolute_error(self, two_nu, kernel_reference):
+        nu = BesselOrder(two_nu)
+        far = KERNEL_RADII >= special.far_radius(nu)
+        assert far.sum() > 100
+        k = special.remainder_kernel(nu, KERNEL_RADII[far])
+        assert np.max(np.abs(k - kernel_reference[two_nu][1][far])) <= 1e-16
+
+    @pytest.mark.parametrize("two_nu", KERNEL_ORDERS)
+    def test_near_field_absolute_error(self, two_nu, kernel_reference):
+        nu = BesselOrder(two_nu)
+        near = KERNEL_RADII < special.far_radius(nu)
+        assert near.sum() > 20
+        field, k = kernel_reference[two_nu]
+        r = KERNEL_RADII[near]
+        assert np.max(np.abs(special.remainder_kernel(nu, r) - k[near])) <= 3e-14
+        assert np.max(np.abs(special.bessel_kernel(nu, r) - field[near])) <= 3e-14
+
+    @pytest.mark.parametrize("two_nu", KERNEL_ORDERS)
+    def test_bessel_kernel_continuous_at_far_radius(self, two_nu):
+        nu = BesselOrder(two_nu)
+        radius = special.far_radius(nu)
+        below = np.nextafter(radius, 0.0)
+        got = special.bessel_kernel(nu, np.array([below, radius]))
+        want = np.array([mp_kernels(two_nu, below)[0], mp_kernels(two_nu, radius)[0]])
+        assert abs(np.diff(got)[0] - np.diff(want)[0]) <= 1e-15
+
+    def test_three_halves_closed_form(self):
+        # r^{1/2} J_{3/2}(r) = sqrt(2/pi) (sin r / r - cos r): K_{3/2} = sqrt(2/pi) sin r / r
+        nu = BesselOrder(3)
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.sqrt(2 / mpmath.pi) * mpmath.sin(r) / r)
+                             for r in map(mpmath.mpf, KERNEL_RADII)])
+        err = np.abs(special.remainder_kernel(nu, KERNEL_RADII) - want)
+        far = KERNEL_RADII >= special.far_radius(nu)
+        assert np.max(err[far]) <= 1e-16
+        assert np.max(err[~far]) <= 3e-14
+
+    def test_far_radius_rule(self):
+        # the expansion at 2 nu = +-1 is empty, so K_nu is exactly 0 everywhere;
+        # at 2 nu = 3 it is the single term sqrt(2/pi) sin r / r, first used where
+        # it is 1/8 of the main kernel's size
+        assert special.far_radius(BesselOrder(-1)) == special.far_radius(BesselOrder(1)) == 0.0
+        assert special.far_radius(BesselOrder(3)) == 8.0
+        assert not np.any(special.remainder_kernel(BesselOrder(1), KERNEL_RADII))
+        # the far field of nu = 0, 1 starts below 32, where j0 and j1 hold 1e-15
+        assert special.far_radius(BesselOrder(0)) < 32.0
+        assert special.far_radius(BesselOrder(2)) < 32.0
+        # beyond nu = 9 + 1/2 the first omitted term need not bound the error
+        assert special.far_radius(BesselOrder(19)) < math.inf
+        assert special.far_radius(BesselOrder(20)) == math.inf
+
+    def test_half_orders_are_the_main_kernel(self):
+        # r^{1/2} J_{-1/2}(r) = sqrt(2/pi) cos r and r^{1/2} J_{1/2}(r) = sqrt(2/pi) sin r,
+        # also at r = 0 and where 1/r^2 overflows
+        r = np.array([0.0, 1e-200, 0.5, 30.0, 1e5])
+        c = math.sqrt(2.0 / math.pi)
+        for two_nu, want in ((-1, c * np.cos(r)), (1, c * np.sin(r))):
+            got = special.bessel_kernel(BesselOrder(two_nu), r)
+            assert np.max(np.abs(got - want)) <= 1e-16
+
+    @pytest.mark.parametrize("two_nu", [0, 2, 4, 6, 10, 19])
+    def test_far_radius_bounds_the_truncation(self, two_nu):
+        nu = BesselOrder(two_nu)
+        radius = special.far_radius(nu)
+        p = special._hankel_poly_coeffs(two_nu, special._FAR_TERMS + 2)
+        omitted = sum(abs(p[m]) * radius ** -m
+                      for m in (special._FAR_TERMS, special._FAR_TERMS + 1))
+        assert 2.0 * abs(special.gamma_kernel(nu)) * omitted <= 1e-17 * (1 + 1e-12)
+
+    def test_real_values(self):
+        nu = BesselOrder(0)
+        assert type(special.remainder_kernel(nu, 3.0)) is float
+        assert special.remainder_kernel(nu, np.array([3.0, 300.0])).dtype == np.float64
+        assert special.bessel_kernel(nu, np.ones((2, 3))).dtype == np.float64
+
+
+class TestFarFieldAvoidsJv:
+    """The far field does not drift back onto scipy's jv."""
+
+    @pytest.fixture
+    def jv_radii(self, monkeypatch):
+        """Every argument array scipy's jv receives from special, by order."""
+        seen = []
+
+        def recording(nu, r):
+            seen.append((nu, np.asarray(r, dtype=float).copy()))
+            return scipy_jv(nu, r)
+
+        monkeypatch.setattr(special, "jv", recording)
+        special.schur_constant_for_order.cache_clear()
+        return seen
+
+    @pytest.mark.parametrize("two_nu", [0, 2])
+    def test_integer_orders_never_call_jv(self, jv_radii, two_nu):
+        special.schur_constant_for_order(two_nu)
+        assert jv_radii == []
+
+    @pytest.mark.parametrize("two_nu", [3, 4])
+    def test_jv_only_below_far_radius(self, jv_radii, two_nu):
+        special.schur_constant_for_order(two_nu)
+        radius = special.far_radius(BesselOrder(two_nu))
+        assert jv_radii
+        assert all(nu == two_nu / 2 and np.all(r < radius) for nu, r in jv_radii)
+
+    def test_hankel_evolution_never_calls_jv(self, jv_radii):
+        radial.thm6_evolution(0, 2, 0)
+        assert jv_radii == []
+
+
 # A_nu from the 40-panel adaptive quad rule the panel quadrature replaced.
 ADAPTIVE_QUAD_VALUES = {0: 0.563194673765964, 2: 1.2937863267107907,
                         3: 2.6837715258241674}
@@ -154,11 +289,11 @@ class TestSchurConstants:
         assert math.pi <= val < math.pi + 0.01
 
     def test_order_constants(self):
-        assert special.schur_constant_for_order(-1) == 0.0
-        assert special.schur_constant_for_order(1) < 1e-10
-        a0 = special.schur_constant_for_order(0)
-        a2 = special.schur_constant_for_order(2)
-        a3 = special.schur_constant_for_order(3)
+        assert special.schur_constant_for_order(-1) == (0.0, 0, 0.0)
+        assert special.schur_constant_for_order(1).value < 1e-10
+        a0 = special.schur_constant_for_order(0).value
+        a2 = special.schur_constant_for_order(2).value
+        a3 = special.schur_constant_for_order(3).value
         assert 0.4 < a0 < 0.8
         assert a0 < a2 < a3
 
@@ -179,7 +314,7 @@ class TestSchurConstants:
 
     @pytest.mark.parametrize("two_nu", [0, 2, 3])
     def test_agrees_with_adaptive_quad(self, two_nu):
-        assert special.schur_constant_for_order(two_nu) == pytest.approx(
+        assert special.schur_constant_for_order(two_nu).value == pytest.approx(
             ADAPTIVE_QUAD_VALUES[two_nu], rel=5e-5)
 
     def test_edges_hold_the_kinks(self):
@@ -189,7 +324,7 @@ class TestSchurConstants:
         x = np.linspace(0.001, 0.999, 50)
         for lo in (0, np.searchsorted(edges, 15.0), edges.size // 2, edges.size - 41):
             a, b = edges[lo:lo + 40], edges[lo + 1:lo + 41]
-            k = special.remainder_kernel(nu, a[:, None] + (b - a)[:, None] * x).real
+            k = special.remainder_kernel(nu, a[:, None] + (b - a)[:, None] * x)
             assert np.all(np.abs(np.diff(np.sign(k), axis=1)) == 0)
 
     def test_bounded_temporaries(self):
