@@ -181,19 +181,19 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
 # the scaling scans
 # ---------------------------------------------------------------------------
 
-def _window_scan_refined(args):
+def _window_scan_counted(args):
+    """(lambda, seed, ratio, time samples) of one window-scan item."""
     lam, seed, a, window_len, support = args
     grid = spectral.grid_for_bandlimit(lam)
     F = spectral.make_bandlimited_random(lam, support, seed, grid)
-    sup, refinement = maximal.maximal_over_window(
-        F, maximal.TimeWindow(0.0, window_len), a)
-    return lam, seed, sup.l2() / F.l2_spatial(), refinement
+    sup, samples = maximal.maximal_over_window(F, maximal.TimeWindow(0.0, window_len), a)
+    return lam, seed, sup.l2() / F.l2_spatial(), samples
 
 
 def _window_scan_item(args):
     """(lambda, seed, ratio) of one window-scan item, the form in which
     tests/test_acceptance.py measures the window scan."""
-    return _window_scan_refined(args)[:3]
+    return _window_scan_counted(args)[:3]
 
 
 def _product_scan_item(args):
@@ -201,8 +201,8 @@ def _product_scan_item(args):
     grid = spectral.grid_for_bandlimit(lam)
     F = spectral.make_bandlimited_random(lam, "ball", seed, grid)
     E = maximal.ProductSet(ball_r, maximal.TimeWindow(0.0, window_len))
-    sup, refinement = maximal.maximal_over_E(F, E, a)
-    return lam, seed, sup.l2() / F.l2_spatial(), refinement
+    sup, samples = maximal.maximal_over_E(F, E, a)
+    return lam, seed, sup.l2() / F.l2_spatial(), samples
 
 
 def _sequence_scan_item(args):
@@ -239,18 +239,22 @@ def _run_scan(p, workers, *, item, item_keys, predictor, extras=None):
     """Measure item((lambda, seed, *p[item_keys])) for lambda = 2^e, e in
     lam_exponents, and every seed; the verdict passes when the fitted slope
     of the normalized ratio is at most slope_tol.  extras(p) adds summary
-    entries; a scan whose items end with their maximal.Refinement adds the
-    largest final residual, the total time samples and the number of items
-    stopped at maximal.REFINE_MAX_ROUNDS.  The fit needs two distinct
-    lambdas and at least one seed, the random data lambda >= 1, and the time
-    steps of about lam^-a need a > 0 and no underflow at the largest lambda."""
+    entries; a scan whose items end with their time-sample count adds the
+    total as time_samples.  The fit needs two distinct lambdas and at least
+    one seed, the random data lambda >= 1, and a > 0.  Each lambda's time
+    grid (maximal.TimeWindow.time_count) must have a nonzero step and fit in
+    an array; lemma4, which resolves times down to lam^-a / 4, the step of
+    a unit window's grid, is checked as a unit window."""
     if len(set(p["lam_exponents"])) < 2 or not p["seeds"]:
         raise ValueError("a scan needs two distinct lam_exponents and a seed, got "
                          f"lam_exponents {p['lam_exponents']} and seeds {p['seeds']}")
     exps = p["lam_exponents"]
-    if not (min(exps) >= 0 and p["a"] > 0 and 0.5 * 2.0 ** (-p["a"] * max(exps)) > 0):
-        raise ValueError("a scan needs lam_exponents >= 0 and a > 0 with a nonzero "
-                         f"lam^-a, got lam_exponents {exps} and a {p['a']}")
+    if not (min(exps) >= 0 and p["a"] > 0):
+        raise ValueError("a scan needs lam_exponents >= 0 and a > 0, got "
+                         f"lam_exponents {exps} and a {p['a']}")
+    window = maximal.TimeWindow(0.0, p.get("window", 1.0))
+    for e in exps:
+        window.time_count(2.0 ** e, p["a"])
     items = [(2.0 ** e, seed, *(p[key] for key in item_keys))
              for e in p["lam_exponents"] for seed in p["seeds"]]
     results = _map_items(item, items, workers)
@@ -260,12 +264,8 @@ def _run_scan(p, workers, *, item, item_keys, predictor, extras=None):
                "slope_tol": p["slope_tol"], "verdict": verdict}
     if extras is not None:
         summary.update(extras(p))
-    refinements = [result[3] for result in results if len(result) > 3]
-    if refinements:
-        summary.update(
-            refine_max_residual=max(r.residual for r in refinements),
-            time_samples=sum(r.time_samples for r in refinements),
-            refine_capped=sum(r.capped for r in refinements))
+    if len(results[0]) > 3:
+        summary["time_samples"] = sum(result[3] for result in results)
     return {"scan.csv": (SCAN_COLUMNS, rows)}, summary, verdict
 
 
@@ -273,7 +273,7 @@ def _window_scan(e: float):
     """The window scan against 1 + |J|^e lam^{a e}: e = 1/2 is theorem 1's
     bound shape and e = 1/4 theorem 2's."""
     return partial(
-        _run_scan, item=_window_scan_refined, item_keys=("a", "window", "support"),
+        _run_scan, item=_window_scan_counted, item_keys=("a", "window", "support"),
         predictor=lambda lam, p: 1.0 + p["window"] ** e * lam ** (p["a"] * e),
         extras=lambda p: {"model": [e, p["a"] * e]})
 

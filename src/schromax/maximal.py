@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,14 +32,37 @@ class TimeWindow:
                 and self.t0 + self.length <= 1.0 + 1e-12):
             raise ValueError("window must satisfy J subset of [0, 1]")
 
-    def seed_times(self, lam: float, a: float) -> np.ndarray:
-        """Initial t-grid: step <= min(0.5 |J|, 1/(2 lam^a)) so the multiplier
-        phase at the top frequency moves by less than pi between samples."""
+    def time_count(self, lam: float, a: float) -> int:
+        """Number of times on the grid of `times`, counted without building
+        it: 1 when |J| = 0, else max(3, 2 ceil(|J| / s) + 1) with the seed
+        step s = min(|J|, lam^-a) / 2.  Raises ValueError when s is zero or
+        |J| / s is not finite, or when the count exceeds the largest array
+        index."""
         if self.length == 0.0:
-            return np.array([self.t0])
+            return 1
         step = min(0.5 * self.length, 0.5 * lam ** (-a))
-        n = max(2, int(math.ceil(self.length / step)) + 1)
-        return self.t0 + np.linspace(0.0, self.length, n)
+        spans = self.length / step if step > 0 else math.inf
+        count = max(3, 2 * math.ceil(spans) + 1) if math.isfinite(spans) else math.inf
+        if count > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"the time grid on |J| = {self.length} at lam = {lam} and a = {a} "
+                "needs a nonzero step min(|J|, lam^-a) / 2 and at most "
+                f"{np.iinfo(np.intp).max} times")
+        return count
+
+    def times(self, lam: float, a: float) -> np.ndarray:
+        """The uniform t-grid of a sup over J: the seed grid of step s (see
+        time_count) and its midpoints, so the step h is at most
+        min(|J|, lam^-a) / 4.
+
+        For data band-limited to lam, e^{-i c t} S_t f(x), c the midpoint of
+        the range of |xi|^a, is an exponential sum in t of type B <= lam^a / 2,
+        so theta = B h / 2 <= 1/16.  That is the resolution of the Bernstein
+        bracket G <= M <= G / cos(theta) = 1.00196 G between the grid sup G
+        and the sup M over the times (Duffin-Schaeffer; Boas, Entire
+        Functions, ch. 11).
+        """
+        return self.t0 + np.linspace(0.0, self.length, self.time_count(lam, a))
 
 
 @dataclass(frozen=True)
@@ -63,76 +85,21 @@ class ProductSet:
         return self.ball_center + np.linspace(-self.ball_radius, self.ball_radius, n)
 
 
-# Midpoint-doubling rounds after which the time refinement stops unconverged.
-REFINE_MAX_ROUNDS = 12
-
-
-class Refinement(NamedTuple):
-    """How the time refinement of one maximal_over_window / maximal_over_E
-    call ended."""
-
-    time_samples: int   # evolutions evaluated, summed over the passes
-    residual: float     # relative change of the L2 norm in the last round
-    capped: bool        # stopped after REFINE_MAX_ROUNDS rounds above rel_tol
-
-
 def _phase_floor(F: SpectralFunction1D, a: float) -> float:
     """1/(4 lam^a), lam the band limit (else xi_max): the phase-resolution floor."""
     lam = F.band_limit if F.band_limit is not None else F.grid.xi_max
     return 0.25 * lam ** (-a)
 
 
-def _refine_until_stable(grid, a, times, passes, reduce, rel_tol):
-    """Pointwise sup over t of several evolutions, with midpoint doubling of
-    the t-grid until the L2 norm of the reduced sup on grid moves by less
-    than rel_tol.
-
-    passes is a list of (spectral function, modulation) pairs; each keeps its
-    own running sup over the times, and reduce maps the list of those sups to
-    the sup on grid.  Returns (sup_field, Refinement).
-    """
-    pass_sups = [sup_over_times(G, times, a, modulation=mod) for G, mod in passes]
-    sup = reduce(pass_sups)
-    total = times.size * len(passes)
-    norm = np.sqrt(np.sum(sup ** 2) * grid.dx)
-    residual, capped = math.inf, False
-    for _ in range(REFINE_MAX_ROUNDS):
-        if times.size < 2:
-            residual = 0.0
-            break
-        mids = 0.5 * (times[:-1] + times[1:])
-        for (G, mod), pass_sup in zip(passes, pass_sups):
-            np.maximum(pass_sup, sup_over_times(G, mids, a, modulation=mod), out=pass_sup)
-        total += mids.size * len(passes)
-        sup = reduce(pass_sups)
-        new_norm = np.sqrt(np.sum(sup ** 2) * grid.dx)
-        residual = (new_norm - norm) / norm if norm > 0 else 0.0
-        norm = new_norm
-        if residual < rel_tol:
-            break
-        merged = np.empty(times.size + mids.size)
-        merged[0::2] = times
-        merged[1::2] = mids
-        times = merged
-    else:
-        capped = True
-    return sup, Refinement(total, residual, capped)
-
-
 def maximal_over_window(F: SpectralFunction1D, J: TimeWindow, a: float,
-                        rel_tol: float = 1e-3) -> tuple[GridFunction1D, Refinement]:
-    """Pointwise sup over t in J of |S_t f| on an adaptively refined t-grid,
-    and how the refinement ended.
-
-    Refinement doubles the grid until the L2 norm of the sup changes by less
-    than rel_tol (default 0.1%); the sup is monotone under refinement.
+                        ) -> tuple[GridFunction1D, int]:
+    """Pointwise sup over t in J of |S_t f| on the grid J.times(lam, a)
+    (theta <= 1/16, see TimeWindow.times), and the number of times evaluated.
     """
     if F.band_limit is None:
         raise ValueError("maximal estimates require a band-limited input")
-    times = J.seed_times(F.band_limit, a)
-    sup, refinement = _refine_until_stable(F.grid, a, times, [(F, None)],
-                                           lambda sups: sups[0], rel_tol)
-    return GridFunction1D(F.grid, sup), refinement
+    times = J.times(F.band_limit, a)
+    return GridFunction1D(F.grid, sup_over_times(F, times, a)), int(times.size)
 
 
 def maximal_over_sequence(F: SpectralFunction1D, seq: TimeSequence, a: float,
@@ -161,9 +128,10 @@ def maximal_over_sequence(F: SpectralFunction1D, seq: TimeSequence, a: float,
 
 
 def maximal_over_E(F: SpectralFunction1D, E: ProductSet, a: float,
-                   rel_tol: float = 1e-3) -> tuple[GridFunction1D, Refinement]:
-    """sup over (y, t) in B x J of |S_t f(x + y)|, and how the time
-    refinement ended.
+                   ) -> tuple[GridFunction1D, int]:
+    """sup over (y, t) in B x J of |S_t f(x + y)| with t on the grid
+    E.window.times(lam, a) (theta <= 1/16, see TimeWindow.times), and the
+    number of time samples evaluated, summed over the passes.
 
     Translation is exact spectral modulation by e^{i xi y}, so offsets need
     not lie on the spatial grid, and the sups over y and t commute.  With the
@@ -178,8 +146,8 @@ def maximal_over_E(F: SpectralFunction1D, E: ProductSet, a: float,
     interpolation) and modulated by e^{i xi (c - r)}; its t-sup M_A at the
     fine nodes gives out(x_j) = max_{0 <= k <= K} M_A[(j m + k) mod N m], a
     wrapped sliding maximum.  Pass B, the offset c + r on the coarse grid,
-    runs only when K delta < 2r.  The t-axis is refined adaptively for both
-    passes together.
+    runs only when K delta < 2r.  Each pass is evaluated once on the time
+    grid; modulation leaves the type B in t unchanged.
     """
     if F.band_limit is None:
         raise ValueError("maximal estimates require a band-limited input")
@@ -206,16 +174,13 @@ def maximal_over_E(F: SpectralFunction1D, E: ProductSet, a: float,
     if K * delta < high - low:
         passes.append((F, _modulation(g, high)))
 
-    def reduce(sups):
-        wrapped = np.concatenate([sups[0], sups[0][:K]])
-        out = sliding_window_view(wrapped, K + 1)[::m].max(axis=1)
-        for edge in sups[1:]:
-            np.maximum(out, edge, out=out)
-        return out
-
-    times = E.window.seed_times(lam, a)
-    sup, refinement = _refine_until_stable(g, a, times, passes, reduce, rel_tol)
-    return GridFunction1D(g, sup), refinement
+    times = E.window.times(lam, a)
+    sups = [sup_over_times(H, times, a, modulation=mod) for H, mod in passes]
+    wrapped = np.concatenate([sups[0], sups[0][:K]])
+    out = sliding_window_view(wrapped, K + 1)[::m].max(axis=1)
+    for edge in sups[1:]:
+        np.maximum(out, edge, out=out)
+    return GridFunction1D(g, out), int(times.size) * len(passes)
 
 
 def _modulation(grid: GridSpec, y: float) -> np.ndarray | None:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from schromax import harness, special
+from schromax import harness, maximal, special
 from schromax.harness import ExperimentConfig
 
 SCAN_NAMES = ("theorem1-scan", "theorem2-scan", "eq6-scan", "lemma4-scan")
@@ -216,24 +216,26 @@ class TestProp3Runner:
                 2.0 * special.kernel_sup_constant(nu) / math.sqrt(special.SCHUR_UPPER))
 
 
-class TestScanRefinement:
-    @pytest.mark.parametrize("name, item, keys", [
-        ("theorem1-scan", harness._window_scan_refined, ("a", "window", "support")),
-        ("eq6-scan", harness._product_scan_item, ("a", "window", "ball_radius")),
-    ])
-    def test_summary_records_refinement(self, name, item, keys):
+class TestScanTimeSamples:
+    @pytest.mark.parametrize("name, item, keys, passes", [
+        ("theorem1-scan", harness._window_scan_counted, ("a", "window", "support"), 1),
+        # r = 0.1 at lambda = 16 and 32 needs the edge pass B besides pass A
+        ("eq6-scan", harness._product_scan_item, ("a", "window", "ball_radius"), 2),
+    ], ids=["theorem1-scan", "eq6-scan"])
+    def test_summary_sums_item_counts(self, name, item, keys, passes):
         params = {"lam_exponents": [4, 5], "seeds": [0, 1]}
         _, summary, _ = harness.run(name, params)
         p = harness._resolve_params(name, params)
-        outcomes = [item((2.0 ** e, seed, *(p[k] for k in keys)))[3]
-                    for e in (4, 5) for seed in (0, 1)]
-        assert summary["time_samples"] == sum(r.time_samples for r in outcomes)
-        assert summary["refine_max_residual"] == max(r.residual for r in outcomes)
-        assert summary["refine_capped"] == sum(r.capped for r in outcomes) == 0
+        window = maximal.TimeWindow(0.0, p["window"])
+        counts = [item((2.0 ** e, seed, *(p[k] for k in keys)))[3]
+                  for e in (4, 5) for seed in (0, 1)]
+        assert counts == [passes * window.time_count(2.0 ** e, p["a"])
+                          for e in (4, 5) for seed in (0, 1)]
+        assert summary["time_samples"] == sum(counts)
 
-    def test_sequence_scan_records_no_refinement(self):
+    def test_sequence_scan_records_no_time_samples(self):
         _, summary, _ = harness.run("lemma4-scan", {"lam_exponents": [4, 5], "seeds": [0]})
-        assert not {"time_samples", "refine_max_residual", "refine_capped"} & set(summary)
+        assert "time_samples" not in summary
 
 
 class TestSeqClassifyRunner:

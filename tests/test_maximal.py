@@ -26,13 +26,38 @@ class TestTimeWindow:
             TimeWindow(-0.1, 0.2)
 
     def test_zero_length_single_time(self):
-        assert np.array_equal(TimeWindow(0.3, 0.0).seed_times(8.0, 2.0), [0.3])
+        assert np.array_equal(TimeWindow(0.3, 0.0).times(8.0, 2.0), [0.3])
+        assert TimeWindow(0.3, 0.0).time_count(8.0, 2.0) == 1
 
     def test_seed_step_resolves_top_frequency(self):
-        times = TimeWindow(0.0, 1.0).seed_times(LAM, 2.0)
-        step = times[1] - times[0]
-        assert step <= 0.5 * LAM ** -2.0
+        times = TimeWindow(0.0, 1.0).times(LAM, 2.0)
+        assert times[2] - times[0] <= 0.5 * LAM ** -2.0
+        assert times[1] - times[0] <= 0.25 * LAM ** -2.0
         assert times[0] == 0.0 and times[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("t0, length", [(0.0, 1.0), (0.1, 0.5), (0.2, 0.01)])
+    def test_seed_grid_and_its_midpoints(self, t0, length):
+        # the seed grid has step min(|J|, lam^-a) / 2; every seed time and every
+        # midpoint is on the grid
+        step = min(0.5 * length, 0.5 * LAM ** -2.0)
+        n = max(2, math.ceil(length / step) + 1)
+        window = TimeWindow(t0, length)
+        times = window.times(LAM, 2.0)
+        assert window.time_count(LAM, 2.0) == times.size == 2 * n - 1
+        seeds = t0 + np.linspace(0.0, length, n)
+        assert np.max(np.abs(times[0::2] - seeds)) < 1e-15
+        assert np.max(np.abs(times[1::2] - 0.5 * (seeds[:-1] + seeds[1:]))) < 1e-15
+
+    @pytest.mark.parametrize("lam, a", [
+        (2.0, 1072.0),   # step 2^-1073 is nonzero, but |J| / step overflows
+        (2.0, 2000.0),   # lam^-a underflows to a zero step
+        (2.0, 100.0),    # 2^102 + 1 times exceed the largest array index
+    ])
+    def test_rejects_unrepresentable_grid(self, lam, a):
+        with pytest.raises(ValueError, match="lam\\^-a"):
+            TimeWindow(0.0, 1.0).time_count(lam, a)
+        with pytest.raises(ValueError, match="lam\\^-a"):
+            TimeWindow(0.0, 1.0).times(lam, a)
 
 
 class TestProductSet:
@@ -57,7 +82,7 @@ class TestMaximalOverWindow:
         sup, _ = maximal.maximal_over_window(F, TimeWindow(0.0, 0.5), 2.0)
         for t in (0.0, 0.123, 0.5):
             field = spectral.inverse_transform(spectral.propagate(F, t, 2.0))
-            # refinement may miss exact t, but the sup cannot sit far below
+            # the grid may miss exact t, but the sup cannot sit far below
             assert np.all(sup.samples.real + 1e-6 >= np.abs(field.samples) * 0.999)
 
     def test_monotone_in_window(self):
@@ -83,42 +108,28 @@ class TestMaximalOverWindow:
         assert sup.l2() / F.l2_spatial() >= 1.0 - 1e-9
 
 
-class TestRefinementOutcome:
-    def test_converged_refinement(self):
-        F = band_input()
+class TestTimeSamples:
+    def test_window_evaluates_its_grid_once(self):
         window = TimeWindow(0.0, 0.5)
-        _, ref = maximal.maximal_over_window(F, window, 2.0, rel_tol=1e-3)
-        seeds = window.seed_times(LAM, 2.0).size
-        rounds = math.log2((ref.time_samples - 1) / (seeds - 1))
-        # each round evaluates the midpoints: seeds + (seeds - 1)(2^k - 1) times
-        assert rounds.is_integer() and 1 <= rounds <= maximal.REFINE_MAX_ROUNDS
-        assert 0.0 <= ref.residual < 1e-3 and not ref.capped
+        # seed step min(0.25, 1/128) gives n = 65 seed times
+        _, samples = maximal.maximal_over_window(band_input(), window, 2.0)
+        assert samples == window.time_count(LAM, 2.0) == 2 * 65 - 1
 
-    def test_single_time_needs_no_round(self):
-        _, ref = maximal.maximal_over_window(band_input(), TimeWindow(0.2, 0.0), 2.0)
-        assert ref == maximal.Refinement(1, 0.0, False)
-
-    def test_capped_refinement(self):
-        # no relative change is below -1, so every round runs
-        window = TimeWindow(0.0, 0.01)
-        _, ref = maximal.maximal_over_window(band_input(), window, 2.0, rel_tol=-1.0)
-        seeds = window.seed_times(LAM, 2.0).size
-        assert ref.capped and ref.residual >= 0.0
-        assert ref.time_samples == 1 + (seeds - 1) * 2 ** maximal.REFINE_MAX_ROUNDS
+    def test_single_time(self):
+        _, samples = maximal.maximal_over_window(band_input(), TimeWindow(0.2, 0.0), 2.0)
+        assert samples == 1
 
     def test_translation_counts_both_passes(self):
         # r = 0.3 at lam = 8 needs the edge pass B besides the fine pass A
         E = ProductSet(0.3, TimeWindow(0.0, 0.01))
-        _, ref = maximal.maximal_over_E(band_input(), E, 2.0, rel_tol=-1.0)
-        seeds = E.window.seed_times(LAM, 2.0).size
-        assert ref.capped
-        assert ref.time_samples == 2 * (1 + (seeds - 1) * 2 ** maximal.REFINE_MAX_ROUNDS)
+        _, samples = maximal.maximal_over_E(band_input(), E, 2.0)
+        assert samples == 2 * E.window.time_count(LAM, 2.0)
 
 
 class TestWindowMemory:
     @pytest.mark.parametrize("seed", [0, 3, 5])
     def test_bounded_temporaries_at_top_lambda(self, seed):
-        # lam = 2^8 seeds 131,073 times (1 MiB) and refines with their midpoints
+        # lam = 2^8 evaluates 262,145 times (2 MiB) in one pass
         grid = spectral.grid_for_bandlimit(256.0)
         F = spectral.make_bandlimited_random(256.0, "ball", seed, grid)
         tracemalloc.start()
@@ -128,6 +139,51 @@ class TestWindowMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2 ** 20
+
+
+def _finer_times(window, lam, a):
+    """An 8x finer grid over the span of window.times(lam, a)."""
+    return np.linspace(window.t0, window.t0 + window.length,
+                       8 * window.time_count(lam, a) - 7)
+
+
+class TestBernsteinBracket:
+    """The sup G on the time grid against the sup on an 8x finer grid: pointwise
+    fine <= G / cos(theta), theta = B h / 2 with h the grid step and B half the
+    span of |xi|^a over the support."""
+
+    @staticmethod
+    def ratios_and_thetas(run, window, monkeypatch):
+        """(largest pointwise fine / G, theta) per ball item at lam = 2^4..2^6
+        and seeds 0-3."""
+        out = []
+        for lam in (16.0, 32.0, 64.0):
+            grid = spectral.grid_for_bandlimit(lam)
+            times = window.times(lam, 2.0)
+            for seed in range(4):
+                F = spectral.make_bandlimited_random(lam, "ball", seed, grid)
+                G = run(F).samples.real
+                with monkeypatch.context() as patched:
+                    patched.setattr(TimeWindow, "times", _finer_times)
+                    fine = run(F).samples.real
+                xi_pow = np.abs(grid.xi_nodes()[F.coefficients != 0]) ** 2.0
+                B = 0.5 * (xi_pow.max() - xi_pow.min())
+                out.append((float(np.max(fine / G)), 0.5 * B * (times[1] - times[0])))
+        return out
+
+    @pytest.mark.parametrize("kind", ["window", "E"])
+    def test_finer_grid_within_bracket(self, kind, monkeypatch):
+        if kind == "window":
+            window = TimeWindow(0.0, 1.0)
+            run = lambda F: maximal.maximal_over_window(F, window, 2.0)[0]
+        else:
+            window = TimeWindow(0.0, 0.25)
+            run = lambda F: maximal.maximal_over_E(F, ProductSet(0.1, window), 2.0)[0]
+        measured = self.ratios_and_thetas(run, window, monkeypatch)
+        assert all(theta <= 1.0 / 16.0 for _, theta in measured)
+        assert all(ratio <= 1.0 / math.cos(theta) for ratio, theta in measured)
+        # with B halved the bracket is too narrow, so the check above can fail
+        assert any(ratio > 1.0 / math.cos(0.5 * theta) for ratio, theta in measured)
 
 
 class TestMaximalOverSequence:
@@ -233,7 +289,7 @@ class TestMaximalOverELattice:
         E = ProductSet(0.3, TimeWindow(0.1, 0.25), ball_center=0.4)
         sup = maximal.maximal_over_E(F, E, 2.0)[0].samples.real
         xi = GRID.xi_nodes()
-        times = E.window.seed_times(LAM, 2.0)
+        times = E.window.times(LAM, 2.0)
         for y in (0.1, 0.7):
             edge = spectral.sup_over_times(F, times, 2.0, modulation=np.exp(1j * xi * y))
             assert np.all(sup >= edge * (1.0 - 1e-12))

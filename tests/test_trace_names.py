@@ -1,12 +1,15 @@
 """The benchmark's tracer (perfbench/spans.py) wraps program functions and
 methods by name.  This runs it in a fresh interpreter over small radial
-experiments and a small translation scan, and checks that their spans and
-counters still record."""
+experiments and small translation and window scans, and checks that their
+spans and counters still record and that its time-sample count is the one
+the scan summaries record."""
 
 import json
 import os
 import subprocess
 import sys
+
+from schromax import maximal
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -36,15 +39,15 @@ print(json.dumps({"metrics": spans.layer_metrics(tracer), "nested": nested}))
 """
 
 
-TRANSLATION_SCRIPT = """
+SCAN_SCRIPT = """
 import json
 import spans
 from schromax import harness
 
 tracer = spans.Tracer()
 spans.install(tracer)
-harness.run("eq6-scan", {"lam_exponents": [4, 5], "seeds": [0]})
-print(json.dumps(spans.layer_metrics(tracer)))
+_, summary, _ = harness.run({name!r}, {{"lam_exponents": [4, 5], "seeds": [0]}})
+print(json.dumps({{"metrics": spans.layer_metrics(tracer), "summary": summary}}))
 """
 
 
@@ -70,9 +73,29 @@ def test_benchmark_tracer_finds_radial_names():
     assert result["nested"] == 0
 
 
+def _time_count(window, lam):
+    return maximal.TimeWindow(0.0, window).time_count(lam, 2.0)
+
+
 def test_benchmark_tracer_finds_translation_names():
-    m = _traced(TRANSLATION_SCRIPT)
+    result = _traced(SCAN_SCRIPT.format(name="eq6-scan"))
+    m, summary = result["metrics"], result["summary"]
     # one maximal_over_E call per (lambda, seed) item
     assert m["maximal.maximal_over_E.calls"] == 2
     assert m["maximal.offsets"] > 0
     assert m["spectral.sup_over_times.samples"] > 0
+    # r = 0.1 at lambda = 16 and 32: pass A and the edge pass B, each
+    # evaluated once on the item's time grid
+    assert m["spectral.sup_over_times.calls"] == 2 * 2
+    assert m["maximal.time_samples"] == summary["time_samples"] == 2 * (
+        _time_count(0.25, 16.0) + _time_count(0.25, 32.0))
+
+
+def test_benchmark_tracer_counts_window_samples():
+    result = _traced(SCAN_SCRIPT.format(name="theorem1-scan"))
+    m, summary = result["metrics"], result["summary"]
+    assert m["maximal.maximal_over_window.calls"] == 2
+    # one pass per item over its time grid
+    assert m["spectral.sup_over_times.calls"] == 2
+    assert m["maximal.time_samples"] == summary["time_samples"] == (
+        _time_count(1.0, 16.0) + _time_count(1.0, 32.0))
