@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -241,22 +242,22 @@ def _run_scan(p, workers, *, item, item_keys, predictor, extras=None):
     of the normalized ratio is at most slope_tol.  extras(p) adds summary
     entries; a scan whose items end with their time-sample count adds the
     total as time_samples.  The fit needs two distinct lambdas and at least
-    one seed, the random data lambda >= 1, and a > 0.  Each lambda's time
-    grid (maximal.TimeWindow.time_count) must have a nonzero step and fit in
-    an array; lemma4, which resolves times down to lam^-a / 4, the step of
-    a unit window's grid, is checked as a unit window."""
+    one seed, the random data lambda >= 1, a finite float 2^e, and a > 0.
+    Each lambda's time grid (maximal.TimeWindow.time_count) must have a
+    nonzero step and fit in an array; lemma4, which resolves times down to
+    lam^-a / 4, the step of a unit window's grid, is checked as a unit window."""
     if len(set(p["lam_exponents"])) < 2 or not p["seeds"]:
         raise ValueError("a scan needs two distinct lam_exponents and a seed, got "
                          f"lam_exponents {p['lam_exponents']} and seeds {p['seeds']}")
     exps = p["lam_exponents"]
-    if not (min(exps) >= 0 and p["a"] > 0):
-        raise ValueError("a scan needs lam_exponents >= 0 and a > 0, got "
-                         f"lam_exponents {exps} and a {p['a']}")
+    if not (0 <= min(exps) and max(exps) < sys.float_info.max_exp and p["a"] > 0):
+        raise ValueError(f"a scan needs 0 <= lam_exponents < {sys.float_info.max_exp} "
+                         f"and a > 0, got lam_exponents {exps} and a {p['a']}")
     window = maximal.TimeWindow(0.0, p.get("window", 1.0))
     for e in exps:
         window.time_count(2.0 ** e, p["a"])
     items = [(2.0 ** e, seed, *(p[key] for key in item_keys))
-             for e in p["lam_exponents"] for seed in p["seeds"]]
+             for e in exps for seed in p["seeds"]]
     results = _map_items(item, items, workers)
     rows, slope, intercept = _scan_rows_and_fit(results, p, predictor)
     verdict = "pass" if slope <= p["slope_tol"] else "violation"

@@ -25,8 +25,8 @@ from schromax.spectral import (
     TWO_PI,
     GridSpec,
     SpectralFunction1D,
-    alternating_signs,
     bump_value,
+    inverse_transform,
     sup_over_times,
 )
 
@@ -122,7 +122,6 @@ class KernelEvolution:
         self.f1 = f1
         self.out_nodes = np.asarray(out_nodes, dtype=float)
         self._kernel = kernel(np.outer(self.out_nodes, f1.nodes))
-        self._weighted = self._kernel * (f1.values * f1.weights)[None, :]
 
     def for_profile(self, f1: RadialProfile) -> "KernelEvolution":
         """The evolution of f1 (same nodes as this profile), sharing the kernel matrix."""
@@ -130,17 +129,24 @@ class KernelEvolution:
             raise ValueError("profile nodes differ from the kernel's nodes")
         evo = copy.copy(self)
         evo.f1 = f1
-        evo._weighted = self._kernel * (f1.values * f1.weights)[None, :]
         return evo
 
+    def _apply(self, phases: np.ndarray) -> np.ndarray:
+        """kernel @ (values * weights * phases), phases of shape (nodes, times); a
+        real kernel takes one real product over the interleaved re/im columns."""
+        rhs = (self.f1.values * self.f1.weights)[:, None] * phases
+        if np.iscomplexobj(self._kernel):
+            return self._kernel @ rhs
+        return (self._kernel @ rhs.view(np.float64)).view(np.complex128)
+
     def field(self, t: float, a: float) -> np.ndarray:
-        return self._weighted @ np.exp(1j * t * self.f1.nodes ** a)
+        return self._apply(np.exp(1j * t * self.f1.nodes ** a)[:, None])[:, 0]
 
     def sup_field(self, t_values, a: float) -> np.ndarray:
         """sup over the time batch of |field| at each output node."""
         s_pow = self.f1.nodes ** a
-        phases = np.exp(1j * np.asarray(t_values, dtype=float)[:, None] * s_pow[None, :])
-        return np.abs(self._weighted @ phases.T).max(axis=1)
+        phases = np.exp(1j * s_pow[:, None] * np.asarray(t_values, dtype=float)[None, :])
+        return np.abs(self._apply(phases)).max(axis=1)
 
 
 class HankelEvolution(KernelEvolution):
@@ -200,39 +206,32 @@ def _polar_lift_norm(ctx: HarmonicContext, nodes: np.ndarray, weights: np.ndarra
 # ---------------------------------------------------------------------------
 
 def oracle_2d_propagate(f1, t: float, a: float, grid: GridSpec,
-                        support_max: float) -> np.ndarray:
-    """Full 2-D spectral propagation of the planar function f_P built from f1.
+                        support_max: float, radii: np.ndarray) -> np.ndarray:
+    """|S_t f_P| at the points (r, 0) of the (N, N) tensor grid, by exact 2-D
+    spectral propagation of the planar function f_P built from f1.
 
     The 2-D spectrum is F(xi) = P f1(|xi|) |xi|^{-1/2} with the constant
-    harmonic P = (2 pi)^{-1/2}; f1 is a callable, evaluated exactly on the
-    grid, that vanishes beyond support_max.  Returns the propagated spatial
-    samples on the (N, N) tensor grid.  Used only as an independent
-    cross-check of the Hankel route.
+    harmonic P = (2 pi)^{-1/2}; f1 is a callable that vanishes beyond
+    support_max, so F is evaluated only on the block |xi_1|, |xi_2| <=
+    support_max and is exactly zero elsewhere.  On the row x_2 = 0 the inverse
+    2-D DFT ((2 pi)^{-2} convention) is dxi / (2 pi) times the 1-D inverse of
+    the spectrum summed over xi_2 (N/2 is even, so the checker sign of that
+    row is +1).  Each radius reads the first grid node at or above it.  Used
+    only as an independent cross-check of the Hankel route.
     """
     if support_max > grid.xi_max:
         raise ValueError("profile support exceeds the 2-D grid Nyquist frequency")
     xi = grid.xi_nodes()
-    rr = np.hypot(xi[:, None], xi[None, :])
-    p_const = 1.0 / SQRT_TWO_PI
+    block = np.abs(xi) <= support_max
+    rr = np.hypot(xi[block, None], xi[None, block])
     with np.errstate(divide="ignore"):
         radial_factor = np.where(rr > 0, rr ** -0.5, 0.0)
-    spec = p_const * np.asarray(f1(rr), dtype=np.complex128) * radial_factor
-    spec = spec * np.exp(1j * t * rr ** a)
-    sign = alternating_signs(grid.point_count)
-    checker = np.outer(sign, sign)
-    # inverse 2-D transform under the (2 pi)^{-2} convention
-    samples = checker * np.fft.ifft2(checker * spec) / grid.dx ** 2
-    return samples
-
-
-def oracle_2d_radius_sweep(samples: np.ndarray, grid: GridSpec,
-                           radii: np.ndarray) -> np.ndarray:
-    """|f| at the points (r, 0) of the tensor grid nearest to the given radii."""
-    x = grid.x_nodes()
-    j0 = grid.point_count // 2  # x = 0 row
-    idx = np.searchsorted(x, radii)
-    idx = np.clip(idx, 0, grid.point_count - 1)
-    return np.abs(samples[idx, j0])
+    spec = np.asarray(f1(rr), dtype=np.complex128) * radial_factor * np.exp(1j * t * rr ** a)
+    column = np.zeros(grid.point_count, dtype=np.complex128)
+    column[block] = spec.sum(axis=1)
+    line = inverse_transform(SpectralFunction1D(grid, column)).samples
+    rows = np.clip(np.searchsorted(grid.x_nodes(), radii), 0, grid.point_count - 1)
+    return grid.dxi / (TWO_PI * SQRT_TWO_PI) * np.abs(line[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +268,7 @@ def two_route_case(seed: int = 0, t: float = 0.1, a: float = 2.0) -> dict:
     """|S_t f_P| on radii in [1, 10] for n = 2, k = 0, by two routes.
 
     Route one is the Hankel reduction (exact quadrature of the profile);
-    route two is the full 2-D tensor-grid propagation on 1024^2 points of
+    route two is the 2-D tensor-grid propagation on 1024^2 points of
     [-80, 80)^2.  Radii are snapped to the tensor grid so both routes
     evaluate at identical points.
     """
@@ -279,8 +278,7 @@ def two_route_case(seed: int = 0, t: float = 0.1, a: float = 2.0) -> dict:
     x = grid.x_nodes()
     radii = x[(x >= 1.0) & (x <= 10.0)][::8]
 
-    samples = oracle_2d_propagate(func, t, a, grid, support_max=support)
-    oracle = oracle_2d_radius_sweep(samples, grid, radii)
+    oracle = oracle_2d_propagate(func, t, a, grid, support, radii)
 
     f1 = uniform_profile(func, support, 1536)
     evo = HankelEvolution(f1, ctx.order, radii)

@@ -138,8 +138,9 @@ class TestExperimentCommands:
         ("theorem1-scan", {"a": 1000.0, "lam_exponents": [4, 5], "seeds": [0]}, "lam^-a"),
         ("theorem1-scan", {"a": 1072.0, "lam_exponents": [0, 1], "seeds": [0]}, "lam^-a"),
         ("theorem1-scan", {"a": 100.0, "lam_exponents": [0, 1], "seeds": [0]}, "lam^-a"),
+        ("theorem1-scan", {"lam_exponents": [0, 1024], "seeds": [0]}, "lam_exponents"),
     ], ids=["fractional-depth", "underflowing-step", "overflowing-count",
-            "too-many-times"])
+            "too-many-times", "overflowing-lambda"])
     def test_out_of_range_value_is_error(self, capsys, tmp_path, monkeypatch,
                                          name, params, key):
         def no_items(*args):

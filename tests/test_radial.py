@@ -1,6 +1,7 @@
 """Hankel-type evolution, kernel split and the dimensional lift identities."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -169,11 +170,132 @@ class TestRemainderSplit:
         # the original keeps its own profile
         assert rem.f1 is f0 and evo.f1 is f0
 
+    def test_shared_profile_allocates_no_matrix(self):
+        evo = radial.thm6_evolution(0, 2, 0)
+        f1 = radial.uniform_profile(radial.random_profile_func(1)[0], 6.0, 768)
+        tracemalloc.start()
+        try:
+            shared = evo.for_profile(f1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shared._kernel is evo._kernel and shared.f1 is f1
+        # a weighted copy of the 2000 x 768 kernel would be 23.4 MiB
+        assert peak < 2 ** 20
+
     def test_shared_kernel_needs_same_nodes(self):
         f1 = radial.random_profile(0, count=128)
         op = radial.RemainderOperator(f1, BesselOrder(0), f1.nodes)
         with pytest.raises(ValueError):
             op.for_profile(radial.random_profile(0, count=64))
+
+
+def _kernel_reference(evo, times, a):
+    """The complex weighted-matrix product: (kernel * (v w)) @ e^{i t s^a}."""
+    weighted = evo._kernel * (evo.f1.values * evo.f1.weights)[None, :]
+    return weighted @ np.exp(1j * np.outer(times, evo.f1.nodes ** a)).T
+
+
+def _assert_close(got, want, rel=1e-13):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+class TestKernelProducts:
+    """field and sup_field against the complex weighted-matrix product."""
+
+    TIMES = np.linspace(0.0, 1.0, 16)
+    OUT = np.linspace(0.1, 20.0, 64)
+
+    def _check(self, evo):
+        want = _kernel_reference(evo, self.TIMES, 2.0)
+        _assert_close(evo.sup_field(self.TIMES, 2.0), np.abs(want).max(axis=1))
+        for j in (0, 7):
+            _assert_close(evo.field(self.TIMES[j], 2.0), want[:, j])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("two_nu", [0, 3])
+    @pytest.mark.parametrize("cls", [radial.HankelEvolution, radial.RemainderOperator])
+    def test_real_kernel(self, cls, two_nu, seed):
+        evo = cls(radial.random_profile(seed), BesselOrder(two_nu), self.OUT)
+        assert not np.iscomplexobj(evo._kernel)
+        self._check(evo)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_complex_kernel(self, seed):
+        g = special.gamma_kernel(BesselOrder(0))
+        evo = radial.KernelEvolution(radial.random_profile(seed), self.OUT,
+                                     lambda rs: g * np.exp(1j * rs))
+        self._check(evo)
+
+
+def _oracle_full_ifft2(f1, t, a, grid, radii):
+    """The oracle over the whole (N, N) plane: the spectrum on every grid
+    point, one centred inverse 2-D FFT, then |f| read at the radius rows of
+    the x_2 = 0 column."""
+    xi = grid.xi_nodes()
+    rr = np.hypot(xi[:, None], xi[None, :])
+    with np.errstate(divide="ignore"):
+        radial_factor = np.where(rr > 0, rr ** -0.5, 0.0)
+    spec = (np.asarray(f1(rr), dtype=np.complex128) * radial_factor
+            * np.exp(1j * t * rr ** a) / spectral.SQRT_TWO_PI)
+    sign = spectral.alternating_signs(grid.point_count)
+    checker = np.outer(sign, sign)
+    samples = checker * np.fft.ifft2(checker * spec) / grid.dx ** 2
+    rows = np.clip(np.searchsorted(grid.x_nodes(), radii), 0, grid.point_count - 1)
+    return np.abs(samples[rows, grid.point_count // 2])
+
+
+class TestTwoDimensionalOracle:
+    GRID = spectral.GridSpec(1024, 80.0)
+
+    def _radii(self):
+        x = self.GRID.x_nodes()
+        return x[(x >= 1.0) & (x <= 10.0)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_full_plane_transform(self, seed):
+        func, support = radial.random_profile_func(seed)
+        radii = self._radii()
+        for t in (0.0, 0.1):
+            for a in (2.0, 3.0):
+                want = _oracle_full_ifft2(func, t, a, self.GRID, radii)
+                got = radial.oracle_2d_propagate(func, t, a, self.GRID, support, radii)
+                assert np.max(np.abs(got - want) / want) < 1e-13
+
+    def test_block_reaches_the_support_bound(self):
+        # nonzero on all of (0, 6), so a block smaller than |xi| <= 6 misses
+        # part of it; |f| falls to 3e-5 of its peak on [1, 10], so the
+        # comparison is relative to the peak
+        func = lambda r: spectral.bump_value((r - 3.0) / 6.0)
+        radii = self._radii()
+        for t, a in ((0.0, 2.0), (0.1, 3.0)):
+            _assert_close(radial.oracle_2d_propagate(func, t, a, self.GRID, 6.0, radii),
+                          _oracle_full_ifft2(func, t, a, self.GRID, radii))
+
+    def test_evaluates_only_the_support_block(self):
+        func, support = radial.random_profile_func(0)
+        seen = []
+
+        def recording(r):
+            seen.append(np.array(r, dtype=float))
+            return func(r)
+
+        radial.oracle_2d_propagate(recording, 0.1, 2.0, self.GRID, support, self._radii())
+        r = np.concatenate([v.ravel() for v in seen])
+        # |xi_k| <= 6 holds for k = -152..152 on the step pi / 80
+        assert r.size <= 305 ** 2
+        assert np.all(r <= math.sqrt(2.0) * support)
+
+    def test_bounded_temporaries(self):
+        tracemalloc.start()
+        try:
+            radial.two_route_case(seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one complex 1024^2 plane alone is 16 MiB
+        assert peak <= 16 * 2 ** 20
+
 
 class TestDimensionalLift:
     @pytest.mark.parametrize("n,k", [(2, 0), (3, 0), (2, 1), (4, 0)])
@@ -203,7 +325,8 @@ class TestDimensionalLift:
         # the support bound must lie inside the grid's Nyquist frequency
         with pytest.raises(ValueError):
             radial.oracle_2d_propagate(lambda r: np.exp(-r), 0.1, 2.0,
-                                       spectral.GridSpec(64, 8.0), 100.0)
+                                       spectral.GridSpec(64, 8.0), 100.0,
+                                       np.array([1.0]))
 
     def test_thm7_sides_close(self):
         left, right = radial.thm7_sides(0)

@@ -20,7 +20,9 @@ from schromax import harness
 
 tracer = spans.Tracer()
 spans.install(tracer)
+harness.run("prop2-check", {})
 harness.run("prop3-bound", {"two_nu_values": [-1, 1], "profiles": 1})
+harness.run("thm6-ineq", {"profiles": 1})
 harness.run("counterexample-growth", {"j_values": [1, 2, 3]})
 
 
@@ -62,14 +64,17 @@ def _traced(script):
 def test_benchmark_tracer_finds_radial_names():
     result = _traced(SCRIPT)
     m = result["metrics"]
-    # prop3-bound builds one operator per order; each of the three stages
-    # builds one evolution and one operator on all of its radii
+    # prop3-bound builds one operator per order; prop2-check and thm6-ineq
+    # build one evolution each, and each of the three stages one evolution
+    # and one operator on all of its radii
     assert m["radial.RemainderOperator.builds"] == 2 + 3
-    assert m["radial.HankelEvolution.builds"] == 3
+    assert m["radial.HankelEvolution.builds"] == 1 + 1 + 3
     assert m["blowup.lower_bound_scan.calls"] == 3
     assert m["radial.RemainderOperator.rem_sup.s"] > 0
     assert m["radial.HankelEvolution.sup_field.s"] > 0
     assert m["radial.RemainderOperator.kernel_entries"] > 0
+    assert m["radial.two_route_case.s"] > 0
+    assert m["radial.thm6_sides.s"] > 0
     assert result["nested"] == 0
 
 
