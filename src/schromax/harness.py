@@ -303,6 +303,8 @@ def _prop2_check(p, workers):
 
 def _prop3_bound(p, workers):
     _require_profiles(p)
+    if not p["two_nu_values"]:
+        raise ValueError("prop3-bound needs at least one entry in two_nu_values")
     from schromax import radial, special
     times = np.linspace(0.0, 1.0, 160)
     rows = []
@@ -313,7 +315,8 @@ def _prop3_bound(p, workers):
         schur = special.schur_constant_for_order(two_nu)
         bound = schur.value
         radius = special.far_radius(nu)
-        # the tail term shows how much of A_nu rests on the sampled C_nu
+        # the tail bounds the part of A_nu beyond SCHUR_UPPER: in closed form
+        # where far_radius is finite, from the sampled C_nu where it is null
         quadrature[str(two_nu)] = {
             "far_radius": radius if math.isfinite(radius) else None,
             "panels": schur.panels, "tail": schur.tail}
@@ -344,7 +347,7 @@ def _thm6_ineq(p, workers):
     worst = -math.inf
     evolution = radial.thm6_evolution(0, p["n"], p["k"])
     for seed in range(p["profiles"]):
-        lhs, rhs = radial.thm6_sides(seed, n=p["n"], k=p["k"], evolution=evolution)
+        lhs, rhs = radial.thm6_sides(seed, evolution)
         rows.append((seed, lhs, rhs))
         worst = max(worst, lhs - rhs)
     verdict = "pass" if worst <= 0.0 else "violation"
@@ -403,6 +406,8 @@ def _seq_classify(p, workers):
     if depth is not None and not (_is_integer(depth) and depth >= 1):
         raise ValueError(f"seq-classify parameter 'depth' must be null or a "
                          f"positive integer, got {depth!r}")
+    if r <= 0.0:
+        raise ValueError(f"seq-classify parameter 'r' must be positive, got {r!r}")
     depth = int(depth) if depth is not None else (9 if gen == "log" else 16)
     if gen == "power":
         alpha = float(p["alpha"]) if p["alpha"] is not None else 1.0 / r
@@ -427,6 +432,9 @@ def _seq_classify(p, workers):
 
 
 def _convergence_probe(p, workers):
+    if not p["tail_starts"] or min(p["tail_starts"]) < 1:
+        raise ValueError("convergence-probe needs tail_starts, a nonempty list of sequence "
+                         f"indices >= 1, got {p['tail_starts']}")
     grid = spectral.GridSpec(p["N"], p["L"])
     xi = grid.xi_nodes()
     F = spectral.SpectralFunction1D(grid, np.exp(-0.5 * xi * xi))

@@ -170,12 +170,12 @@ def maximal_over_E(F: SpectralFunction1D, E: ProductSet, a: float,
     padded = np.zeros(n * m, dtype=np.complex128)
     padded[(n * m - n) // 2:(n * m + n) // 2] = F.coefficients
     G = SpectralFunction1D(fine, padded, band_limit=lam)
-    passes = [(G, _modulation(fine, low))]
+    passes = [_modulation(G, low)]
     if K * delta < high - low:
-        passes.append((F, _modulation(g, high)))
+        passes.append(_modulation(F, high))
 
     times = E.window.times(lam, a)
-    sups = [sup_over_times(H, times, a, modulation=mod) for H, mod in passes]
+    sups = [sup_over_times(H, times, a) for H in passes]
     wrapped = np.concatenate([sups[0], sups[0][:K]])
     out = sliding_window_view(wrapped, K + 1)[::m].max(axis=1)
     for edge in sups[1:]:
@@ -183,9 +183,10 @@ def maximal_over_E(F: SpectralFunction1D, E: ProductSet, a: float,
     return GridFunction1D(g, out), int(times.size) * len(passes)
 
 
-def _modulation(grid: GridSpec, y: float) -> np.ndarray | None:
-    """e^{i xi y} on the grid's frequencies (None at y = 0): translation by y."""
-    return np.exp(1j * grid.xi_nodes() * y) if y != 0.0 else None
+def _modulation(F: SpectralFunction1D, y: float) -> SpectralFunction1D:
+    """F translated by y: its coefficients times e^{i xi y} (F itself at y = 0)."""
+    return F if y == 0.0 else SpectralFunction1D(
+        F.grid, F.coefficients * np.exp(1j * F.grid.xi_nodes() * y), band_limit=F.band_limit)
 
 
 def thm3_predictor(lam: float, window_length: float, ball_radius: float,

@@ -302,8 +302,7 @@ def thm6_evolution(seed: int, n: int, k: int) -> HankelEvolution:
                            np.linspace(0.02, 40.0, 2000))
 
 
-def thm6_sides(seed: int, n: int = 2, k: int = 0,
-               evolution: HankelEvolution | None = None) -> tuple[float, float]:
+def thm6_sides(seed: int, evolution: HankelEvolution) -> tuple[float, float]:
     """Both sides of the dimension-reduction inequality
 
     alpha_n ||S_E^{*(n)} f_P|| <= alpha_1 sqrt(2) ||S_E^{*(1)} check(f1)|| + A_nu ||f1||.
@@ -311,19 +310,14 @@ def thm6_sides(seed: int, n: int = 2, k: int = 0,
     The left side is the radial maximal norm via the Hankel reduction; the
     right side evolves the line function with spectrum f1 (supported on the
     positive axis) on a periodic grid of 1024 points on [-32, 32).
-    Truncations only lower the left side, so the check is one-sided safe.  ``evolution``, from ``thm6_evolution``
-    for any seed and the same (n, k), lends its kernel matrix to this seed.
+    Truncations only lower the left side, so the check is one-sided safe.
+    ``evolution``, from ``thm6_evolution`` for (n, k) and any seed, lends
+    its kernel matrix and its order nu to this seed.
     """
     from schromax.special import schur_constant_for_order
 
     func, support = random_profile_func(seed)
-    ctx = HarmonicContext(n=n, k=k)
-    if evolution is None:
-        evo = thm6_evolution(seed, n, k)
-    elif evolution.nu != ctx.order:
-        raise ValueError("evolution order differs from the (n, k) order")
-    else:
-        evo = evolution.for_profile(uniform_profile(func, support, 768))
+    evo = evolution.for_profile(uniform_profile(func, support, 768))
     f1 = evo.f1
     times = default_time_set()
     sup = evo.sup_field(times, 2.0)
@@ -335,7 +329,7 @@ def thm6_sides(seed: int, n: int = 2, k: int = 0,
     F = SpectralFunction1D(line_grid, coeffs)
     sup = sup_over_times(F, times, 2.0)
     line_norm = float(np.sqrt(np.sum(sup ** 2) * line_grid.dx))
-    a_nu = schur_constant_for_order(ctx.order.two_nu).value
+    a_nu = schur_constant_for_order(evo.nu.two_nu).value
     rhs = SQRT_TWO_PI * math.sqrt(2.0) * line_norm + a_nu * f1.norm()
     return lhs, rhs
 

@@ -62,7 +62,8 @@ def bessel_j(nu: BesselOrder, r) -> np.ndarray | float:
 
 @lru_cache(maxsize=None)
 def _hankel_poly_coeffs(two_nu: int, count: int) -> tuple[float, ...]:
-    # a_m(nu) = prod_{i=1..m} (4 nu^2 - (2i-1)^2) / (m! 8^m)
+    """p_0 .. p_{count-1}, p_m = prod_{i=1..m} (4 nu^2 - (2i-1)^2) / (m! 8^m): the
+    Hankel expansion r^{1/2} J_nu(r) ~ 2 Re(gamma_nu e^{ir} sum_m i^m p_m r^{-m})."""
     nu2 = (two_nu / 2.0) ** 2
     coeffs = [1.0]
     val = 1.0
@@ -70,22 +71,6 @@ def _hankel_poly_coeffs(two_nu: int, count: int) -> tuple[float, ...]:
         val *= (4.0 * nu2 - (2 * m - 1) ** 2) / (8.0 * m)
         coeffs.append(val)
     return tuple(coeffs)
-
-
-@dataclass(frozen=True)
-class AsymptoticExpansion:
-    """J_nu(r) ~ sum_{m < terms} [ a_m e^{ir} + b_m e^{-ir} ] / r^{m+1/2}.
-
-    b_m = conj(a_m); the truncation remainder is O(r^{-terms-1/2}), which the
-    test suite checks against bessel_j beyond r = 12.
-    """
-
-    order: BesselOrder
-    terms: int
-
-    def a_coefficients(self) -> np.ndarray:
-        poly = _hankel_poly_coeffs(self.order.two_nu, self.terms)
-        return gamma_kernel(self.order) * (1j ** np.arange(self.terms)) * np.array(poly)
 
 
 def surface_area(n: int) -> float:
@@ -120,7 +105,7 @@ def main_kernel(nu: BesselOrder, r) -> np.ndarray:
     return _phases(nu, r)[0]
 
 
-# Hankel-expansion coefficients a_0 .. a_{_FAR_TERMS - 1} give the far field.
+# Hankel-expansion coefficients p_0 .. p_{_FAR_TERMS - 1} give the far field.
 # Its cosine series holds the even m, its sine series the odd m, 9 terms each;
 # for nu <= 9 + 1/2 either truncation error is at most its first omitted term
 # (Watson, Bessel Functions, 7.32; DLMF 10.17(iii)), so larger orders stay on
@@ -142,7 +127,7 @@ class _FarSeries(NamedTuple):
 def _far_series(two_nu: int) -> _FarSeries:
     """R_nu and the two Horner coefficient lists of the far-field K_nu.
 
-    With p_m = a_m / (gamma_nu i^m), R_nu is the smallest radius at which
+    With p_m of ``_hankel_poly_coeffs``, R_nu is the smallest radius at which
     - the first correction term is at most 1/8 of the leading one
       (r >= 8 |p_1|), and the terms kept decrease from there
       (r >= |p_m / p_{m-1}|), so the sum neither cancels nor reaches the
@@ -153,14 +138,14 @@ def _far_series(two_nu: int) -> _FarSeries:
     An expansion that terminates (nu a half-integer) has no truncation
     error.  Orders above ``_FAR_TERMS`` / 2 + 1/2 get R_nu = inf.
     """
-    if two_nu > _FAR_TERMS + 1:
-        return _FarSeries(math.inf, np.zeros(0), np.zeros(0))
     p = _hankel_poly_coeffs(two_nu, _FAR_TERMS + 2)
-    scale = 4.0 * abs(gamma_kernel(BesselOrder(two_nu))) / _FAR_TRUNCATION
-    omitted = (_FAR_TERMS, _FAR_TERMS + 1)
-    radius = max([8.0 * abs(p[1])]
-                 + [abs(p[m] / p[m - 1]) for m in range(2, _FAR_TERMS) if p[m - 1]]
-                 + [(scale * abs(p[m])) ** (1.0 / m) for m in omitted])
+    radius = math.inf
+    if two_nu <= _FAR_TERMS + 1:
+        scale = 4.0 * abs(gamma_kernel(BesselOrder(two_nu))) / _FAR_TRUNCATION
+        omitted = (_FAR_TERMS, _FAR_TERMS + 1)
+        radius = max([8.0 * abs(p[1])]
+                     + [abs(p[m] / p[m - 1]) for m in range(2, _FAR_TERMS) if p[m - 1]]
+                     + [(scale * abs(p[m])) ** (1.0 / m) for m in omitted])
     signed = [(-1) ** (m // 2) * p[m] for m in range(_FAR_TERMS)]
     even, odd = np.trim_zeros(signed[2::2], "b"), np.trim_zeros(signed[1::2], "b")
     return _FarSeries(radius, np.array(even[::-1]), np.array(odd[::-1]))
@@ -210,7 +195,7 @@ def _split_kernel(nu: BesselOrder, r, remainder: bool) -> np.ndarray:
         rf = block[far]
         if rf.size:
             re, im = _phases(nu, rf)
-            k = 0.0   # 2 nu = +-1: the expansion ends at a_0, so K_nu = 0 for r >= 0
+            k = 0.0   # 2 nu = +-1: the expansion ends at p_0, so K_nu = 0 for r >= 0
             if series.odd.size:
                 x = 1.0 / rf
                 y = x * x
@@ -227,8 +212,10 @@ def bessel_kernel(nu: BesselOrder, r) -> np.ndarray:
 def remainder_kernel(nu: BesselOrder, r) -> np.ndarray | float:
     """K_nu(r) = r^{1/2} J_nu(r) - main_kernel(nu, r), real.
 
-    Exactly zero at nu = +-1/2, whose Hankel expansion ends at a_0 (see
-    BesselOrder.kernel_vanishes); otherwise bounded by C_nu / (1 + r).
+    Exactly zero at nu = +-1/2, whose Hankel expansion ends at p_0 (see
+    BesselOrder.kernel_vanishes).  For nu <= 9 + 1/2 and every r > 0,
+    |K_nu(r)| <= 2 |gamma_nu| sum_{m=1}^{19} |p_m| r^{-m}: the terms kept by
+    ``_far_series`` plus its two first omitted terms.
     """
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0):
@@ -238,8 +225,8 @@ def remainder_kernel(nu: BesselOrder, r) -> np.ndarray | float:
 
 
 def kernel_sup_constant(nu: BesselOrder) -> float:
-    """Numerically fitted sup of (1 + r) |K_nu(r)| — the operative C_nu —
-    at 4000 geometric samples of [1e-3, 1e4]."""
+    """Numerically fitted sup of (1 + r) |K_nu(r)|, C_nu, at 4000 geometric
+    samples of [1e-3, 1e4]; the Schur tail rests on it only where R_nu = inf."""
     r = np.geomspace(1e-3, 1e4, 4000)
     return float(np.max((1.0 + r) * np.abs(remainder_kernel(nu, r))))
 
@@ -255,17 +242,14 @@ SCHUR_UPPER = 1e6
 _FAR_ZEROS_RADIUS = 20.0
 
 
-def schur_integral(kernel, edges, tail_constant: float = 0.0,
-                   nodes: int = GAUSS_NODES) -> float:
-    """integral_0^U kernel(r) r^{-1/2} dr + 2 C / sqrt(U), with U = edges[-1].
+def schur_integral(kernel, edges, nodes: int = GAUSS_NODES) -> float:
+    """integral kernel(r) r^{-1/2} dr from edges[0] to edges[-1].
 
     The substitution r = u^2 turns the integral into integral 2 kernel(u^2) du,
     and each panel [sqrt(edges[i]), sqrt(edges[i+1])] gets a ``nodes``-point
     Gauss-Legendre rule; ``_PANEL_CHUNK`` panels are evaluated per call of the
-    vectorised ``kernel``.  The edges run from 0 to U, and ``kernel`` must be
-    smooth inside each panel (kinks on edges).  If kernel(r) <= C / (1 + r)
-    beyond U, the tail is at most integral_U^inf C r^{-3/2} dr = 2 C / sqrt(U);
-    adding it with ``tail_constant`` C makes the result an upper estimate.
+    vectorised ``kernel``, which must be smooth inside each panel (kinks on
+    edges).
     """
     x, w = np.polynomial.legendre.leggauss(nodes)
     edges = np.asarray(edges, dtype=float)
@@ -275,7 +259,7 @@ def schur_integral(kernel, edges, tail_constant: float = 0.0,
         half = 0.5 * (u[1:] - u[:-1])
         u_nodes = 0.5 * (u[1:] + u[:-1])[:, None] + half[:, None] * x
         total += float(half @ (2.0 * kernel(u_nodes * u_nodes) @ w))
-    return total + 2.0 * tail_constant / math.sqrt(edges[-1])
+    return total
 
 
 def _near_zeros(nu: BesselOrder, r_max: float) -> np.ndarray:
@@ -294,20 +278,28 @@ def _near_zeros(nu: BesselOrder, r_max: float) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _far_zeros(nu: BesselOrder, k: np.ndarray) -> np.ndarray:
-    """The zero of K_nu next to each half-period k pi + nu pi/2 + pi/4.
+def _half_period(nu: BesselOrder, k):
+    """h_k = (k + nu/2 + 1/4) pi, the zeros of the leading term of K_nu."""
+    return (k + nu.nu / 2.0 + 0.25) * math.pi
 
-    The Hankel expansion gives K_nu(r) ~ 2 Re(e^{ir} S(r)) with
-    S(r) = sum_{m=1}^{5} a_m r^{-m}; the half-periods are the zeros of its
-    leading term, and the zeros of the sum are the fixed points of
-    r = half-period - arg(S(r) conj(a_1)), reached in two iterations.
+
+def _far_zeros(nu: BesselOrder, k: np.ndarray) -> np.ndarray:
+    """The zero of K_nu next to each half-period h_k.
+
+    As in ``_split_kernel``, K_nu = re y P(y) - im x Q(y) with x = 1/r,
+    y = x^2 and re, im = ``_phases(nu, r)`` = 2 |gamma_nu| (cos, sin)(r - h_0),
+    here with the terms m <= 5 of P and Q (the tails of the Horner lists).
+    Its zeros solve tan(r - h_k) = x P(y) / Q(y), and two fixed-point steps
+    r <- h_k + arctan(x P(y) / Q(y)) from r = h_k reach them.
     """
-    a = AsymptoticExpansion(nu, terms=6).a_coefficients()
-    half_periods = (k + nu.nu / 2.0 + 0.25) * math.pi
+    series = _far_series(nu.two_nu)
+    even, odd = series.even[-2:], series.odd[-3:]
+    half_periods = _half_period(nu, k)
     r = half_periods
     for _ in range(2):
-        s = np.polyval(a[:0:-1], 1.0 / r) / r
-        r = half_periods - np.angle(s * np.conj(a[1]))
+        x = 1.0 / r
+        y = x * x
+        r = half_periods + np.arctan(x * _horner(even, y) / _horner(odd, y))
     return r
 
 
@@ -323,12 +315,12 @@ def schur_panel_edges(nu: BesselOrder) -> np.ndarray:
     U = 1e6 the far region has about 3.2e5 edges, computed
     ``_PANEL_CHUNK`` at a time.
     """
-    phase = nu.nu / 2.0 + 0.25
-    k_first = math.ceil(max(_FAR_ZEROS_RADIUS, 2.0 * nu.nu ** 2) / math.pi - phase)
-    r_split = (k_first - 0.5 + phase) * math.pi
+    h_0 = _half_period(nu, 0)
+    k_first = math.ceil((max(_FAR_ZEROS_RADIUS, 2.0 * nu.nu ** 2) - h_0) / math.pi)
+    r_split = _half_period(nu, k_first - 0.5)
     near = np.union1d(np.append(np.arange(0.0, r_split, 0.5), r_split),
                       _near_zeros(nu, r_split))
-    k_end = math.floor(SCHUR_UPPER / math.pi - phase) + 1
+    k_end = math.floor((SCHUR_UPPER - h_0) / math.pi) + 1
     far = [_far_zeros(nu, np.arange(k, min(k + _PANEL_CHUNK, k_end), dtype=float))
            for k in range(k_first, k_end, _PANEL_CHUNK)]
     if far:
@@ -341,24 +333,30 @@ class SchurConstant(NamedTuple):
 
     value: float   # A_nu, an upper estimate
     panels: int    # Gauss-Legendre panels on [0, U]
-    tail: float    # 2 C_nu / sqrt(U), the part of value beyond U
+    tail: float    # the bound on the part of A_nu beyond U, included in value
 
 
 @lru_cache(maxsize=None)
 def schur_constant_for_order(two_nu: int) -> SchurConstant:
     """A_nu = integral |K_nu(r)| r^{-1/2} dr, the Schur bound of Prop-3 type.
 
-    ``schur_integral`` of |K_nu| on ``schur_panel_edges(nu)`` with
-    ``GAUSS_NODES`` nodes a panel, plus the tail bound 2 C_nu / sqrt(U),
-    U = ``SCHUR_UPPER``, with the fitted C_nu of ``kernel_sup_constant``;
-    the value is an upper estimate.  It is exactly 0 where K_nu vanishes
-    (2 nu = +-1).
+    ``schur_integral`` of |K_nu| on ``schur_panel_edges(nu)`` (``GAUSS_NODES``
+    nodes a panel) on [0, U], U = ``SCHUR_UPPER``, plus a bound on the tail:
+    where R_nu is finite (nu <= 9 + 1/2), the integral of the envelope in
+    ``remainder_kernel``, 2 |gamma_nu| sum_{m=1}^{19} |p_m| U^{1/2-m} / (m - 1/2);
+    elsewhere 2 C_nu / sqrt(U) with the sampled C_nu of ``kernel_sup_constant``.
+    An upper estimate, exactly 0 where K_nu vanishes (2 nu = +-1).
     """
     nu = BesselOrder(two_nu)
     if nu.kernel_vanishes:
         return SchurConstant(0.0, 0, 0.0)
     edges = schur_panel_edges(nu)
-    c_nu = kernel_sup_constant(nu)
-    value = schur_integral(lambda r: np.abs(remainder_kernel(nu, r)), edges,
-                           tail_constant=c_nu)
-    return SchurConstant(value, edges.size - 1, 2.0 * c_nu / math.sqrt(SCHUR_UPPER))
+    if math.isfinite(far_radius(nu)):
+        p = _hankel_poly_coeffs(two_nu, _FAR_TERMS + 2)
+        tail = 2.0 * abs(gamma_kernel(nu)) * sum(
+            abs(p[m]) * SCHUR_UPPER ** (0.5 - m) / (m - 0.5)
+            for m in range(1, _FAR_TERMS + 2))
+    else:
+        tail = 2.0 * kernel_sup_constant(nu) / math.sqrt(SCHUR_UPPER)
+    value = schur_integral(lambda r: np.abs(remainder_kernel(nu, r)), edges) + tail
+    return SchurConstant(value, edges.size - 1, tail)

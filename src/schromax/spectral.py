@@ -211,8 +211,7 @@ def _uniform_grid_sup(base: np.ndarray, xi_pow: np.ndarray, t_values: np.ndarray
     return sup
 
 
-def sup_over_times(F: SpectralFunction1D, t_values, a: float,
-                   modulation: np.ndarray | None = None) -> np.ndarray:
+def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     """Pointwise sup of |S_t f| over the given times (nonnegative, real).
 
     The times go in chunks of _TIME_CHUNK through one batched inverse FFT
@@ -222,9 +221,8 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float,
     _phase_matrix, one exp per distinct |xi|^a and time.
     """
     g = F.grid
-    coeffs = F.coefficients if modulation is None else F.coefficients * modulation
     sign = alternating_signs(g.point_count)
-    base = sign * coeffs
+    base = sign * F.coefficients
     xi_pow = np.abs(g.xi_nodes()) ** a
     t_values = np.asarray(t_values, dtype=float)
     dt = _uniform_step(t_values)

@@ -212,7 +212,9 @@ class TestProp3Runner:
             nu = special.BesselOrder(int(key))
             assert quadrature[key]["far_radius"] == special.far_radius(nu)
             assert quadrature[key]["panels"] == special.schur_panel_edges(nu).size - 1
-            assert quadrature[key]["tail"] == pytest.approx(
+            # finite far_radius: the closed-form tail, below the sampled 2 C_nu / sqrt(U)
+            assert quadrature[key]["tail"] == special.schur_constant_for_order(int(key)).tail
+            assert 0.0 < quadrature[key]["tail"] < (
                 2.0 * special.kernel_sup_constant(nu) / math.sqrt(special.SCHUR_UPPER))
 
 

@@ -248,6 +248,11 @@ class TestMaximalOverE:
                 F, ProductSet(3.0, TimeWindow(0.0, 0.25)), 2.0)
 
 
+def translated(F, xi, y):
+    """F translated by y: coefficients times e^{i xi y}."""
+    return spectral.SpectralFunction1D(F.grid, F.coefficients * np.exp(1j * xi * y))
+
+
 def explicit_lattice(E, lam, dx):
     """(m, pass B runs, offsets) of the lattice maximal_over_E documents:
     {c - r + k delta : 0 <= k <= K} U {c + r}, delta = dx / m <= h."""
@@ -278,8 +283,7 @@ class TestMaximalOverELattice:
         got_m, got_edge, offsets = explicit_lattice(E, lam, GRID.dx)
         assert (got_m, got_edge) == (m, edge_pass)
         xi = GRID.xi_nodes()
-        direct = np.max([spectral.sup_over_times(F, [0.2], 2.0,
-                                                 modulation=np.exp(1j * xi * y))
+        direct = np.max([spectral.sup_over_times(translated(F, xi, y), [0.2], 2.0)
                          for y in offsets], axis=0)
         sup, _ = maximal.maximal_over_E(F, E, 2.0)
         assert np.max(np.abs(sup.samples - direct)) < 1e-12
@@ -291,7 +295,7 @@ class TestMaximalOverELattice:
         xi = GRID.xi_nodes()
         times = E.window.times(LAM, 2.0)
         for y in (0.1, 0.7):
-            edge = spectral.sup_over_times(F, times, 2.0, modulation=np.exp(1j * xi * y))
+            edge = spectral.sup_over_times(translated(F, xi, y), times, 2.0)
             assert np.all(sup >= edge * (1.0 - 1e-12))
 
 

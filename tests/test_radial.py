@@ -333,14 +333,12 @@ class TestDimensionalLift:
         assert abs(left - right) / right < 1e-6
 
     def test_thm6_inequality_sample(self):
-        lhs, rhs = radial.thm6_sides(0)
+        lhs, rhs = radial.thm6_sides(0, radial.thm6_evolution(0, 2, 0))
         assert lhs <= rhs
 
     def test_thm6_shared_evolution_matches_fresh(self):
-        shared = radial.thm6_sides(1, evolution=radial.thm6_evolution(0, 2, 0))
-        assert shared == radial.thm6_sides(1)
-        with pytest.raises(ValueError):
-            radial.thm6_sides(1, n=3, evolution=radial.thm6_evolution(0, 2, 0))
+        shared = radial.thm6_sides(1, radial.thm6_evolution(0, 2, 0))
+        assert shared == radial.thm6_sides(1, radial.thm6_evolution(1, 2, 0))
 
 
 class TestRandomProfiles:
