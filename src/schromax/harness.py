@@ -303,15 +303,19 @@ def _prop2_check(p, workers):
 
 def _prop3_bound(p, workers):
     _require_profiles(p)
-    if not p["two_nu_values"]:
-        raise ValueError("prop3-bound needs at least one entry in two_nu_values")
     from schromax import radial, special
+    orders = [special.BesselOrder(int(t)) for t in p["two_nu_values"]]
+    # K_nu = 0 for 2nu = -1, 1, where rem_norm = bound = 0 checks nothing
+    if (len(set(orders)) < len(orders)
+            or all(nu.kernel_vanishes for nu in orders)):
+        raise ValueError("prop3-bound needs distinct two_nu_values with at least one "
+                         f"outside -1, 1 (K_nu = 0 there), got {p['two_nu_values']!r}")
     times = np.linspace(0.0, 1.0, 160)
     rows = []
     margins = {}
     quadrature = {}
-    for two_nu in map(int, p["two_nu_values"]):
-        nu = special.BesselOrder(two_nu)
+    for nu in orders:
+        two_nu = nu.two_nu
         schur = special.schur_constant_for_order(two_nu)
         bound = schur.value
         radius = special.far_radius(nu)

@@ -180,14 +180,86 @@ def _step_table(distinct: np.ndarray, where: np.ndarray, dt: float,
     return np.exp(1j * np.outer(dt * np.arange(rows), distinct))[:, where]
 
 
+def _moduli(table_rows: np.ndarray, first: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """|ifft| of the spectra table_rows * first, placed at columns lo.. of
+    rows of n zeros, in the precision of the inputs; shape
+    (len(table_rows), n).  numpy transforms each row on its own, so a row's
+    modulus does not depend on which other rows share the call."""
+    spec = np.zeros((table_rows.shape[0], n), dtype=first.dtype)
+    np.multiply(table_rows, first, out=spec[:, lo:lo + first.size])
+    return np.abs(np.fft.ifft(spec, axis=1))
+
+
+def _screen_margin(row: np.ndarray, n: int) -> tuple[float, float]:
+    """(s, eta): s = 2^-e puts the largest |row| in [1/2, 1), and eta bounds
+    |mod32 - mod64| for the length-n spectra of s * row.
+
+    With eps the complex64 machine epsilon (2u, u its unit roundoff) and
+    U = eps ||s row||_2 / sqrt(n), the unit of the a-priori bound: each
+    spectrum of a chunk has the 2-norm of s * row, so its inverse DFT y has
+    ||y||_2 = ||s row||_2 / sqrt(n) = U / eps, which also bounds every |y_j|.
+
+    - Rounding the step table and the chunk row to complex64 and their
+      complex64 product move each entry by at most (2u + sqrt(2) gamma_2)
+      = (1 + sqrt(2)) eps times its modulus, hence y by at most 2.5 U.
+    - The FFT: Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+      ed., Thm 24.2, bounds ||fl(y) - y||_2 by log2(n) (mu + gamma_4
+      (sqrt(2) + mu)) ||y||_2 for radix-2 Cooley-Tukey with twiddles
+      accurate to mu <= u, about 3.33 log2(n) U; it is doubled to
+      7 log2(n) U as a safety factor for pocketfft's radix-4 passes.  The
+      1/n scale is exact for n a power of two.
+    - The complex64 modulus (a scaled hypot, a few ulps) and the float32
+      threshold M - 2 eta: at most 3 U.
+    - The complex128 side's own error, the same bound with an epsilon
+      2^-29 times smaller: at most 1 U.
+
+    So eta = 7 (log2(n) + 1) U.  Scaling by s is exact and keeps the
+    complex64 values normal whatever the size of row; a row that is not
+    finite gives eta = nan or inf, which makes every time a candidate.
+    """
+    s = 2.0 ** -math.frexp(float(np.max(np.abs(row))))[1]
+    unit = float(np.finfo(np.float32).eps) * float(np.linalg.norm(s * row)) / math.sqrt(n)
+    return s, 7.0 * (math.log2(n) + 1.0) * unit
+
+
+def _screen(table: np.ndarray, first, row: np.ndarray, n: int, lo: int,
+            count: int) -> np.ndarray:
+    """One bool per time: True where the time may hold the complex128 max
+    of some x.  Each chunk (table rows times first(chunk start)) goes
+    through _moduli in complex64; with M(x) the running max of those
+    moduli, including the chunk's own, a row is a candidate when some x has
+    mod32 >= M(x) - 2 eta (not < it, so that nan marks the row).  eta bounds
+    |mod32 - mod64| (_screen_margin), so the complex128 argmax row of every
+    x, whose mod32 is at least max64(x) - eta >= M(x) - 2 eta, is marked.
+    The complex64 table and moduli are freed on return, before any row is
+    recomputed."""
+    s, eta = _screen_margin(row, n)
+    table = table.astype(np.complex64)
+    top = np.zeros(n, dtype=np.float32)
+    candidate = np.empty(count, dtype=bool)
+    for start in range(0, count, _TIME_CHUNK):
+        m = min(_TIME_CHUNK, count - start)
+        modulus = _moduli(table[:m], (s * first(start)).astype(np.complex64), lo, n)
+        np.maximum(top, modulus.max(axis=0), out=top)
+        candidate[start:start + m] = ~np.all(modulus < top - 2.0 * eta, axis=1)
+    return candidate
+
+
 def _uniform_grid_sup(base: np.ndarray, xi_pow: np.ndarray, t_values: np.ndarray,
                       dt: float) -> np.ndarray:
     """max over t_values of |ifft(base e^{i t xi_pow})| for t_values uniform
     with step dt.  One step table per call, over the distinct xi_pow between
     the first and the last nonzero entry of base: the chunk starting at t0
     is that table times the row base e^{i t0 xi_pow}, one multiply per entry
-    with no accumulated rounding, written into a reused spectrum buffer
-    whose columns outside that span stay zero."""
+    with no accumulated rounding, placed in columns whose outside stays zero.
+
+    Two passes over the chunks: _screen marks in complex64 the times that
+    may hold some x's max, and only those rows are rebuilt, transformed and
+    reduced in complex128, exactly as a single complex128 pass over every
+    time would compute them.  That pass's max at each x sits on a marked
+    row, and a max does not depend on the order or the grouping of its
+    rows, so the result equals the single pass bit for bit.
+    """
     n = base.size
     sup = np.zeros(n)
     support = np.flatnonzero(base)
@@ -195,19 +267,17 @@ def _uniform_grid_sup(base: np.ndarray, xi_pow: np.ndarray, t_values: np.ndarray
         return sup
     lo, hi = support[0], support[-1] + 1
     distinct, where = np.unique(xi_pow[lo:hi], return_inverse=True)
-    rows = min(_TIME_CHUNK, t_values.size)
-    table = _step_table(distinct, where, dt, rows)
-    spec = np.zeros((rows, n), dtype=np.complex128)
-    field = np.empty((rows, n), dtype=np.complex128)
-    modulus = np.empty((rows, n))
+    table = _step_table(distinct, where, dt, min(_TIME_CHUNK, t_values.size))
+
+    def first(start):
+        return base[lo:hi] * np.exp(1j * t_values[start] * distinct)[where]
+
+    candidate = _screen(table, first, base[lo:hi], n, lo, t_values.size)
     for start in range(0, t_values.size, _TIME_CHUNK):
-        ts = t_values[start:start + _TIME_CHUNK]
-        m = ts.size
-        first = base[lo:hi] * np.exp(1j * ts[0] * distinct)[where]
-        np.multiply(table[:m], first, out=spec[:m, lo:hi])
-        np.fft.ifft(spec[:m], axis=1, out=field[:m])
-        np.abs(field[:m], out=modulus[:m])
-        np.maximum(sup, modulus[:m].max(axis=0), out=sup)
+        picked = np.flatnonzero(candidate[start:start + _TIME_CHUNK])
+        if picked.size:
+            np.maximum(sup, _moduli(table[picked], first(start), lo, n).max(axis=0),
+                       out=sup)
     return sup
 
 
@@ -216,9 +286,15 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
 
     The times go in chunks of _TIME_CHUNK through one batched inverse FFT
     each.  A uniformly spaced grid (see _uniform_step) takes
-    _uniform_grid_sup, with the 1/dx scale applied after the max, which is
-    exact because correctly rounded division is monotone.  Other times take
-    _phase_matrix, one exp per distinct |xi|^a and time.
+    _uniform_grid_sup, which screens every time in complex64 and recomputes
+    in complex128 only the times within 2 eta of the running max at some x,
+    eta = 7 (log2 N + 1) eps32 ||c||_2 / sqrt(N) the a-priori FFT rounding
+    bound of _screen_margin for the coefficient vector c scaled by a power
+    of two, so its result is the complex128 sup over every time, bit for
+    bit.  The 1/dx scale is applied after the max, which is exact because
+    correctly rounded division is monotone.  Other times take
+    _phase_matrix, one exp per distinct |xi|^a and time, in one complex128
+    pass.
     """
     g = F.grid
     sign = alternating_signs(g.point_count)

@@ -140,12 +140,16 @@ class TestExperimentCommands:
         ("theorem1-scan", {"a": 100.0, "lam_exponents": [0, 1], "seeds": [0]}, "lam^-a"),
         ("theorem1-scan", {"lam_exponents": [0, 1024], "seeds": [0]}, "lam_exponents"),
         ("prop3-bound", {"two_nu_values": []}, "two_nu_values"),
+        ("prop3-bound", {"two_nu_values": [1]}, "two_nu_values"),
+        ("prop3-bound", {"two_nu_values": [-1, 1]}, "two_nu_values"),
+        ("prop3-bound", {"two_nu_values": [0, 0]}, "two_nu_values"),
         ("convergence-probe", {"tail_starts": []}, "tail_starts"),
         ("convergence-probe", {"tail_starts": [0, 1]}, "tail_starts"),
         ("seq-classify", {"r": 0.0}, "'r'"),
         ("seq-classify", {"r": -1.0}, "'r'"),
     ], ids=["fractional-depth", "underflowing-step", "overflowing-count",
-            "too-many-times", "overflowing-lambda", "no-orders", "no-tail-starts",
+            "too-many-times", "overflowing-lambda", "no-orders", "only-zero-kernels",
+            "zero-kernel-pair", "repeated-order", "no-tail-starts",
             "tail-start-below-one", "zero-r", "negative-r"])
     def test_out_of_range_value_is_error(self, capsys, tmp_path, monkeypatch,
                                          name, params, key):

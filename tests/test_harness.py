@@ -217,6 +217,23 @@ class TestProp3Runner:
             assert 0.0 < quadrature[key]["tail"] < (
                 2.0 * special.kernel_sup_constant(nu) / math.sqrt(special.SCHUR_UPPER))
 
+    @pytest.mark.parametrize("orders", [[1], [-1, 1], [0, 0], [0, 3, 0]])
+    def test_rejects_orders_that_check_nothing(self, orders, monkeypatch):
+        # every K_nu = 0 (2nu = -1, 1) would pass with rem_norm = bound = 0, and a
+        # repeated order writes duplicate rows
+        def no_work(*args):
+            raise AssertionError("a Schur constant was computed")
+        monkeypatch.setattr(special, "schur_constant_for_order", no_work)
+        with pytest.raises(ValueError, match="two_nu_values"):
+            harness.run("prop3-bound", {"two_nu_values": orders, "profiles": 1})
+
+    def test_vanishing_orders_beside_a_nonzero_kernel(self):
+        # the radial workload's orders stay valid
+        tables, _, verdict = harness.run("prop3-bound",
+                                         {"two_nu_values": [-1, 0, 1, 3], "profiles": 1})
+        assert verdict == "pass"
+        assert [row[0] for row in tables["remainder.csv"][1]] == [-1, 0, 1, 3]
+
 
 class TestScanTimeSamples:
     @pytest.mark.parametrize("name, item, keys, passes", [

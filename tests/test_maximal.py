@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from schromax import maximal, sequences, spectral
+from schromax import harness, maximal, sequences, spectral
 from schromax.maximal import ProductSet, TimeWindow
 
 
@@ -139,6 +139,70 @@ class TestWindowMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * 2 ** 20
+
+
+class TestScreenedSupBytes:
+    """maximal_over_window and maximal_over_E against the same calls with
+    spectral._uniform_grid_sup replaced by one complex128 pass over every
+    time (conftest.single_pass): equal bit for bit."""
+
+    # a workload item (lam = 2^8, |J| = 1, a = 2) has 2^18 + 1 times on 256
+    # points; cases with more samples than that are left out
+    MAX_SAMPLES = (2 ** 18 + 1) * 256
+
+    @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
+    def test_equal_to_single_pass(self, a, single_pass):
+        compared = 0
+        for e in range(9):
+            lam = 2.0 ** e
+            grid = spectral.grid_for_bandlimit(lam)
+            for shape in ("ball", "annulus"):
+                if shape == "annulus" and lam < 4.0:
+                    continue   # no frequency node in [lam / 2, lam]
+                F = spectral.make_bandlimited_random(lam, shape, e, grid)
+                for t0, length in ((0.0, 1.0), (0.3, 0.25), (0.1, 1e-5)):
+                    window = TimeWindow(t0, length)
+                    samples = window.time_count(lam, a) * grid.point_count
+                    if samples <= self.MAX_SAMPLES:
+                        got = maximal.maximal_over_window(F, window, a)[0].samples
+                        ref = single_pass(maximal.maximal_over_window, F, window, a)
+                        assert np.array_equal(got, ref[0].samples)
+                        compared += 1
+                    E = ProductSet(0.1, window)
+                    m = explicit_lattice(E, lam, grid.dx)[0]
+                    if 2 * m * samples <= self.MAX_SAMPLES:
+                        got = maximal.maximal_over_E(F, E, a)[0].samples
+                        ref = single_pass(maximal.maximal_over_E, F, E, a)
+                        assert np.array_equal(got, ref[0].samples)
+                        compared += 1
+        assert compared >= 60
+
+    @pytest.mark.parametrize("name, params", [
+        ("theorem1-scan", {"lam_exponents": [4, 6], "seeds": [0, 1]}),
+        ("eq6-scan", {"lam_exponents": [4, 5], "seeds": [0, 1]}),
+        ("thm6-ineq", {"profiles": 2}),
+    ])
+    def test_experiment_csvs_equal_single_pass(self, name, params, tmp_path, single_pass):
+        cfg = harness.ExperimentConfig(name, params)
+        got = harness.run_experiment(cfg, str(tmp_path / "two-pass"))
+        ref = single_pass(harness.run_experiment, cfg, str(tmp_path / "one-pass"))
+        csvs = [f for f in got.files if f.endswith(".csv")]
+        assert csvs and got.verdict == ref.verdict
+        for f in csvs:
+            assert (tmp_path / "two-pass" / f).read_bytes() \
+                == (tmp_path / "one-pass" / f).read_bytes()
+
+
+class TestScreenedRecompute:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_recomputes_at_most_two_percent_at_top_lambda(self, seed, moduli_rows):
+        # lam = 2^8, |J| = 1: 262,145 times screened in complex64, at most 2% of
+        # them rebuilt in complex128
+        grid = spectral.grid_for_bandlimit(256.0)
+        F = spectral.make_bandlimited_random(256.0, "ball", seed, grid)
+        _, times = maximal.maximal_over_window(F, TimeWindow(0.0, 1.0), 2.0)
+        assert moduli_rows["complex64"] == times == 2 ** 18 + 1
+        assert 0 < moduli_rows["complex128"] <= 0.02 * times
 
 
 def _finer_times(window, lam, a):

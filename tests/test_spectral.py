@@ -135,38 +135,48 @@ class TestPropagator:
         assert np.max(np.abs(sup - loop_sup(F, ts))) < 1e-11
 
 
+def padded_modulated(F, m, y):
+    """F zero-padded to N m points and translated by y, shaped like the fine
+    pass of maximal_over_E."""
+    n = F.grid.point_count
+    fine = spectral.GridSpec(n * m, F.grid.half_length)
+    padded = np.zeros(n * m, dtype=np.complex128)
+    padded[(n * m - n) // 2:(n * m + n) // 2] = F.coefficients
+    return spectral.SpectralFunction1D(
+        fine, padded * np.exp(1j * fine.xi_nodes() * y), band_limit=F.band_limit)
+
+
 class TestSupOverTimes:
     @pytest.mark.parametrize("count", [513, 514])
-    def test_table_across_chunks_and_short_tail(self, count):
+    def test_table_across_chunks_and_short_tail(self, count, single_pass):
         # 513 and 514 times leave tail chunks of one and two times
         F = spectral.make_bandlimited_random(40.0, "ball", 1, GRID)
         ts = np.linspace(0.1, 0.6, count)
         assert spectral._uniform_step(ts) is not None
-        assert np.max(np.abs(spectral.sup_over_times(F, ts, 2.0) - loop_sup(F, ts))) < 1e-11
+        sup = spectral.sup_over_times(F, ts, 2.0)
+        assert np.max(np.abs(sup - loop_sup(F, ts))) < 1e-11
+        assert np.array_equal(sup, single_pass(spectral.sup_over_times, F, ts, 2.0))
 
-    def test_modulated_zero_padded_input(self):
+    def test_modulated_zero_padded_input(self, single_pass):
         # shaped like the fine pass of maximal_over_E: N m points, 1/m of them nonzero
-        F = spectral.make_bandlimited_random(16.0, "ball", 2, GRID)
-        n, m = GRID.point_count, 4
-        fine = spectral.GridSpec(n * m, GRID.half_length)
-        padded = np.zeros(n * m, dtype=np.complex128)
-        padded[(n * m - n) // 2:(n * m + n) // 2] = F.coefficients
-        G = spectral.SpectralFunction1D(fine, padded, band_limit=16.0)
-        shifted = spectral.SpectralFunction1D(
-            fine, padded * np.exp(1j * fine.xi_nodes() * -0.3), band_limit=16.0)
+        shifted = padded_modulated(spectral.make_bandlimited_random(16.0, "ball", 2, GRID),
+                                   4, -0.3)
         ts = np.linspace(0.0, 0.5, 300)
         sup = spectral.sup_over_times(shifted, ts, 2.0)
         assert np.max(np.abs(sup - loop_sup(shifted, ts))) < 1e-11
+        assert np.array_equal(sup, single_pass(spectral.sup_over_times, shifted, ts, 2.0))
 
     @pytest.mark.parametrize("nonzero", [slice(0, 12), slice(244, 256), [0, 255]],
                              ids=["first", "last", "both-ends"])
-    def test_support_at_the_grid_edge(self, nonzero):
+    def test_support_at_the_grid_edge(self, nonzero, single_pass):
         rng = np.random.default_rng(3)
         coeffs = np.zeros(GRID.point_count, dtype=np.complex128)
         coeffs[nonzero] = 1.0 + rng.standard_normal(coeffs[nonzero].size)
         F = spectral.SpectralFunction1D(GRID, coeffs)
         ts = np.linspace(0.0, 0.01, 300)
-        assert np.max(np.abs(spectral.sup_over_times(F, ts, 2.0) - loop_sup(F, ts))) < 1e-11
+        sup = spectral.sup_over_times(F, ts, 2.0)
+        assert np.max(np.abs(sup - loop_sup(F, ts))) < 1e-11
+        assert np.array_equal(sup, single_pass(spectral.sup_over_times, F, ts, 2.0))
 
     def test_zero_coefficients(self):
         F = spectral.SpectralFunction1D(GRID, np.zeros(GRID.point_count))
@@ -190,6 +200,67 @@ class TestSupOverTimes:
             bent = ts.copy()
             bent[k] += 1e-13
             assert spectral._uniform_step(bent) is None
+
+
+class TestScreen:
+    """The complex64 screen of _uniform_grid_sup against one complex128 pass."""
+
+    @pytest.mark.parametrize("case", ["N=256", "N=1024", "E-fine-grid"])
+    def test_screen_error_within_margin(self, case):
+        # the measured |mod32 - mod64| over 1024 times stays below eta / 20
+        if case == "N=256":
+            F = spectral.make_bandlimited_random(40.0, "ball", 0, GRID)
+        elif case == "N=1024":
+            grid = spectral.grid_for_bandlimit(1024.0)
+            assert grid.point_count == 1024
+            F = spectral.make_bandlimited_random(1024.0, "ball", 1, grid)
+        else:
+            F = padded_modulated(spectral.make_bandlimited_random(40.0, "ball", 2, GRID),
+                                 4, -0.3)
+        n = F.grid.point_count
+        base = spectral.alternating_signs(n) * F.coefficients
+        support = np.flatnonzero(base)
+        lo, hi = support[0], support[-1] + 1
+        ts = np.linspace(0.0, 1.0, 1024)
+        phases = np.exp(1j * ts[:, None] * np.abs(F.grid.xi_nodes()[lo:hi]) ** 2.0)
+        s, eta = spectral._screen_margin(base[lo:hi], n)
+        mod64 = spectral._moduli(phases, base[lo:hi], lo, n)
+        mod32 = spectral._moduli(phases.astype(np.complex64),
+                                 (s * base[lo:hi]).astype(np.complex64), lo, n)
+        assert mod32.dtype == np.float32
+        assert np.max(np.abs(mod32 - s * mod64)) <= eta / 20.0
+
+    def test_flat_in_time_marks_every_row(self, moduli_rows, single_pass):
+        # coefficients only at +-xi_0 give |S_t f(x)| constant in t: every row
+        # ties with the max, so every time is recomputed
+        coeffs = np.zeros(GRID.point_count, dtype=np.complex128)
+        xi = GRID.xi_nodes()
+        coeffs[np.abs(xi) == xi[GRID.point_count // 2 + 5]] = [1.0 + 2.0j, 0.5 - 1.0j]
+        F = spectral.SpectralFunction1D(GRID, coeffs)
+        ts = np.linspace(0.0, 1.0, 600)
+        sup = spectral.sup_over_times(F, ts, 2.0)
+        assert moduli_rows == {"complex64": ts.size, "complex128": ts.size}
+        assert np.array_equal(sup, single_pass(spectral.sup_over_times, F, ts, 2.0))
+
+    def test_any_scale_equals_single_pass(self, single_pass):
+        # 2^e, e < -126, makes the complex64 values subnormal (or zero), and
+        # e >= 118 makes some of them overflow, unless the screen rescales
+        F = spectral.make_bandlimited_random(40.0, "ball", 3, GRID)
+        ts = np.linspace(0.0, 0.5, 700)
+        for e in [*range(-150, -118), *range(118, 131)]:
+            G = spectral.SpectralFunction1D(GRID, F.coefficients * 2.0 ** e)
+            assert np.array_equal(spectral.sup_over_times(G, ts, 2.0),
+                                  single_pass(spectral.sup_over_times, G, ts, 2.0)), e
+
+    def test_nan_coefficient_equals_single_pass(self, single_pass):
+        coeffs = spectral.make_bandlimited_random(40.0, "ball", 3, GRID).coefficients.copy()
+        coeffs[np.flatnonzero(coeffs)[7]] = math.nan
+        G = spectral.SpectralFunction1D(GRID, coeffs)
+        ts = np.linspace(0.0, 0.5, 700)
+        sup = spectral.sup_over_times(G, ts, 2.0)
+        assert np.isnan(sup).all()
+        assert np.array_equal(sup, single_pass(spectral.sup_over_times, G, ts, 2.0),
+                              equal_nan=True)
 
 
 class TestRandomData:

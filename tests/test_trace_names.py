@@ -21,7 +21,7 @@ from schromax import harness
 tracer = spans.Tracer()
 spans.install(tracer)
 harness.run("prop2-check", {})
-harness.run("prop3-bound", {"two_nu_values": [-1, 1], "profiles": 1})
+harness.run("prop3-bound", {"two_nu_values": [-1, 0], "profiles": 1})
 harness.run("thm6-ineq", {"profiles": 1})
 harness.run("counterexample-growth", {"j_values": [1, 2, 3]})
 
