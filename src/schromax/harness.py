@@ -215,6 +215,20 @@ def _sequence_scan_item(args):
     return lam, seed, sup.l2() / F.l2_spatial()
 
 
+def _sequence_scan_check(lam, p):
+    """Reject a lambda whose lemma4 sup would select more sequence members
+    above the floor lam^-a / 4 than TimeSequence.members_in allows."""
+    floor = 0.25 * lam ** -p["a"]
+    try:
+        count = sequences.TimeSequence("power", alpha=p["alpha"]).count_above(floor)
+    except OverflowError:
+        count = math.inf
+    if count > sequences.MEMBER_CAP:
+        raise ValueError(f"lemma4-scan at lam = {lam}, a = {p['a']} and alpha = "
+                         f"{p['alpha']} selects {count} sequence members above "
+                         f"lam^-a / 4, more than {sequences.MEMBER_CAP}")
+
+
 def _map_items(fn, items, workers):
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -236,7 +250,7 @@ def _scan_rows_and_fit(results, p, predictor):
     return rows, float(slope), float(intercept)
 
 
-def _run_scan(p, workers, *, item, item_keys, predictor, extras=None):
+def _run_scan(p, workers, *, item, item_keys, predictor, extras=None, check=None):
     """Measure item((lambda, seed, *p[item_keys])) for lambda = 2^e, e in
     lam_exponents, and every seed; the verdict passes when the fitted slope
     of the normalized ratio is at most slope_tol.  extras(p) adds summary
@@ -245,7 +259,13 @@ def _run_scan(p, workers, *, item, item_keys, predictor, extras=None):
     one seed, the random data lambda >= 1, a finite float 2^e, and a > 0.
     Each lambda's time grid (maximal.TimeWindow.time_count) must have a
     nonzero step and fit in an array; lemma4, which resolves times down to
-    lam^-a / 4, the step of a unit window's grid, is checked as a unit window."""
+    lam^-a / 4, the step of a unit window's grid, is checked as a unit window.
+    check(lam, p), if set, raises ValueError for a lambda the items cannot
+    run; every check runs before any item.
+
+    The items go to _map_items largest lambda first, so that a pool starts
+    the longest items first, and their rows are written in the config's
+    order."""
     if len(set(p["lam_exponents"])) < 2 or not p["seeds"]:
         raise ValueError("a scan needs two distinct lam_exponents and a seed, got "
                          f"lam_exponents {p['lam_exponents']} and seeds {p['seeds']}")
@@ -256,9 +276,14 @@ def _run_scan(p, workers, *, item, item_keys, predictor, extras=None):
     window = maximal.TimeWindow(0.0, p.get("window", 1.0))
     for e in exps:
         window.time_count(2.0 ** e, p["a"])
+        if check is not None:
+            check(2.0 ** e, p)
     items = [(2.0 ** e, seed, *(p[key] for key in item_keys))
              for e in exps for seed in p["seeds"]]
-    results = _map_items(item, items, workers)
+    order = sorted(range(len(items)), key=lambda i: -items[i][0])
+    results = [None] * len(items)
+    for i, result in zip(order, _map_items(item, [items[i] for i in order], workers)):
+        results[i] = result
     rows, slope, intercept = _scan_rows_and_fit(results, p, predictor)
     verdict = "pass" if slope <= p["slope_tol"] else "violation"
     summary = {"slope": slope, "intercept": intercept,
@@ -472,7 +497,7 @@ EXPERIMENTS = {
         _SCAN_PLOT),
     "lemma4-scan": Experiment(
         partial(_run_scan, item=_sequence_scan_item, item_keys=("a", "alpha"),
-                predictor=lambda lam, p: lam ** p["s"]),
+                predictor=lambda lam, p: lam ** p["s"], check=_sequence_scan_check),
         {"a": 2.0, "s": 0.5, "alpha": 1.0, "slope_tol": 0.05,
          "lam_exponents": [4, 5, 6, 7, 8], "seeds": [0, 1, 2]},
         _SCAN_PLOT),

@@ -9,6 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# the most members one members_in call returns
+MEMBER_CAP = 10_000_000
+
+
 @dataclass(frozen=True)
 class TimeSequence:
     """A strictly decreasing sequence 1 > t_1 > t_2 > ... > 0.
@@ -73,19 +77,19 @@ class TimeSequence:
         return count
 
     def members_in(self, low: float, high: float) -> np.ndarray:
-        """All t_m with low < t_m <= high, in decreasing order; at most 10^7
-        of them."""
+        """All t_m with low < t_m <= high, in decreasing order; at most
+        MEMBER_CAP of them."""
         if not (0 <= low < high):
             raise ValueError("need 0 <= low < high")
         n_hi = self.count_above(high)   # members strictly above high: skip
         n_lo = self.count_above(low) if low > 0 else None
         if n_lo is None:
             raise ValueError("low = 0 would select infinitely many members")
-        if n_lo - n_hi > 10_000_000:
+        if n_lo - n_hi > MEMBER_CAP:
             raise ValueError("selection too large; raise low")
         if n_lo == n_hi:
             return np.empty(0)
-        return self.term(np.arange(n_hi + 1, n_lo + 1))
+        return self.term(np.arange(n_hi + 1, n_lo + 1, dtype=float))
 
 
 def default_b_grid(depth: int = 16) -> np.ndarray:

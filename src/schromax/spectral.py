@@ -141,18 +141,8 @@ def propagate(F: SpectralFunction1D, t: float, a: float) -> SpectralFunction1D:
     return SpectralFunction1D(F.grid, F.coefficients * phase, band_limit=F.band_limit)
 
 
-# Times per batch of sup_over_times, and rows of its step table.
+# Times per chunk of sup_over_times, and rows of its step table.
 _TIME_CHUNK = 256
-
-
-def _phase_matrix(xi_pow: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """e^{i t xi_pow} for a batch of times, shape (len(ts), N).
-
-    One exp per distinct value of xi_pow, which on the symmetric grid is
-    about half the entries; equal to the direct formula exactly.
-    """
-    distinct, where = np.unique(xi_pow, return_inverse=True)
-    return np.exp(1j * ts[:, None] * distinct[None, :])[:, where]
 
 
 def _uniform_step(ts: np.ndarray) -> float | None:
@@ -180,14 +170,47 @@ def _step_table(distinct: np.ndarray, where: np.ndarray, dt: float,
     return np.exp(1j * np.outer(dt * np.arange(rows), distinct))[:, where]
 
 
-def _moduli(table_rows: np.ndarray, first: np.ndarray, lo: int, n: int) -> np.ndarray:
-    """|ifft| of the spectra table_rows * first, placed at columns lo.. of
-    rows of n zeros, in the precision of the inputs; shape
-    (len(table_rows), n).  numpy transforms each row on its own, so a row's
-    modulus does not depend on which other rows share the call."""
-    spec = np.zeros((table_rows.shape[0], n), dtype=first.dtype)
-    np.multiply(table_rows, first, out=spec[:, lo:lo + first.size])
-    return np.abs(np.fft.ifft(spec, axis=1))
+def _grid_rows(t_values: np.ndarray, distinct: np.ndarray, where: np.ndarray,
+               dt: float):
+    """The row filler of _screened_sup for t_values uniform with step dt:
+    the chunk starting at t0 is the step table times row e^{i t0 v}, one
+    multiply per entry with no accumulated rounding.  The table is made once
+    per call, and once more in complex64."""
+    table = _step_table(distinct, where, dt, min(_TIME_CHUNK, t_values.size))
+    tables = {table.dtype: table, np.dtype(np.complex64): table.astype(np.complex64)}
+
+    def fill(out, start, picked, row):
+        first = row * np.exp(1j * t_values[start] * distinct)[where]
+        np.multiply(tables[out.dtype][picked], first.astype(out.dtype), out=out)
+    return fill
+
+
+def _time_rows(t_values: np.ndarray, distinct: np.ndarray, where: np.ndarray):
+    """The row filler of _screened_sup for any times: row e^{i t v} for
+    each time, one exp per distinct value and time, computed in complex128
+    and cast once to out's precision."""
+    def fill(out, start, picked, row):
+        ts = t_values[start:start + _TIME_CHUNK][picked]
+        phase = np.exp(1j * ts[:, None] * distinct)[:, where]
+        np.multiply(row, phase, out=out, casting="same_kind")
+    return fill
+
+
+def _chunk_buffers(rows: int, n: int, dtype) -> tuple[np.ndarray, ...]:
+    """(spectra, fields, moduli) for _moduli: rows of n zeros in the complex
+    dtype, and the arrays their transforms and moduli are written to."""
+    real = np.finfo(dtype).dtype
+    return (np.zeros((rows, n), dtype), np.empty((rows, n), dtype),
+            np.empty((rows, n), real))
+
+
+def _moduli(spectra: np.ndarray, fields: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """|ifft| of each row of spectra, written through fields to moduli (and
+    returned), in the precision of spectra.  numpy transforms each row on
+    its own, so a row's modulus does not depend on which other rows share
+    the call."""
+    np.fft.ifft(spectra, axis=1, out=fields)
+    return np.abs(fields, out=moduli)
 
 
 def _screen_margin(row: np.ndarray, n: int) -> tuple[float, float]:
@@ -199,9 +222,11 @@ def _screen_margin(row: np.ndarray, n: int) -> tuple[float, float]:
     spectrum of a chunk has the 2-norm of s * row, so its inverse DFT y has
     ||y||_2 = ||s row||_2 / sqrt(n) = U / eps, which also bounds every |y_j|.
 
-    - Rounding the step table and the chunk row to complex64 and their
-      complex64 product move each entry by at most (2u + sqrt(2) gamma_2)
-      = (1 + sqrt(2)) eps times its modulus, hence y by at most 2.5 U.
+    - The complex64 spectra: a step-table row and the chunk's first row,
+      each rounded to complex64, and their complex64 product move each
+      entry by at most (2u + sqrt(2) gamma_2) = (1 + sqrt(2)) eps times its
+      modulus; a row built in complex128 and rounded once to complex64, by
+      at most u.  Either way y moves by at most 2.5 U.
     - The FFT: Higham, Accuracy and Stability of Numerical Algorithms, 2nd
       ed., Thm 24.2, bounds ||fl(y) - y||_2 by log2(n) (mu + gamma_4
       (sqrt(2) + mu)) ||y||_2 for radix-2 Cooley-Tukey with twiddles
@@ -222,61 +247,51 @@ def _screen_margin(row: np.ndarray, n: int) -> tuple[float, float]:
     return s, 7.0 * (math.log2(n) + 1.0) * unit
 
 
-def _screen(table: np.ndarray, first, row: np.ndarray, n: int, lo: int,
-            count: int) -> np.ndarray:
-    """One bool per time: True where the time may hold the complex128 max
-    of some x.  Each chunk (table rows times first(chunk start)) goes
-    through _moduli in complex64; with M(x) the running max of those
-    moduli, including the chunk's own, a row is a candidate when some x has
-    mod32 >= M(x) - 2 eta (not < it, so that nan marks the row).  eta bounds
-    |mod32 - mod64| (_screen_margin), so the complex128 argmax row of every
-    x, whose mod32 is at least max64(x) - eta >= M(x) - 2 eta, is marked.
-    The complex64 table and moduli are freed on return, before any row is
-    recomputed."""
+def _screened_sup(fill, row: np.ndarray, lo: int, n: int, count: int) -> np.ndarray:
+    """max over count times of |ifft| of length-n spectra that are zero
+    outside columns lo:lo + row.size.  fill(out, start, picked, row) writes
+    the spectra there of the times start + picked (picked a slice or indices
+    within the chunk that starts at start), for the coefficients row, into
+    out, in out's precision.
+
+    Two passes over chunks of _TIME_CHUNK times.  The screen fills every
+    chunk in complex64 from s * row (s and eta from _screen_margin) and
+    keeps M(x), the running max of those moduli, including the chunk's own;
+    a time is a candidate when some x has mod32 >= M(x) - 2 eta (not < it,
+    so that nan marks the row).  eta bounds |mod32 - mod64|, so the
+    complex128 argmax row of every x, whose mod32 is at least
+    max64(x) - eta >= M(x) - 2 eta, is marked.  The complex64 buffers are
+    then freed, and only the marked rows are filled from row, transformed
+    and reduced in complex128, exactly as a single complex128 pass over
+    every time would compute them.  A max does not depend on the order or
+    the grouping of its rows, so the result equals that pass bit for bit.
+    """
+    sup = np.zeros(n)
+    if count == 0:
+        return sup
     s, eta = _screen_margin(row, n)
-    table = table.astype(np.complex64)
+    scaled = s * row
+    cols = slice(lo, lo + row.size)
+    starts = range(0, count, _TIME_CHUNK)
+    # top and candidate go before the complex64 buffers, so that freeing
+    # those leaves memory the complex128 buffers can reuse
     top = np.zeros(n, dtype=np.float32)
     candidate = np.empty(count, dtype=bool)
-    for start in range(0, count, _TIME_CHUNK):
+    spectra, fields, moduli = _chunk_buffers(min(_TIME_CHUNK, count), n, np.complex64)
+    for start in starts:
         m = min(_TIME_CHUNK, count - start)
-        modulus = _moduli(table[:m], (s * first(start)).astype(np.complex64), lo, n)
-        np.maximum(top, modulus.max(axis=0), out=top)
-        candidate[start:start + m] = ~np.all(modulus < top - 2.0 * eta, axis=1)
-    return candidate
-
-
-def _uniform_grid_sup(base: np.ndarray, xi_pow: np.ndarray, t_values: np.ndarray,
-                      dt: float) -> np.ndarray:
-    """max over t_values of |ifft(base e^{i t xi_pow})| for t_values uniform
-    with step dt.  One step table per call, over the distinct xi_pow between
-    the first and the last nonzero entry of base: the chunk starting at t0
-    is that table times the row base e^{i t0 xi_pow}, one multiply per entry
-    with no accumulated rounding, placed in columns whose outside stays zero.
-
-    Two passes over the chunks: _screen marks in complex64 the times that
-    may hold some x's max, and only those rows are rebuilt, transformed and
-    reduced in complex128, exactly as a single complex128 pass over every
-    time would compute them.  That pass's max at each x sits on a marked
-    row, and a max does not depend on the order or the grouping of its
-    rows, so the result equals the single pass bit for bit.
-    """
-    n = base.size
-    sup = np.zeros(n)
-    support = np.flatnonzero(base)
-    if support.size == 0:
-        return sup
-    lo, hi = support[0], support[-1] + 1
-    distinct, where = np.unique(xi_pow[lo:hi], return_inverse=True)
-    table = _step_table(distinct, where, dt, min(_TIME_CHUNK, t_values.size))
-
-    def first(start):
-        return base[lo:hi] * np.exp(1j * t_values[start] * distinct)[where]
-
-    candidate = _screen(table, first, base[lo:hi], n, lo, t_values.size)
-    for start in range(0, t_values.size, _TIME_CHUNK):
-        picked = np.flatnonzero(candidate[start:start + _TIME_CHUNK])
-        if picked.size:
-            np.maximum(sup, _moduli(table[picked], first(start), lo, n).max(axis=0),
+        fill(spectra[:m, cols], start, slice(0, m), scaled)
+        chunk = _moduli(spectra[:m], fields[:m], moduli[:m])
+        np.maximum(top, chunk.max(axis=0), out=top)
+        candidate[start:start + m] = ~np.all(chunk < top - 2.0 * eta, axis=1)
+    del spectra, fields, moduli, chunk
+    per_chunk = np.add.reduceat(candidate, starts, dtype=np.intp)
+    spectra, fields, moduli = _chunk_buffers(int(per_chunk.max()), n, np.complex128)
+    for start, k in zip(starts, per_chunk):
+        if k:
+            picked = np.flatnonzero(candidate[start:start + _TIME_CHUNK])
+            fill(spectra[:k, cols], start, picked, row)
+            np.maximum(sup, _moduli(spectra[:k], fields[:k], moduli[:k]).max(axis=0),
                        out=sup)
     return sup
 
@@ -284,33 +299,36 @@ def _uniform_grid_sup(base: np.ndarray, xi_pow: np.ndarray, t_values: np.ndarray
 def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     """Pointwise sup of |S_t f| over the given times (nonnegative, real).
 
-    The times go in chunks of _TIME_CHUNK through one batched inverse FFT
-    each.  A uniformly spaced grid (see _uniform_step) takes
-    _uniform_grid_sup, which screens every time in complex64 and recomputes
-    in complex128 only the times within 2 eta of the running max at some x,
-    eta = 7 (log2 N + 1) eps32 ||c||_2 / sqrt(N) the a-priori FFT rounding
-    bound of _screen_margin for the coefficient vector c scaled by a power
-    of two, so its result is the complex128 sup over every time, bit for
-    bit.  The 1/dx scale is applied after the max, which is exact because
-    correctly rounded division is monotone.  Other times take
-    _phase_matrix, one exp per distinct |xi|^a and time, in one complex128
-    pass.
+    Only the coefficients matter that are nonzero: they lie in columns
+    lo:hi, and one exp per distinct |xi|^a among them and per time (or per
+    row of a step table) gives their phases.  A uniformly spaced grid (see
+    _uniform_step) builds its chunks of _TIME_CHUNK times from one step
+    table (_grid_rows), other times build each row directly (_time_rows).
+    Both go through _screened_sup, which screens every time in complex64
+    and recomputes in complex128 only the times within 2 eta of the running
+    max at some x, eta = 7 (log2 N + 1) eps32 ||c||_2 / sqrt(N) the
+    a-priori FFT rounding bound of _screen_margin for the coefficient
+    vector c scaled by a power of two, so its result is the complex128 sup
+    over every time, bit for bit.  The 1/dx scale is applied after the max,
+    which is exact because correctly rounded division is monotone.
     """
     g = F.grid
-    sign = alternating_signs(g.point_count)
-    base = sign * F.coefficients
+    n = g.point_count
+    base = alternating_signs(n) * F.coefficients
+    nonzero = np.flatnonzero(base)
+    if nonzero.size == 0:
+        return np.zeros(n)
+    lo, hi = nonzero[0], nonzero[-1] + 1
     xi_pow = np.abs(g.xi_nodes()) ** a
+    distinct, inverse = np.unique(xi_pow[nonzero], return_inverse=True)
+    # entries of base that are zero take the phase distinct[0]; it multiplies 0
+    where = np.zeros(hi - lo, dtype=np.intp)
+    where[nonzero - lo] = inverse
     t_values = np.asarray(t_values, dtype=float)
     dt = _uniform_step(t_values)
-    if dt is not None:
-        return _uniform_grid_sup(base, xi_pow, t_values, dt) / g.dx
-    sup = np.zeros(g.point_count)
-    for start in range(0, t_values.size, _TIME_CHUNK):
-        ts = t_values[start:start + _TIME_CHUNK]
-        spec = base[None, :] * _phase_matrix(xi_pow, ts)
-        fields = np.abs(np.fft.ifft(spec, axis=1)) / g.dx
-        np.maximum(sup, fields.max(axis=0), out=sup)
-    return sup
+    fill = (_time_rows(t_values, distinct, where) if dt is None
+            else _grid_rows(t_values, distinct, where, dt))
+    return _screened_sup(fill, base[lo:hi], lo, n, t_values.size) / g.dx
 
 
 def grid_for_bandlimit(lam: float, half_length: float = 1.0,

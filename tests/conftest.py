@@ -2,7 +2,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from schromax import spectral
+from schromax import maximal, radial, spectral
 
 hypothesis.settings.register_profile(
     "numerics", deadline=None, max_examples=50,
@@ -11,10 +11,10 @@ hypothesis.settings.load_profile("numerics")
 
 
 def single_pass_grid_sup(base, xi_pow, t_values, dt):
-    """spectral._uniform_grid_sup as one complex128 pass over every time:
-    the chunk starting at t0 is the step table times base e^{i t0 xi_pow},
-    transformed, reduced by modulus and max.  The two-pass sup must equal
-    it bit for bit."""
+    """spectral.sup_over_times on a uniform grid, before the 1/dx scale, as
+    one complex128 pass over every time: the chunk starting at t0 is the
+    step table times base e^{i t0 xi_pow}, transformed, reduced by modulus
+    and max.  The screened sup must equal it bit for bit."""
     n = base.size
     sup = np.zeros(n)
     support = np.flatnonzero(base)
@@ -38,14 +38,47 @@ def single_pass_grid_sup(base, xi_pow, t_values, dt):
     return sup
 
 
+def single_pass_arbitrary_sup(F, t_values, a):
+    """spectral.sup_over_times on times that are not uniform as one complex128
+    pass over every time: one exp per distinct |xi|^a on the whole grid and
+    time, the full-width inverse FFT, and the 1/dx scale before the max.
+    The screened sup must equal it bit for bit."""
+    g = F.grid
+    base = spectral.alternating_signs(g.point_count) * F.coefficients
+    distinct, where = np.unique(np.abs(g.xi_nodes()) ** a, return_inverse=True)
+    sup = np.zeros(g.point_count)
+    for start in range(0, t_values.size, spectral._TIME_CHUNK):
+        ts = t_values[start:start + spectral._TIME_CHUNK]
+        spec = base[None, :] * np.exp(1j * ts[:, None] * distinct[None, :])[:, where]
+        fields = np.abs(np.fft.ifft(spec, axis=1)) / g.dx
+        np.maximum(sup, fields.max(axis=0), out=sup)
+    return sup
+
+
+def single_pass_sup(F, t_values, a):
+    """spectral.sup_over_times as one complex128 pass over every time:
+    single_pass_grid_sup on a uniform grid, else single_pass_arbitrary_sup."""
+    t_values = np.asarray(t_values, dtype=float)
+    dt = spectral._uniform_step(t_values)
+    if dt is None:
+        return single_pass_arbitrary_sup(F, t_values, a)
+    base = spectral.alternating_signs(F.grid.point_count) * F.coefficients
+    xi_pow = np.abs(F.grid.xi_nodes()) ** a
+    return single_pass_grid_sup(base, xi_pow, t_values, dt) / F.grid.dx
+
+
 @pytest.fixture
 def single_pass(monkeypatch):
-    """call(fn, *args, **kwargs): fn's result with spectral._uniform_grid_sup
-    replaced by single_pass_grid_sup."""
+    """call(fn, *args, **kwargs): fn's result with sup_over_times replaced by
+    single_pass_sup in every module that binds it; fn may be
+    spectral.sup_over_times itself."""
+    screened = spectral.sup_over_times
+
     def call(fn, *args, **kwargs):
         with monkeypatch.context() as patched:
-            patched.setattr(spectral, "_uniform_grid_sup", single_pass_grid_sup)
-            return fn(*args, **kwargs)
+            for module in (spectral, maximal, radial):
+                patched.setattr(module, "sup_over_times", single_pass_sup)
+            return (single_pass_sup if fn is screened else fn)(*args, **kwargs)
     return call
 
 
@@ -56,8 +89,8 @@ def moduli_rows(monkeypatch):
     rows = {"complex64": 0, "complex128": 0}
     moduli = spectral._moduli
 
-    def counted(table_rows, first, lo, n):
-        rows[first.dtype.name] += table_rows.shape[0]
-        return moduli(table_rows, first, lo, n)
+    def counted(spectra, fields, out):
+        rows[spectra.dtype.name] += spectra.shape[0]
+        return moduli(spectra, fields, out)
     monkeypatch.setattr(spectral, "_moduli", counted)
     return rows

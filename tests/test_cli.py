@@ -147,10 +147,17 @@ class TestExperimentCommands:
         ("convergence-probe", {"tail_starts": [0, 1]}, "tail_starts"),
         ("seq-classify", {"r": 0.0}, "'r'"),
         ("seq-classify", {"r": -1.0}, "'r'"),
+        # lam = 2^12 selects 4 * 2^24 - 2 members above lam^-2 / 4, the lam = 2^4
+        # items fewer than 10^7
+        ("lemma4-scan", {"lam_exponents": [4, 12], "seeds": [0]}, "lam = 4096.0, a = 2.0"),
+        # (lam^-a / 4)^(-1 / alpha) overflows a float from lam = 2^5 on
+        ("lemma4-scan", {"alpha": 0.01, "lam_exponents": [4, 5], "seeds": [0]},
+         "alpha = 0.01"),
     ], ids=["fractional-depth", "underflowing-step", "overflowing-count",
             "too-many-times", "overflowing-lambda", "no-orders", "only-zero-kernels",
             "zero-kernel-pair", "repeated-order", "no-tail-starts",
-            "tail-start-below-one", "zero-r", "negative-r"])
+            "tail-start-below-one", "zero-r", "negative-r", "oversized-selection",
+            "overflowing-selection"])
     def test_out_of_range_value_is_error(self, capsys, tmp_path, monkeypatch,
                                          name, params, key):
         def no_items(*args):

@@ -257,6 +257,48 @@ class TestScanTimeSamples:
         assert "time_samples" not in summary
 
 
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that runs map serially and
+    records the items in the order they arrive."""
+
+    items = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        items = list(items)
+        type(self).items.extend(items)
+        return map(fn, items)
+
+
+class TestScanOrder:
+    def test_items_arrive_largest_lambda_first(self, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "items", [])
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+        params = {"lam_exponents": [4, 6, 5], "seeds": [1, 0]}
+        tables, _, _ = harness.run("lemma4-scan", params, workers=2)
+        sent = [(lam, seed) for lam, seed, *_ in _RecordingPool.items]
+        assert sent == [(64.0, 1), (64.0, 0), (32.0, 1), (32.0, 0), (16.0, 1), (16.0, 0)]
+        rows = tables["scan.csv"][1]
+        assert [(row[0], row[5]) for row in rows] == [
+            (16.0, 1), (16.0, 0), (64.0, 1), (64.0, 0), (32.0, 1), (32.0, 0)]
+
+    @pytest.mark.parametrize("name", ["theorem1-scan", "eq6-scan", "lemma4-scan"])
+    def test_pool_writes_the_serial_bytes(self, name, tmp_path):
+        cfg = ExperimentConfig(name, {"lam_exponents": [4, 5, 6], "seeds": [0, 1]})
+        harness.run_experiment(cfg, str(tmp_path / "serial"), workers=1)
+        harness.run_experiment(cfg, str(tmp_path / "pool"), workers=2)
+        for f in ("scan.csv", "summary.json"):
+            assert (tmp_path / "serial" / f).read_bytes() == (tmp_path / "pool" / f).read_bytes()
+
+
 class TestSeqClassifyRunner:
     def test_log_flagged_growing(self):
         _, summary, verdict = harness.run("seq-classify", {"gen": "log", "r": 2.0})
@@ -311,11 +353,13 @@ class TestEmitPlotData:
 
 
 def test_import_leaves_out_scipy_integrate():
-    # scipy.special stays out of the scan processes too: every pool worker
-    # is forked from the process that imported the harness
+    # scipy.special stays out of the scan processes too: the uniform-grid
+    # (eq6) and the sequence (lemma4) sups run on numpy alone, and every pool
+    # worker is forked from the process that imported the harness
     code = ("import sys, schromax.harness, schromax.cli; "
             "print('scipy.integrate' in sys.modules); "
             "schromax.harness.run('eq6-scan', {'lam_exponents': [4, 5], 'seeds': [0]}); "
+            "schromax.harness.run('lemma4-scan', {'lam_exponents': [4, 5], 'seeds': [0]}); "
             "print('scipy.special' in sys.modules)")
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -143,8 +143,8 @@ class TestWindowMemory:
 
 class TestScreenedSupBytes:
     """maximal_over_window and maximal_over_E against the same calls with
-    spectral._uniform_grid_sup replaced by one complex128 pass over every
-    time (conftest.single_pass): equal bit for bit."""
+    spectral.sup_over_times replaced by one complex128 pass over every time
+    (conftest.single_pass): equal bit for bit."""
 
     # a workload item (lam = 2^8, |J| = 1, a = 2) has 2^18 + 1 times on 256
     # points; cases with more samples than that are left out
@@ -203,6 +203,53 @@ class TestScreenedRecompute:
         _, times = maximal.maximal_over_window(F, TimeWindow(0.0, 1.0), 2.0)
         assert moduli_rows["complex64"] == times == 2 ** 18 + 1
         assert 0 < moduli_rows["complex128"] <= 0.02 * times
+
+
+class TestSequenceSupBytes:
+    """maximal_over_sequence against the same call with spectral.sup_over_times
+    replaced by one complex128 pass over every time (conftest.single_pass):
+    equal bit for bit, with every member screened once in complex64."""
+
+    # a workload item (lam = 2^8, a = 2, alpha = 1) has 2^18 - 2 members;
+    # cases with more are left out
+    MAX_MEMBERS = 2 ** 18 - 2
+
+    @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
+    def test_equal_to_single_pass(self, a, single_pass, moduli_rows):
+        seq = sequences.TimeSequence("power", alpha=1.0)
+        compared = 0
+        for e in range(4, 9):
+            lam = 2.0 ** e
+            if seq.count_above(0.25 * lam ** -a) > self.MAX_MEMBERS:
+                continue
+            grid = spectral.grid_for_bandlimit(lam)
+            for shape in ("annulus", "ball"):
+                for seed in range(3):
+                    F = spectral.make_bandlimited_random(lam, shape, seed, grid)
+                    moduli_rows.update(complex64=0, complex128=0)
+                    got, members = maximal.maximal_over_sequence(F, seq, a)
+                    assert moduli_rows["complex64"] == members
+                    assert 0 < moduli_rows["complex128"] <= members
+                    ref, _ = single_pass(maximal.maximal_over_sequence, F, seq, a)
+                    assert np.array_equal(got.samples, ref.samples)
+                    compared += 1
+        assert compared >= 12
+
+
+class TestSequenceMemory:
+    def test_bounded_temporaries_at_top_lambda(self):
+        # lam = 2^8, a = 2: 262,142 members (2 MiB) screened, one bool each;
+        # the peak is members_in's three member-sized arrays
+        grid = spectral.grid_for_bandlimit(256.0)
+        F = spectral.make_bandlimited_random(256.0, "annulus", 0, grid)
+        seq = sequences.TimeSequence("power", alpha=1.0)
+        tracemalloc.start()
+        try:
+            maximal.maximal_over_sequence(F, seq, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 2 ** 20
 
 
 def _finer_times(window, lam, a):

@@ -121,13 +121,6 @@ class TestPropagator:
         direct = np.exp(1j * ts[:, None] * xi_pow[None, :])
         assert np.max(np.abs(first * table - direct)) < 1e-10
 
-    def test_phase_matrix_nonuniform(self):
-        xi_pow = np.abs(GRID.xi_nodes()) ** 2
-        ts = np.array([0.0, 0.1, 0.15, 0.7])
-        fast = spectral._phase_matrix(xi_pow, ts)
-        direct = np.exp(1j * ts[:, None] * xi_pow[None, :])
-        assert np.array_equal(fast, direct)
-
     def test_sup_over_times_matches_loop(self):
         F = spectral.make_bandlimited_random(8.0, "ball", 0, GRID)
         ts = np.linspace(0.0, 0.5, 11)
@@ -203,7 +196,7 @@ class TestSupOverTimes:
 
 
 class TestScreen:
-    """The complex64 screen of _uniform_grid_sup against one complex128 pass."""
+    """The complex64 screen of _screened_sup against one complex128 pass."""
 
     @pytest.mark.parametrize("case", ["N=256", "N=1024", "E-fine-grid"])
     def test_screen_error_within_margin(self, case):
@@ -224,9 +217,13 @@ class TestScreen:
         ts = np.linspace(0.0, 1.0, 1024)
         phases = np.exp(1j * ts[:, None] * np.abs(F.grid.xi_nodes()[lo:hi]) ** 2.0)
         s, eta = spectral._screen_margin(base[lo:hi], n)
-        mod64 = spectral._moduli(phases, base[lo:hi], lo, n)
-        mod32 = spectral._moduli(phases.astype(np.complex64),
-                                 (s * base[lo:hi]).astype(np.complex64), lo, n)
+
+        def moduli(spectra):
+            buffers = spectral._chunk_buffers(ts.size, n, spectra.dtype)
+            buffers[0][:, lo:hi] = spectra
+            return spectral._moduli(*buffers)
+        mod64 = moduli(phases * base[lo:hi])
+        mod32 = moduli(phases.astype(np.complex64) * (s * base[lo:hi]).astype(np.complex64))
         assert mod32.dtype == np.float32
         assert np.max(np.abs(mod32 - s * mod64)) <= eta / 20.0
 
@@ -261,6 +258,47 @@ class TestScreen:
         assert np.isnan(sup).all()
         assert np.array_equal(sup, single_pass(spectral.sup_over_times, G, ts, 2.0),
                               equal_nan=True)
+
+
+class TestArbitraryTimes:
+    """Times that are not uniform through the screen, against one complex128
+    pass over every time (conftest.single_pass)."""
+
+    @staticmethod
+    def check(F, ts, single_pass):
+        assert spectral._uniform_step(ts) is None
+        sup = spectral.sup_over_times(F, ts, 2.0)
+        assert np.array_equal(sup, single_pass(spectral.sup_over_times, F, ts, 2.0),
+                              equal_nan=True)
+        return sup
+
+    def test_cluster_marks_every_row(self, moduli_rows, single_pass):
+        # 600 times within 1e-12 of each other: every row ties with the max
+        # to far below eta, so every time is recomputed
+        F = spectral.make_bandlimited_random(40.0, "ball", 5, GRID)
+        ts = 0.3 + 1e-12 * np.random.default_rng(0).random(600)
+        self.check(F, ts, single_pass)
+        assert moduli_rows == {"complex64": ts.size, "complex128": ts.size}
+
+    def test_single_coefficient(self, moduli_rows, single_pass):
+        coeffs = np.zeros(GRID.point_count, dtype=np.complex128)
+        coeffs[140] = 0.5 - 2.0j
+        ts = 1.0 / np.arange(1, 400)
+        self.check(spectral.SpectralFunction1D(GRID, coeffs), ts, single_pass)
+        assert moduli_rows["complex64"] == ts.size
+
+    def test_zero_coefficients(self, moduli_rows, single_pass):
+        F = spectral.SpectralFunction1D(GRID, np.zeros(GRID.point_count))
+        sup = self.check(F, 1.0 / np.arange(1, 400), single_pass)
+        assert np.array_equal(sup, np.zeros(GRID.point_count))
+        assert moduli_rows == {"complex64": 0, "complex128": 0}
+
+    def test_nan_coefficient(self, single_pass):
+        coeffs = spectral.make_bandlimited_random(40.0, "ball", 3, GRID).coefficients.copy()
+        coeffs[np.flatnonzero(coeffs)[7]] = math.nan
+        sup = self.check(spectral.SpectralFunction1D(GRID, coeffs), 1.0 / np.arange(1, 400),
+                         single_pass)
+        assert np.isnan(sup).all()
 
 
 class TestRandomData:
