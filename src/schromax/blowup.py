@@ -20,12 +20,12 @@ import numpy as np
 
 from schromax.radial import (
     HankelEvolution,
-    HarmonicContext,
     KernelEvolution,
     RadialProfile,
     RemainderOperator,
+    alpha,
 )
-from schromax.special import gamma_kernel, surface_area
+from schromax.special import BesselOrder, gamma_kernel, surface_area
 from schromax.spectral import TWO_PI, bump_value
 
 
@@ -149,9 +149,8 @@ def build_witness_profile(scales: StageScales, n: int,
 def hs_norm_witness(f1: RadialProfile, s: float, n: int) -> float:
     """H^s norm of the radial witness from its reduced profile:
     ||f||_{H^s} = alpha_n^{-1} ( integral (1 + r^2)^s |f1(r)|^2 dr )^{1/2}."""
-    alpha_n = HarmonicContext(n, 0).alpha_n
     w = (1.0 + f1.nodes ** 2) ** s
-    return float(np.sqrt(np.sum(f1.weights * w * np.abs(f1.values) ** 2))) / alpha_n
+    return float(np.sqrt(np.sum(f1.weights * w * np.abs(f1.values) ** 2))) / alpha(n)
 
 
 @dataclass
@@ -161,10 +160,8 @@ class StageReport:
     scales: StageScales
     hs_norm: float
     maximal_norm: float         # stationary-branch maximal norm (the growth law)
-    maximal_norm_full: float    # full-field maximal norm, for diagnostics
     ratio: float
-    ratio_full: float
-    fitted_c: float             # min over radii of sup_t|S_t f| / (lam x)^{(n-1)/2}-scaling
+    ratio_full: float           # full-field maximal norm over hs_norm, for diagnostics
     surrogate_sup: float        # sup over (x, s) of |e^{i Phi} - 1| at aligned t
     spurious_fraction: float    # (remainder + counter-rotating branch) / main branch
 
@@ -190,8 +187,7 @@ def lower_bound_scan(params: BlowupParams, j: int, x_count: int = 9,
     scales = derive_scales(params.stage_m(j), params.stage_b(j), params, j)
     n = params.n
     f1 = build_witness_profile(scales, n, nodes_per_rho)
-    ctx = HarmonicContext(n=n, k=0)
-    nu = ctx.order
+    nu = BesselOrder.from_dimension(n, 0)
     a = scales.a
     x_lo, x_hi = scales.interval_j
     xs = np.linspace(x_lo, x_hi, x_count)
@@ -215,26 +211,19 @@ def lower_bound_scan(params: BlowupParams, j: int, x_count: int = 9,
 
     # annulus L2 of the n-dimensional sup equals alpha_n^{-1} times the
     # radial L2 of sup|H_t f1| over J
-    alpha_n = ctx.alpha_n
+    alpha_n = alpha(n)
     dx = xs[1] - xs[0]
     w = np.full(x_count, dx)
     w[0] = w[-1] = 0.5 * dx
     maximal_main = float(np.sqrt(np.sum(w * main_h ** 2))) / alpha_n
     maximal_full = float(np.sqrt(np.sum(w * sup_h ** 2))) / alpha_n
     hs = hs_norm_witness(f1, params.s, n)
-    # pointwise |S_t f(x)| = alpha_n^{-1} |S^{n-1}|^{-1/2} x^{(1-n)/2} |H_t f1|,
-    # so the lower-bound constant against lam^{(n-1)/2} x^{(1-n)/2} scaling is
-    fitted_c = (float(np.min(sup_h))
-                / (alpha_n * math.sqrt(surface_area(n))
-                   * scales.lam ** ((n - 1) / 2.0)))
     return StageReport(
         scales=scales,
         hs_norm=hs,
         maximal_norm=maximal_main,
-        maximal_norm_full=maximal_full,
         ratio=maximal_main / hs,
         ratio_full=maximal_full / hs,
-        fitted_c=fitted_c,
         surrogate_sup=surrogate,
         spurious_fraction=float(np.max(spurious_h / main_h)),
     )

@@ -3,7 +3,6 @@
     schromax <experiment> [--config cfg.json] --out dir/ [--force] [--workers N]
     schromax --list
     schromax classify-seq --gen power --alpha 2 --r 0.5 [--weak]
-    schromax counterexample --a 2 --s 0.25 --n 2 --octaves 6 --out dir/
     schromax bessel-table --two-nu 0 [--r-max 50] [--count 500]
 
 Exit codes: 0 pass, 2 bound-violation verdict, 1 error.
@@ -60,16 +59,6 @@ def _run_classify(args) -> int:
     return 0
 
 
-def _run_counterexample(args) -> int:
-    params = {"a": args.a, "s": args.s, "n": args.n, "eps": args.eps,
-              "j_values": list(range(1, args.octaves + 1))}
-    cfg = harness.ExperimentConfig("counterexample-growth", params)
-    manifest = harness.run_experiment(cfg, args.out, force=args.force,
-                                      workers=None)
-    print(f"counterexample: {manifest.verdict} -> {args.out}")
-    return 0 if manifest.verdict == "pass" else 2
-
-
 def _run_bessel_table(args) -> int:
     from schromax import special
     nu = special.BesselOrder(args.two_nu)
@@ -108,16 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weak", action="store_true",
                    help="print the (b, count, b^r count) table")
     p.set_defaults(func=_run_classify)
-
-    p = sub.add_parser("counterexample")
-    p.add_argument("--a", type=float, default=2.0)
-    p.add_argument("--s", type=float, default=0.25)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--eps", type=float, default=0.02)
-    p.add_argument("--octaves", type=int, default=6)
-    p.add_argument("--out", required=True)
-    p.add_argument("--force", action="store_true")
-    p.set_defaults(func=_run_counterexample)
 
     p = sub.add_parser("bessel-table")
     p.add_argument("--two-nu", type=int, default=0)

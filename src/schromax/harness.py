@@ -218,7 +218,7 @@ def _sequence_scan_item(args):
 def _sequence_scan_check(lam, p):
     """Reject a lambda whose lemma4 sup would select more sequence members
     above the floor lam^-a / 4 than TimeSequence.members_in allows."""
-    floor = 0.25 * lam ** -p["a"]
+    floor = maximal.phase_floor(lam, p["a"])
     try:
         count = sequences.TimeSequence("power", alpha=p["alpha"]).count_above(floor)
     except OverflowError:
@@ -314,7 +314,14 @@ def _require_profiles(p):
         raise ValueError(f"profiles must be at least 1, got {p['profiles']}")
 
 
+def _require_positive(name, p, key):
+    """Reject a parameter that is not positive, naming the experiment and key."""
+    if not p[key] > 0.0:
+        raise ValueError(f"{name} parameter {key!r} must be positive, got {p[key]!r}")
+
+
 def _prop2_check(p, workers):
+    _require_positive("prop2-check", p, "a")
     from schromax import radial
     case = radial.two_route_case(seed=p["seed"], t=p["t"], a=p["a"])
     rows = [(float(r), h, o, abs(h - o) / o)
@@ -372,13 +379,9 @@ def _prop3_bound(p, workers):
 def _thm6_ineq(p, workers):
     _require_profiles(p)
     from schromax import radial
-    rows = []
-    worst = -math.inf
     evolution = radial.thm6_evolution(0, p["n"], p["k"])
-    for seed in range(p["profiles"]):
-        lhs, rhs = radial.thm6_sides(seed, evolution)
-        rows.append((seed, lhs, rhs))
-        worst = max(worst, lhs - rhs)
+    rows = [(seed, *radial.thm6_sides(seed, evolution)) for seed in range(p["profiles"])]
+    worst = max(lhs - rhs for _, lhs, rhs in rows)
     verdict = "pass" if worst <= 0.0 else "violation"
     summary = {"worst_margin": worst, "verdict": verdict}
     return ({"ineq.csv": (("seed", "lhs", "rhs"), rows)}, summary, verdict)
@@ -387,13 +390,12 @@ def _thm6_ineq(p, workers):
 def _thm7_identity(p, workers):
     _require_profiles(p)
     from schromax import radial
+    evolution = radial.thm6_evolution(0, 4, 0)
     rows = []
-    worst = 0.0
     for seed in range(p["profiles"]):
-        left, right = radial.thm7_sides(seed)
-        diff = abs(left - right) / right
-        worst = max(worst, diff)
-        rows.append((seed, left, right, diff))
+        left, right = radial.thm7_sides(seed, evolution)
+        rows.append((seed, left, right, abs(left - right) / right))
+    worst = max(row[3] for row in rows)
     verdict = "pass" if worst <= p["rel_tol"] else "violation"
     summary = {"max_rel_diff": worst, "rel_tol": p["rel_tol"], "verdict": verdict}
     return ({"identity.csv": (("seed", "n4k0", "n2k1", "rel_diff"), rows)},
@@ -405,6 +407,11 @@ def _thm7_identity(p, workers):
 # ---------------------------------------------------------------------------
 
 def _counterexample_growth(p, workers):
+    j = p["j_values"]
+    # three stages for the slope fit, in the order drift_monotone compares; M_j > 1
+    if not (len(j) >= 3 and np.all(np.diff(j) > 0) and min(j) >= -2):
+        raise ValueError("counterexample-growth parameter 'j_values' must hold at least 3 "
+                         f"strictly increasing stages j >= -2, got {j}")
     from schromax import blowup
     a, s, eps = p["a"], p["s"], p["eps"]
     reports = blowup.run_family(blowup.BlowupParams(a=a, s=s, n=p["n"], eps=eps),
@@ -435,8 +442,7 @@ def _seq_classify(p, workers):
     if depth is not None and not (_is_integer(depth) and depth >= 1):
         raise ValueError(f"seq-classify parameter 'depth' must be null or a "
                          f"positive integer, got {depth!r}")
-    if r <= 0.0:
-        raise ValueError(f"seq-classify parameter 'r' must be positive, got {r!r}")
+    _require_positive("seq-classify", p, "r")
     depth = int(depth) if depth is not None else (9 if gen == "log" else 16)
     if gen == "power":
         alpha = float(p["alpha"]) if p["alpha"] is not None else 1.0 / r
@@ -448,11 +454,11 @@ def _seq_classify(p, workers):
     else:
         raise ValueError(f"unknown sequence generator {gen!r}")
     b_grid = sequences.default_b_grid(depth)
-    rows = [(float(b), seq.count_above(float(b)),
-             float(b) ** r * seq.count_above(float(b))) for b in b_grid]
+    counts = [seq.count_above(float(b)) for b in b_grid]
+    rows = [(float(b), c, float(b) ** r * c) for b, c in zip(b_grid, counts)]
+    # the halves partition the grid, so their larger constant is the grid's
     coarse, fine, growing = sequences.weak_lr_trend(seq, r, b_grid)
-    constant = sequences.weak_lr_constant(seq, r, b_grid)
-    summary = {"weak_constant": float(constant), "coarse": float(coarse),
+    summary = {"weak_constant": max(coarse, fine), "coarse": float(coarse),
                "fine": float(fine), "growing": bool(growing),
                "lr_convergent": sequences.lr_converges(seq, r),
                "verdict": "pass"}
@@ -461,19 +467,17 @@ def _seq_classify(p, workers):
 
 
 def _convergence_probe(p, workers):
-    if not p["tail_starts"] or min(p["tail_starts"]) < 1:
-        raise ValueError("convergence-probe needs tail_starts, a nonempty list of sequence "
-                         f"indices >= 1, got {p['tail_starts']}")
+    starts = p["tail_starts"]
+    if not starts or min(starts) < 1 or np.any(np.diff(starts) <= 0):
+        raise ValueError("convergence-probe needs tail_starts, a nonempty strictly "
+                         f"increasing list of sequence indices >= 1, got {starts}")
+    _require_positive("convergence-probe", p, "delta")
     grid = spectral.GridSpec(p["N"], p["L"])
     xi = grid.xi_nodes()
     F = spectral.SpectralFunction1D(grid, np.exp(-0.5 * xi * xi))
     seq = sequences.TimeSequence("geometric", ratio=0.5)
-    rows = []
-    measures = []
-    for ts in p["tail_starts"]:
-        m = maximal.convergence_probe(F, seq, p["a"], p["delta"], int(ts))
-        rows.append((int(ts), m))
-        measures.append(m)
+    measures = [maximal.convergence_probe(F, seq, p["a"], p["delta"], ts) for ts in starts]
+    rows = list(zip(starts, measures))
     decreasing = all(m2 <= m1 for m1, m2 in zip(measures, measures[1:]))
     verdict = "pass" if decreasing else "violation"
     summary = {"measures": measures, "verdict": verdict}

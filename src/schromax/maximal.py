@@ -85,21 +85,23 @@ class ProductSet:
         return self.ball_center + np.linspace(-self.ball_radius, self.ball_radius, n)
 
 
-def _phase_floor(F: SpectralFunction1D, a: float) -> float:
-    """1/(4 lam^a), lam the band limit (else xi_max): the phase-resolution floor."""
-    lam = F.band_limit if F.band_limit is not None else F.grid.xi_max
+def phase_floor(lam: float, a: float) -> float:
+    """1/(4 lam^a), the phase-resolution floor at frequency lam."""
     return 0.25 * lam ** (-a)
+
+
+def _top_frequency(F: SpectralFunction1D) -> float:
+    """The band limit of F, else the grid's xi_max."""
+    return F.band_limit if F.band_limit is not None else F.grid.xi_max
 
 
 def maximal_over_window(F: SpectralFunction1D, J: TimeWindow, a: float,
                         ) -> tuple[GridFunction1D, int]:
     """Pointwise sup over t in J of |S_t f| on the grid J.times(lam, a)
-    (theta <= 1/16, see TimeWindow.times), and the number of times evaluated.
+    (theta <= 1/16, see TimeWindow.times), and the number of times evaluated:
+    the sup over B x J with B the point 0.
     """
-    if F.band_limit is None:
-        raise ValueError("maximal estimates require a band-limited input")
-    times = J.times(F.band_limit, a)
-    return GridFunction1D(F.grid, sup_over_times(F, times, a)), int(times.size)
+    return maximal_over_E(F, ProductSet(0.0, J), a)
 
 
 def maximal_over_sequence(F: SpectralFunction1D, seq: TimeSequence, a: float,
@@ -112,7 +114,7 @@ def maximal_over_sequence(F: SpectralFunction1D, seq: TimeSequence, a: float,
     such member.  Returns (field, number of members used); an empty selection
     returns the zero field with count 0.
     """
-    t_floor = _phase_floor(F, a)
+    t_floor = phase_floor(_top_frequency(F), a)
     b_low, b_high = cutoffs if cutoffs is not None else (0.0, 1.0)
     lo = max(b_low, t_floor)
     members = seq.members_in(lo, b_high) if lo < b_high else np.empty(0)
@@ -208,7 +210,7 @@ def convergence_probe(F: SpectralFunction1D, seq: TimeSequence, a: float,
     f0 = inverse_transform(F).samples
     ms = np.arange(tail_start, tail_start + 60)
     times = np.asarray(seq.term(ms), dtype=float)
-    times = times[times >= min(_phase_floor(F, a), times[0])]
+    times = times[times >= min(phase_floor(_top_frequency(F), a), times[0])]
     if times.size == 0:
         times = np.array([seq.term(tail_start)])
     worst = np.zeros(g.point_count)

@@ -82,32 +82,14 @@ def simpson_weights(count: int, h: float) -> np.ndarray:
 def uniform_profile(func, r_max: float, count: int) -> RadialProfile:
     """Sample a callable on the uniform nodes h, 2h, ..., r_max with trapezoid
     weights (value 0 at r = 0)."""
-    h = r_max / count
-    nodes = h * np.arange(1, count + 1)
+    nodes = (r_max / count) * np.arange(1, count + 1)
     values = np.asarray(func(nodes), dtype=np.complex128)
-    weights = np.full(count, h)
-    weights[-1] = 0.5 * h
-    return RadialProfile(nodes, values, weights)
+    return RadialProfile(nodes, values, trapezoid_weights(nodes))
 
 
-@dataclass(frozen=True)
-class HarmonicContext:
-    """(n, k) with the derived Bessel order nu = n/2 + k - 1 and alpha_n."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.k < 0:
-            raise ValueError("need n >= 1 and k >= 0")
-
-    @property
-    def order(self) -> BesselOrder:
-        return BesselOrder.from_dimension(self.n, self.k)
-
-    @property
-    def alpha_n(self) -> float:
-        return TWO_PI ** (self.n / 2.0)
+def alpha(n: int) -> float:
+    """alpha_n = (2 pi)^{n/2}, the Fourier normalization in dimension n."""
+    return TWO_PI ** (n / 2.0)
 
 
 class KernelEvolution:
@@ -189,7 +171,7 @@ class RemainderOperator(KernelEvolution):
     rem_sup = KernelEvolution.sup_field
 
 
-def _polar_lift_norm(ctx: HarmonicContext, nodes: np.ndarray, weights: np.ndarray,
+def _polar_lift_norm(n: int, nodes: np.ndarray, weights: np.ndarray,
                      sup: np.ndarray) -> float:
     """alpha_n ||S_E^{*(n)} f_P|| from sup_E |H_t f1| on radial nodes.
 
@@ -197,8 +179,8 @@ def _polar_lift_norm(ctx: HarmonicContext, nodes: np.ndarray, weights: np.ndarra
     |x|^{(1-n)/2} |H_t f1(|x|)| |P(-x')| in polar coordinates; the angular
     integral of |P|^2 over the sphere is 1 by normalization.
     """
-    amp = (1.0 / ctx.alpha_n) * nodes ** ((1 - ctx.n) / 2.0) * sup
-    return ctx.alpha_n * math.sqrt(float(np.sum(weights * amp ** 2 * nodes ** (ctx.n - 1))))
+    amp = (1.0 / alpha(n)) * nodes ** ((1 - n) / 2.0) * sup
+    return alpha(n) * math.sqrt(float(np.sum(weights * amp ** 2 * nodes ** (n - 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +255,6 @@ def two_route_case(seed: int = 0, t: float = 0.1, a: float = 2.0) -> dict:
     evaluate at identical points.
     """
     func, support = random_profile_func(seed)
-    ctx = HarmonicContext(n=2, k=0)
     grid = GridSpec(1024, 80.0)
     x = grid.x_nodes()
     radii = x[(x >= 1.0) & (x <= 10.0)][::8]
@@ -281,10 +262,10 @@ def two_route_case(seed: int = 0, t: float = 0.1, a: float = 2.0) -> dict:
     oracle = oracle_2d_propagate(func, t, a, grid, support, radii)
 
     f1 = uniform_profile(func, support, 1536)
-    evo = HankelEvolution(f1, ctx.order, radii)
+    evo = HankelEvolution(f1, BesselOrder.from_dimension(2, 0), radii)
     # |S_t f_P|(r) = alpha_2^{-1} (2 pi)^{-1/2} r^{-1/2} |H_t f1(r)|
     hankel = (np.abs(evo.field(t, a))
-              / (ctx.alpha_n * SQRT_TWO_PI * np.sqrt(radii)))
+              / (alpha(2) * SQRT_TWO_PI * np.sqrt(radii)))
     return {"radii": radii, "hankel": hankel, "oracle": oracle}
 
 
@@ -296,10 +277,8 @@ def default_time_set() -> np.ndarray:
 def thm6_evolution(seed: int, n: int, k: int) -> HankelEvolution:
     """The Hankel evolution of the seed's profile on the output nodes of the
     thm6_sides and thm7_sides left sides."""
-    func, support = random_profile_func(seed)
-    f1 = uniform_profile(func, support, 768)
-    return HankelEvolution(f1, HarmonicContext(n=n, k=k).order,
-                           np.linspace(0.02, 40.0, 2000))
+    return HankelEvolution(uniform_profile(*random_profile_func(seed), 768),
+                           BesselOrder.from_dimension(n, k), np.linspace(0.02, 40.0, 2000))
 
 
 def thm6_sides(seed: int, evolution: HankelEvolution) -> tuple[float, float]:
@@ -334,14 +313,16 @@ def thm6_sides(seed: int, evolution: HankelEvolution) -> tuple[float, float]:
     return lhs, rhs
 
 
-def thm7_sides(seed: int) -> tuple[float, float]:
+def thm7_sides(seed: int, evolution: HankelEvolution) -> tuple[float, float]:
     """alpha_n ||S_E^{*(n)} f_P|| for (n, k) = (4, 0) and (2, 1).
 
     Both pairs share nu = 1, so one evolution serves both and the maximal
     norms coincide; each side goes through its own dimensional polar lift.
+    ``evolution``, from ``thm6_evolution`` for (4, 0) and any seed, lends
+    its kernel matrix to this seed, as in thm6_sides.
     """
-    evo = thm6_evolution(seed, 4, 0)
+    evo = evolution.for_profile(uniform_profile(*random_profile_func(seed), 768))
     sup = evo.sup_field(default_time_set(), 2.0)
     w = trapezoid_weights(evo.out_nodes)
-    return (_polar_lift_norm(HarmonicContext(4, 0), evo.out_nodes, w, sup),
-            _polar_lift_norm(HarmonicContext(2, 1), evo.out_nodes, w, sup))
+    return (_polar_lift_norm(4, evo.out_nodes, w, sup),
+            _polar_lift_norm(2, evo.out_nodes, w, sup))

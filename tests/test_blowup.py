@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from schromax import blowup, radial
 from schromax.blowup import BlowupParams
-from schromax.special import gamma_kernel
+from schromax.special import BesselOrder, gamma_kernel
 
 PARAMS = BlowupParams(a=2.0, s=0.25, n=2, eps=0.02)
 
@@ -115,10 +115,8 @@ class TestGrowth:
         rep = blowup.lower_bound_scan(PARAMS, 2, x_count=5, t_count=9,
                                       nodes_per_rho=128)
         assert rep.ratio == pytest.approx(rep.maximal_norm / rep.hs_norm)
-        assert rep.ratio_full == pytest.approx(
-            rep.maximal_norm_full / rep.hs_norm)
+        assert rep.ratio_full > 0.0
         assert rep.surrogate_sup >= 0.0
-        assert rep.fitted_c > 0.0
 
     def test_growth_exponent_on_synthetic_reports(self):
         reports = blowup.run_family(PARAMS, [1, 2, 3])
@@ -138,27 +136,27 @@ class TestGrowth:
 
 
 def per_radius_norms(params, j, x_count, t_count):
-    """(maximal_norm, maximal_norm_full) of lower_bound_scan, radius by radius:
-    a one-row Hankel evolution per radius for the full field, and the
-    stationary branch summed directly at the aligned time."""
+    """The stationary-branch and full-field maximal norms of lower_bound_scan,
+    radius by radius: a one-row Hankel evolution per radius for the full
+    field, and the stationary branch summed directly at the aligned time."""
     scales = blowup.derive_scales(params.stage_m(j), params.stage_b(j), params, j)
     f1 = blowup.build_witness_profile(scales, params.n, 256)
-    ctx = radial.HarmonicContext(params.n, 0)
-    g = gamma_kernel(ctx.order)
+    nu = BesselOrder.from_dimension(params.n, 0)
+    g = gamma_kernel(nu)
     xs = np.linspace(*scales.interval_j, x_count)
     t_offsets = np.linspace(-math.pi, math.pi, t_count) / scales.lam ** scales.a
     wv = f1.values * f1.weights
     main, full = [], []
     for x in xs:
         t = scales.aligned_time(x)
-        evo = radial.HankelEvolution(f1, ctx.order, np.array([x]))
+        evo = radial.HankelEvolution(f1, nu, np.array([x]))
         full.append(evo.sup_field(t + t_offsets, scales.a)[0])
         phi = -x * f1.nodes + t * f1.nodes ** scales.a
         main.append(abs(np.conj(g) * np.sum(np.exp(1j * phi) * wv)))
     dx = xs[1] - xs[0]
     w = np.full(x_count, dx)
     w[0] = w[-1] = 0.5 * dx
-    return tuple(math.sqrt(float(np.sum(w * np.square(h)))) / ctx.alpha_n
+    return tuple(math.sqrt(float(np.sum(w * np.square(h)))) / radial.alpha(params.n)
                  for h in (main, full))
 
 
@@ -166,4 +164,4 @@ def test_scan_matches_per_radius_oracle():
     rep = blowup.lower_bound_scan(PARAMS, 2, x_count=5, t_count=9)
     main, full = per_radius_norms(PARAMS, 2, 5, 9)
     assert rep.maximal_norm == pytest.approx(main, rel=1e-12)
-    assert rep.maximal_norm_full == pytest.approx(full, rel=1e-12)
+    assert rep.ratio_full * rep.hs_norm == pytest.approx(full, rel=1e-12)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from schromax import cli, harness
+from schromax import blowup, cli, harness, maximal, radial
 
 
 def run_cli(capsys, *argv):
@@ -153,16 +153,37 @@ class TestExperimentCommands:
         # (lam^-a / 4)^(-1 / alpha) overflows a float from lam = 2^5 on
         ("lemma4-scan", {"alpha": 0.01, "lam_exponents": [4, 5], "seeds": [0]},
          "alpha = 0.01"),
+        # drift_monotone compares the stages in list order
+        ("counterexample-growth", {"j_values": [1, 1, 2, 3]}, "j_values"),
+        ("counterexample-growth", {"j_values": [3, 2, 1]}, "j_values"),
+        # the slope fit needs three stages
+        ("counterexample-growth", {"j_values": [1, 2]}, "j_values"),
+        # M_j = 2^(j+3) = 1 at j = -3
+        ("counterexample-growth", {"j_values": [-3, 1, 2]}, "j_values"),
+        ("convergence-probe", {"tail_starts": [20, 5, 1]}, "tail_starts"),
+        ("convergence-probe", {"tail_starts": [1, 5, 5]}, "tail_starts"),
+        # delta <= 0 counts the whole domain at every tail start
+        ("convergence-probe", {"delta": -1.0}, "delta"),
+        ("convergence-probe", {"delta": 0.0}, "delta"),
+        # a = -1 makes the relative differences NaN
+        ("prop2-check", {"a": -1.0}, "'a'"),
+        ("prop2-check", {"a": 0.0}, "'a'"),
     ], ids=["fractional-depth", "underflowing-step", "overflowing-count",
             "too-many-times", "overflowing-lambda", "no-orders", "only-zero-kernels",
             "zero-kernel-pair", "repeated-order", "no-tail-starts",
             "tail-start-below-one", "zero-r", "negative-r", "oversized-selection",
-            "overflowing-selection"])
+            "overflowing-selection", "repeated-stage", "decreasing-stages",
+            "two-stages", "unit-stage-scale", "decreasing-tail-starts",
+            "repeated-tail-start", "negative-delta", "zero-delta", "negative-a",
+            "zero-a"])
     def test_out_of_range_value_is_error(self, capsys, tmp_path, monkeypatch,
                                          name, params, key):
-        def no_items(*args):
-            raise AssertionError("scan items ran")
-        monkeypatch.setattr(harness, "_map_items", no_items)
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the config was rejected")
+        monkeypatch.setattr(harness, "_map_items", no_work)
+        monkeypatch.setattr(maximal, "convergence_probe", no_work)
+        monkeypatch.setattr(blowup, "lower_bound_scan", no_work)
+        monkeypatch.setattr(radial, "two_route_case", no_work)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": name, "params": params}))
         out_dir = tmp_path / "x"
@@ -182,24 +203,29 @@ class TestExperimentCommands:
                              "--out", str(tmp_path / "y"))
         assert code == 0
 
-    def test_workers_env_default(self, monkeypatch):
-        monkeypatch.setenv("SCHROMAX_WORKERS", "3")
-        assert cli._default_workers() == 3
-        monkeypatch.delenv("SCHROMAX_WORKERS")
-        assert cli._default_workers() is None
-
-
-class TestCounterexampleCommand:
-    def test_small_family(self, capsys, tmp_path):
+    def test_counterexample_growth_config_plot(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(harness.ExperimentConfig(
+            "counterexample-growth", {"j_values": [1, 2, 3, 4]}).to_json())
         out_dir = tmp_path / "ce"
-        code, out, _ = run_cli(capsys, "counterexample", "--octaves", "4",
+        code, out, _ = run_cli(capsys, "counterexample-growth", "--config", str(cfg_path),
                                "--out", str(out_dir))
         assert code == 0
         assert "pass" in out
         cols, rows = harness.read_csv(str(out_dir / "witnesses.csv"))
         assert cols[0] == "j"
-        assert len(rows) == 4
+        assert [row[0] for row in rows] == ["1", "2", "3", "4"]
         assert "with lines" in (out_dir / "plot.gp").read_text()
+
+    def test_counterexample_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["counterexample", "--out", "x"])
+
+    def test_workers_env_default(self, monkeypatch):
+        monkeypatch.setenv("SCHROMAX_WORKERS", "3")
+        assert cli._default_workers() == 3
+        monkeypatch.delenv("SCHROMAX_WORKERS")
+        assert cli._default_workers() is None
 
 
 class TestBesselTable:

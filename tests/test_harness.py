@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from schromax import harness, maximal, special
+from schromax import harness, maximal, sequences, special
 from schromax.harness import ExperimentConfig
 
 SCAN_NAMES = ("theorem1-scan", "theorem2-scan", "eq6-scan", "lemma4-scan")
@@ -314,6 +314,21 @@ class TestSeqClassifyRunner:
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
             harness.run("seq-classify", {"gen": "zeta"})
+
+    @pytest.mark.parametrize("params", [
+        {"gen": "power", "r": 1.0}, {"gen": "power", "r": 0.37, "alpha": 2.5},
+        {"gen": "geometric", "r": 0.7, "ratio": 0.3}, {"gen": "log", "r": 2.0},
+        {"gen": "power", "r": 1.3, "depth": 7}])
+    def test_weak_constant_is_the_whole_grid_constant(self, params):
+        # the summary takes the larger of the two half-grid constants
+        tables, summary, _ = harness.run("seq-classify", params)
+        p = harness._resolve_params("seq-classify", params)
+        seq = sequences.TimeSequence(p["gen"], alpha=p["alpha"] or 1.0 / p["r"],
+                                     ratio=p["ratio"])
+        grid = sequences.default_b_grid(p["depth"] or (9 if p["gen"] == "log" else 16))
+        assert summary["weak_constant"] == sequences.weak_lr_constant(seq, p["r"], grid)
+        counts = [seq.count_above(b) for b in grid]
+        assert [row[1] for row in tables["classify.csv"][1]] == counts
 
 
 class TestEmitPlotData:

@@ -327,11 +327,18 @@ class TestMaximalOverSequence:
 
 class TestMaximalOverE:
     def test_zero_radius_matches_window(self):
-        F = band_input()
+        # at r = 0 the sup over B x J is one pass on J's time grid: the
+        # window sup, and the plain sup over those times, bit for bit
         window = TimeWindow(0.0, 0.25)
-        a, _ = maximal.maximal_over_E(F, ProductSet(0.0, window), 2.0)
-        b, _ = maximal.maximal_over_window(F, window, 2.0)
-        assert np.max(np.abs(a.samples - b.samples)) < 1e-12
+        for shape in ("ball", "annulus"):
+            F = band_input(shape=shape)
+            for a in (1.5, 2.0, 3.0):
+                on_e, e_count = maximal.maximal_over_E(F, ProductSet(0.0, window), a)
+                on_j, j_count = maximal.maximal_over_window(F, window, a)
+                times = window.times(LAM, a)
+                assert np.array_equal(on_e.samples, on_j.samples)
+                assert np.array_equal(on_e.samples, spectral.sup_over_times(F, times, a))
+                assert e_count == j_count == times.size
 
     def test_translation_dominates_origin(self):
         F = band_input()

@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 from schromax import radial, special, spectral
-from schromax.radial import HarmonicContext, RadialProfile
+from schromax.radial import RadialProfile
 from schromax.special import BesselOrder
 
 
@@ -38,6 +38,13 @@ class TestQuadratureWeights:
         # integral of 2r over [0, 4]: exact for the piecewise-linear rule
         # with value 0 at r = 0
         assert float(w @ (2 * nodes)) == pytest.approx(16.0, rel=1e-12)
+
+    @pytest.mark.parametrize("count", [384, 768, 1536])
+    def test_uniform_profile_takes_trapezoid_weights(self, count):
+        prof = radial.uniform_profile(lambda s: np.ones_like(s), 6.0, count)
+        assert np.array_equal(prof.weights, radial.trapezoid_weights(prof.nodes))
+        h = 6.0 / count
+        assert np.all(prof.weights[:-1] == h) and prof.weights[-1] == 0.5 * h
 
     def test_simpson_oracle(self):
         h = 0.01
@@ -305,14 +312,14 @@ class TestDimensionalLift:
         # the radial norm on the profile's own nodes, two independent
         # quadratures of the same sup field
         f1 = radial.random_profile(0, count=256)
-        ctx = HarmonicContext(n, k)
+        nu = BesselOrder.from_dimension(n, k)
         times = np.linspace(0.0, 0.5, 16)
         mid = 0.5 * (f1.nodes[:-1] + f1.nodes[1:])
         edges = np.concatenate([f1.nodes[:1], mid])
         mid_w = np.append(0.5 * (edges[2:] - edges[:-2]), 0.5 * (mid[-1] - mid[-2]))
-        sup = radial.HankelEvolution(f1, ctx.order, mid).sup_field(times, 2.0)
-        lhs = radial._polar_lift_norm(ctx, mid, mid_w, sup)
-        sup = radial.HankelEvolution(f1, ctx.order, f1.nodes).sup_field(times, 2.0)
+        sup = radial.HankelEvolution(f1, nu, mid).sup_field(times, 2.0)
+        lhs = radial._polar_lift_norm(n, mid, mid_w, sup)
+        sup = radial.HankelEvolution(f1, nu, f1.nodes).sup_field(times, 2.0)
         rhs = math.sqrt(float(np.sum(f1.weights * sup ** 2)))
         assert lhs == pytest.approx(rhs, rel=5e-3)
 
@@ -329,8 +336,18 @@ class TestDimensionalLift:
                                        np.array([1.0]))
 
     def test_thm7_sides_close(self):
-        left, right = radial.thm7_sides(0)
+        left, right = radial.thm7_sides(0, radial.thm6_evolution(0, 4, 0))
         assert abs(left - right) / right < 1e-6
+
+    def test_thm7_shared_evolution_matches_fresh(self):
+        shared = radial.thm6_evolution(0, 4, 0)
+        for seed in (1, 2):
+            assert (radial.thm7_sides(seed, shared)
+                    == radial.thm7_sides(seed, radial.thm6_evolution(seed, 4, 0)))
+
+    def test_alpha(self):
+        assert radial.alpha(1) == pytest.approx(spectral.SQRT_TWO_PI, rel=1e-15)
+        assert radial.alpha(2) == pytest.approx(2.0 * math.pi, rel=1e-15)
 
     def test_thm6_inequality_sample(self):
         lhs, rhs = radial.thm6_sides(0, radial.thm6_evolution(0, 2, 0))
