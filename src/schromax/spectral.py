@@ -141,8 +141,11 @@ def propagate(F: SpectralFunction1D, t: float, a: float) -> SpectralFunction1D:
     return SpectralFunction1D(F.grid, F.coefficients * phase, band_limit=F.band_limit)
 
 
-# Times per chunk of sup_over_times, and rows of its step table.
+# Times per complex64 batch of _screened_sup, and rows of its step table; an
+# initial range of the screen holds at most 16 batches' worth of times.
 _TIME_CHUNK = 256
+# Rows per batch of the complex128 recompute of _screened_sup.
+_RECOMPUTE_ROWS = 64
 
 
 def _uniform_step(ts: np.ndarray) -> float | None:
@@ -163,6 +166,17 @@ def _uniform_step(ts: np.ndarray) -> float | None:
     return dt
 
 
+def _ascending(ts: np.ndarray) -> np.ndarray:
+    """ts in ascending order: ts itself or its reversed view when it is
+    sorted either way, else one sorted copy.  The check runs over blocks of
+    4096 times, so it makes no temporary the size of ts."""
+    for view in (ts, ts[::-1]):
+        if all(np.all(np.diff(view[start:start + 4097]) >= 0)
+               for start in range(0, view.size, 4096)):
+            return view
+    return np.sort(ts)
+
+
 def _step_table(distinct: np.ndarray, where: np.ndarray, dt: float,
                 rows: int) -> np.ndarray:
     """e^{i j dt v} for j < rows and v = distinct[where], shape
@@ -173,15 +187,28 @@ def _step_table(distinct: np.ndarray, where: np.ndarray, dt: float,
 def _grid_rows(t_values: np.ndarray, distinct: np.ndarray, where: np.ndarray,
                dt: float):
     """The row filler of _screened_sup for t_values uniform with step dt:
-    the chunk starting at t0 is the step table times row e^{i t0 v}, one
-    multiply per entry with no accumulated rounding.  The table is made once
-    per call, and once more in complex64."""
+    the time start + j, start a multiple of _TIME_CHUNK and j < _TIME_CHUNK,
+    is row j of the step table times row e^{i t_start v}, one multiply per
+    entry with no accumulated rounding.  The table is made once per call,
+    and once more in complex64."""
     table = _step_table(distinct, where, dt, min(_TIME_CHUNK, t_values.size))
     tables = {table.dtype: table, np.dtype(np.complex64): table.astype(np.complex64)}
 
-    def fill(out, start, picked, row):
-        first = row * np.exp(1j * t_values[start] * distinct)[where]
-        np.multiply(tables[out.dtype][picked], first.astype(out.dtype), out=out)
+    def fill(out, idx, row):
+        i = 0
+        while i < idx.size:
+            head = int(idx[i])
+            start = head - head % _TIME_CHUNK
+            end = start + _TIME_CHUNK
+            j = idx.size if int(idx[-1]) < end else int(np.searchsorted(idx, end))
+            tail = int(idx[j - 1])
+            if tail - head == j - i - 1:   # consecutive: a view of the table
+                picked = slice(head - start, tail - start + 1)
+            else:
+                picked = idx[i:j] - start
+            first = row * np.exp(1j * t_values[start] * distinct)[where]
+            np.multiply(tables[out.dtype][picked], first.astype(out.dtype), out=out[i:j])
+            i = j
     return fill
 
 
@@ -189,9 +216,8 @@ def _time_rows(t_values: np.ndarray, distinct: np.ndarray, where: np.ndarray):
     """The row filler of _screened_sup for any times: row e^{i t v} for
     each time, one exp per distinct value and time, computed in complex128
     and cast once to out's precision."""
-    def fill(out, start, picked, row):
-        ts = t_values[start:start + _TIME_CHUNK][picked]
-        phase = np.exp(1j * ts[:, None] * distinct)[:, where]
+    def fill(out, idx, row):
+        phase = np.exp(1j * t_values[idx][:, None] * distinct)[:, where]
         np.multiply(row, phase, out=out, casting="same_kind")
     return fill
 
@@ -247,52 +273,164 @@ def _screen_margin(row: np.ndarray, n: int) -> tuple[float, float]:
     return s, 7.0 * (math.log2(n) + 1.0) * unit
 
 
-def _screened_sup(fill, row: np.ndarray, lo: int, n: int, count: int) -> np.ndarray:
-    """max over count times of |ifft| of length-n spectra that are zero
-    outside columns lo:lo + row.size.  fill(out, start, picked, row) writes
-    the spectra there of the times start + picked (picked a slice or indices
-    within the chunk that starts at start), for the coefficients row, into
-    out, in out's precision.
+def _time_slope(row: np.ndarray, values: np.ndarray, times: np.ndarray,
+                n: int) -> tuple[float, float]:
+    """(L, p) for the length-n spectra row e^{i t values} at the ascending
+    times: L a Lipschitz constant in t of the exact moduli of their inverse
+    DFTs, and p a bound on how far the float64 rounding of the phases moves
+    a computed modulus.
 
-    Two passes over chunks of _TIME_CHUNK times.  The screen fills every
-    chunk in complex64 from s * row (s and eta from _screen_margin) and
-    keeps M(x), the running max of those moduli, including the chunk's own;
-    a time is a candidate when some x has mod32 >= M(x) - 2 eta (not < it,
-    so that nan marks the row).  eta bounds |mod32 - mod64|, so the
-    complex128 argmax row of every x, whose mod32 is at least
-    max64(x) - eta >= M(x) - 2 eta, is marked.  The complex64 buffers are
-    then freed, and only the marked rows are filled from row, transformed
-    and reduced in complex128, exactly as a single complex128 pass over
-    every time would compute them.  A max does not depend on the order or
-    the grouping of its rows, so the result equals that pass bit for bit.
+    For every real c, |u(t, x_j)| = |(1/n) sum_k row_k e^{i t (v_k - c)}
+    e^{2 pi i j k / n}|, whose t-derivative is at most (1/n) sum_k |row_k|
+    |v_k - c| term by term (a Bernstein bound for the exponential sum in t);
+    c is the |row|-weighted median of v, which makes that sum least.  L is
+    its float64 value rounded up by the factor 1 + 2 (n + 3) eps64, more
+    than the rounding of the terms and of their sum.  A phase t v is
+    computed with an error of at most u64 |t| v, which moves each |u| by at
+    most u64 max|t| max v ||row||_1 / n; p is twice that.
+    """
+    magnitude = np.abs(row)
+    order = np.argsort(values, kind="stable")
+    weight = np.cumsum(magnitude[order])
+    median = values[order[min(np.searchsorted(weight, 0.5 * weight[-1]), values.size - 1)]]
+    eps = float(np.finfo(float).eps)
+    slope = float(np.dot(magnitude, np.abs(values - median))) / n * (1.0 + 2.0 * (n + 3) * eps)
+    t_max = max(abs(float(times[0])), abs(float(times[-1])))
+    return slope, eps * t_max * float(np.max(values)) * float(np.sum(magnitude)) / n
+
+
+def _initial_ranges(times: np.ndarray, width: float):
+    """The initial time ranges of _screened_sup as (first, last) index
+    arrays (both ends inclusive), one pair per block of 16 _TIME_CHUNK
+    consecutive times: a block is cut wherever floor((t - t_block) / width)
+    changes, so that each range spans less than width.  A width that is not
+    positive gives single-time ranges."""
+    block = 16 * _TIME_CHUNK
+    for start in range(0, times.size, block):
+        stop = min(start + block, times.size)
+        if width > 0:
+            bins = np.floor((times[start:stop] - times[start]) / width)
+            first = start + np.flatnonzero(np.diff(bins, prepend=-1.0))
+        else:
+            first = np.arange(start, stop)
+        yield first, np.append(first[1:] - 1, stop - 1)
+
+
+def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
+                  values: np.ndarray | None = None) -> np.ndarray:
+    """max over the times of |ifft| of length-n spectra that are zero
+    outside columns lo:lo + row.size.  fill(out, idx, row) writes into out,
+    in out's precision, the spectra there of the times with the ascending
+    indices idx, for the coefficients row.  With values None every time is
+    screened on its own (uniform grids); otherwise times is ascending, and
+    values, the |xi|^a of each column of row, lets nearby times be ruled out
+    together.
+
+    The screen works in complex64 on s * row (s and eta from _screen_margin)
+    and keeps top(x), the running max of the moduli it has computed.  It
+    takes ranges of consecutive times, first those of _initial_ranges with
+    width = rho / L (rho = ||s row||_2 / n, the RMS modulus; L the Lipschitz
+    constant of _time_slope for s * row), and goes level by level.  At each
+    level the middle time of every range is transformed, in batches of
+    _TIME_CHUNK, and top is raised; a range is dropped when every x has
+
+        mod32(mid) + L r + eps < top - 2 eta,
+
+    r the largest distance from mid to a time of the range, and otherwise
+    the times before mid and those after it are the next level's ranges.
+    A transformed time is kept when some x has mod32 >= top - 2 eta (not
+    < it, so that nan keeps the row).  The complex64 buffers are then freed,
+    and only the kept times are filled from row, transformed and reduced in
+    complex128, in batches of _RECOMPUTE_ROWS, exactly as a single complex128
+    pass over every time would compute them.
+
+    The error budget: eta bounds |mod32 - mod64|, so top <= max64 + eta.
+    A computed mod64 is within U + s p of the exact modulus, U the unit of
+    _screen_margin (the complex128 rows' own rounding, as there) and p the
+    phase bound of _time_slope, and the exact modulus moves by at most
+    L |t - t'|; eps = 2 (U + s p).  The drop test takes the max over x of
+    the float32 difference mod32 - (top - 2 eta), whose sign is exact, and
+    compares it with -(L r + eps) in float64, with L r + eps rounded up by
+    the factor 1 + 2^-20; that covers the difference's rounding, at most
+    2^-24 of its size, which matters only where it is near -(L r + eps).
+
+    Why no max is lost: let t* be a complex128 argmax at x and mid the
+    middle of a range that holds t*, within r of it.  Then
+
+        mod32(mid) + L r + 2 (U + s p) >= mod64(t*) - eta >= top - 2 eta,
+
+    so no range that holds t* is dropped.  Ranges only shrink, so t* is the
+    middle of one at some level, and it is kept, its mod32 being at least
+    mod64(t*) - eta >= top - 2 eta.  The max over the kept times is then the
+    max over every time, and a max does not depend on the order or the
+    grouping of its rows, so the result equals the single pass bit for bit.
+    Each time is the middle of at most one range, so none is transformed
+    twice in complex64; single-time ranges screen every time once.
     """
     sup = np.zeros(n)
+    count = times.size
     if count == 0:
         return sup
     s, eta = _screen_margin(row, n)
     scaled = s * row
     cols = slice(lo, lo + row.size)
-    starts = range(0, count, _TIME_CHUNK)
-    # top and candidate go before the complex64 buffers, so that freeing
-    # those leaves memory the complex128 buffers can reuse
+    # single-time ranges are never wider than their middle, so need no slack
+    width = slope = slack = 0.0
+    if values is not None:
+        lipschitz, phase = _time_slope(row, values, times, n)
+        unit = eta / (7.0 * (math.log2(n) + 1.0))   # U of _screen_margin
+        slope, slack = s * lipschitz, 2.0 * (unit + s * phase)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # rho / L, in which s cancels: inf for L = 0, nan for a row
+            # that is not finite
+            width = np.linalg.norm(row) / n / lipschitz
+    # top and kept go before the complex64 buffers, so that freeing those
+    # leaves memory the complex128 buffers can reuse
     top = np.zeros(n, dtype=np.float32)
-    candidate = np.empty(count, dtype=bool)
+    kept = []
     spectra, fields, moduli = _chunk_buffers(min(_TIME_CHUNK, count), n, np.complex64)
-    for start in starts:
-        m = min(_TIME_CHUNK, count - start)
-        fill(spectra[:m, cols], start, slice(0, m), scaled)
-        chunk = _moduli(spectra[:m], fields[:m], moduli[:m])
-        np.maximum(top, chunk.max(axis=0), out=top)
-        candidate[start:start + m] = ~np.all(chunk < top - 2.0 * eta, axis=1)
+    level = _initial_ranges(times, width)
+    while True:
+        halves = []
+        for first, last in level:
+            middle = (first + last) // 2
+            spread = np.flatnonzero(first < last)   # ranges of more than one time
+            for b in range(0, first.size, _TIME_CHUNK):
+                mid = middle[b:b + _TIME_CHUNK]
+                m = mid.size
+                fill(spectra[:m, cols], mid, scaled)
+                chunk = _moduli(spectra[:m], fields[:m], moduli[:m])
+                np.maximum(top, chunk.max(axis=0), out=top)
+                floor = top - 2.0 * eta
+                kept.append(mid[~np.all(chunk < floor, axis=1)])
+                wide = (spread[np.searchsorted(spread, b):np.searchsorted(spread, b + m)]
+                        if spread.size else spread)
+                if wide.size == 0:
+                    continue
+                # max over x of mod32 - (top - 2 eta); a float32 difference
+                # has the sign of the exact one
+                excess = (chunk[wide - b] - floor).max(axis=1)
+                low, mid, high = first[wide], middle[wide], last[wide]
+                radius = np.maximum(times[mid] - times[low], times[high] - times[mid])
+                reach = (slope * radius + slack) * (1.0 + 2.0 ** -20)
+                live = ~(excess < -reach)
+                low, mid, high = low[live], mid[live], high[live]
+                starts = np.stack((low, mid + 1), axis=1).ravel()
+                ends = np.stack((mid - 1, high), axis=1).ravel()
+                nonempty = starts <= ends
+                halves.append((starts[nonempty], ends[nonempty]))
+        if not halves:
+            break
+        level = [tuple(np.concatenate(part) for part in zip(*halves))]
     del spectra, fields, moduli, chunk
-    per_chunk = np.add.reduceat(candidate, starts, dtype=np.intp)
-    spectra, fields, moduli = _chunk_buffers(int(per_chunk.max()), n, np.complex128)
-    for start, k in zip(starts, per_chunk):
-        if k:
-            picked = np.flatnonzero(candidate[start:start + _TIME_CHUNK])
-            fill(spectra[:k, cols], start, picked, row)
-            np.maximum(sup, _moduli(spectra[:k], fields[:k], moduli[:k]).max(axis=0),
-                       out=sup)
+    kept = np.sort(np.concatenate(kept))
+    spectra, fields, moduli = _chunk_buffers(min(_RECOMPUTE_ROWS, kept.size), n,
+                                             np.complex128)
+    for b in range(0, kept.size, _RECOMPUTE_ROWS):
+        idx = kept[b:b + _RECOMPUTE_ROWS]
+        k = idx.size
+        fill(spectra[:k, cols], idx, row)
+        np.maximum(sup, _moduli(spectra[:k], fields[:k], moduli[:k]).max(axis=0), out=sup)
     return sup
 
 
@@ -302,15 +440,18 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     Only the coefficients matter that are nonzero: they lie in columns
     lo:hi, and one exp per distinct |xi|^a among them and per time (or per
     row of a step table) gives their phases.  A uniformly spaced grid (see
-    _uniform_step) builds its chunks of _TIME_CHUNK times from one step
-    table (_grid_rows), other times build each row directly (_time_rows).
-    Both go through _screened_sup, which screens every time in complex64
-    and recomputes in complex128 only the times within 2 eta of the running
-    max at some x, eta = 7 (log2 N + 1) eps32 ||c||_2 / sqrt(N) the
-    a-priori FFT rounding bound of _screen_margin for the coefficient
-    vector c scaled by a power of two, so its result is the complex128 sup
-    over every time, bit for bit.  The 1/dx scale is applied after the max,
-    which is exact because correctly rounded division is monotone.
+    _uniform_step) builds its batches of _TIME_CHUNK times from one step
+    table (_grid_rows) and screens every time on its own.  Other times are
+    taken in ascending order (_ascending), build each row directly
+    (_time_rows), and are screened by bisection of time ranges, which rules
+    out whole runs of nearby times by the Lipschitz bound of _time_slope.
+    Both go through _screened_sup, which screens in complex64 and recomputes
+    in complex128 only the times within 2 eta of the running max at some x,
+    eta = 7 (log2 N + 1) eps32 ||c||_2 / sqrt(N) the a-priori FFT rounding
+    bound of _screen_margin for the coefficient vector c scaled by a power
+    of two, so its result is the complex128 sup over every time, bit for
+    bit.  The 1/dx scale is applied after the max, which is exact because
+    correctly rounded division is monotone.
     """
     g = F.grid
     n = g.point_count
@@ -326,9 +467,14 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     where[nonzero - lo] = inverse
     t_values = np.asarray(t_values, dtype=float)
     dt = _uniform_step(t_values)
-    fill = (_time_rows(t_values, distinct, where) if dt is None
-            else _grid_rows(t_values, distinct, where, dt))
-    return _screened_sup(fill, base[lo:hi], lo, n, t_values.size) / g.dx
+    if dt is not None:
+        sup = _screened_sup(_grid_rows(t_values, distinct, where, dt), base[lo:hi], lo, n,
+                            t_values)
+    else:
+        t_values = _ascending(t_values)
+        sup = _screened_sup(_time_rows(t_values, distinct, where), base[lo:hi], lo, n,
+                            t_values, distinct[where])
+    return sup / g.dx
 
 
 def grid_for_bandlimit(lam: float, half_length: float = 1.0,

@@ -265,12 +265,52 @@ class TestArbitraryTimes:
     pass over every time (conftest.single_pass)."""
 
     @staticmethod
-    def check(F, ts, single_pass):
+    def check(F, ts, single_pass, moduli_rows=None):
         assert spectral._uniform_step(ts) is None
         sup = spectral.sup_over_times(F, ts, 2.0)
         assert np.array_equal(sup, single_pass(spectral.sup_over_times, F, ts, 2.0),
                               equal_nan=True)
+        if moduli_rows is not None:
+            # no time is transformed twice in complex64, and only screened
+            # times are recomputed
+            assert moduli_rows["complex64"] <= ts.size
+            assert moduli_rows["complex128"] <= moduli_rows["complex64"]
         return sup
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_unsorted_times(self, seed, moduli_rows, single_pass):
+        F = spectral.make_bandlimited_random(40.0, "annulus", seed, GRID)
+        ts = np.random.default_rng(seed).permutation(1.0 / np.arange(1, 3000))
+        self.check(F, ts, single_pass, moduli_rows)
+
+    def test_duplicate_times(self, moduli_rows, single_pass):
+        F = spectral.make_bandlimited_random(40.0, "ball", 6, GRID)
+        ts = np.repeat(1.0 / np.arange(1, 1000), 3)[::-1]
+        self.check(F, ts, single_pass, moduli_rows)
+
+    @pytest.mark.parametrize("ts", [[0.3], [0.3, 0.3], [0.7, 0.2]])
+    def test_one_and_two_times(self, ts, moduli_rows, single_pass):
+        F = spectral.make_bandlimited_random(40.0, "ball", 7, GRID)
+        self.check(F, np.array(ts), single_pass, moduli_rows)
+
+    def test_one_distinct_frequency_power(self, moduli_rows, single_pass):
+        # coefficients only at +-xi_0: L = 0 and |S_t f(x)| is constant in t,
+        # so every row ties with the max
+        coeffs = np.zeros(GRID.point_count, dtype=np.complex128)
+        xi = GRID.xi_nodes()
+        coeffs[np.abs(xi) == xi[GRID.point_count // 2 + 5]] = [1.0 + 2.0j, 0.5 - 1.0j]
+        F = spectral.SpectralFunction1D(GRID, coeffs)
+        self.check(F, 1.0 / np.arange(1, 5000), single_pass, moduli_rows)
+
+    def test_geometric_sequence(self, moduli_rows, single_pass):
+        F = spectral.make_bandlimited_random(40.0, "annulus", 8, GRID)
+        self.check(F, 2.0 ** -np.arange(1.0, 61.0), single_pass, moduli_rows)
+
+    def test_sparse_then_dense(self, moduli_rows, single_pass):
+        # 1/m for m <= 10, then 10^4 members 1/m near 1e-6, about 1e-12 apart
+        F = spectral.make_bandlimited_random(40.0, "ball", 9, GRID)
+        ts = np.concatenate([1.0 / np.arange(1, 11), 1.0 / np.arange(10 ** 6, 10 ** 6 + 10 ** 4)])
+        self.check(F, ts, single_pass, moduli_rows)
 
     def test_cluster_marks_every_row(self, moduli_rows, single_pass):
         # 600 times within 1e-12 of each other: every row ties with the max
@@ -299,6 +339,30 @@ class TestArbitraryTimes:
         sup = self.check(spectral.SpectralFunction1D(GRID, coeffs), 1.0 / np.arange(1, 400),
                          single_pass)
         assert np.isnan(sup).all()
+
+
+class TestTimeSlope:
+    """_time_slope's bound, which lets the screen rule out a range of times by
+    one transformed middle, on complex128 rows built as the screen builds
+    them."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), a=st.sampled_from([1.5, 2.0, 3.0]),
+           t=st.floats(0.0, 1.0), gap=st.floats(1e-12, 1e-2))
+    def test_moduli_move_within_bound(self, seed, a, t, gap):
+        rng = np.random.default_rng(seed)
+        n = GRID.point_count
+        lo = int(rng.integers(0, n - 1))
+        hi = int(rng.integers(lo + 1, n + 1))
+        row = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
+        distinct, where = np.unique(np.abs(GRID.xi_nodes()[lo:hi]) ** a, return_inverse=True)
+        ts = np.array([t, t + gap])
+        slope, phase = spectral._time_slope(row, distinct[where], ts, n)
+        s, eta = spectral._screen_margin(row, n)
+        unit = eta / (7.0 * (math.log2(n) + 1.0)) / s
+        buffers = spectral._chunk_buffers(2, n, np.complex128)
+        spectral._time_rows(ts, distinct, where)(buffers[0][:, lo:hi], np.arange(2), row)
+        mod = spectral._moduli(*buffers)
+        assert np.all(np.abs(mod[1] - mod[0]) <= slope * (ts[1] - ts[0]) + 2.0 * (unit + phase))
 
 
 class TestRandomData:
