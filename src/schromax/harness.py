@@ -471,6 +471,7 @@ def _convergence_probe(p, workers):
     if not starts or min(starts) < 1 or np.any(np.diff(starts) <= 0):
         raise ValueError("convergence-probe needs tail_starts, a nonempty strictly "
                          f"increasing list of sequence indices >= 1, got {starts}")
+    _require_positive("convergence-probe", p, "a")
     _require_positive("convergence-probe", p, "delta")
     grid = spectral.GridSpec(p["N"], p["L"])
     xi = grid.xi_nodes()

@@ -141,11 +141,9 @@ def propagate(F: SpectralFunction1D, t: float, a: float) -> SpectralFunction1D:
     return SpectralFunction1D(F.grid, F.coefficients * phase, band_limit=F.band_limit)
 
 
-# Times per complex64 batch of _screened_sup, and rows of its step table; an
-# initial range of the screen holds at most 16 batches' worth of times.
+# Times per batch of _screened_sup, and rows of its step table; an initial
+# range of the screen holds at most 16 batches' worth of times.
 _TIME_CHUNK = 256
-# Rows per batch of the complex128 recompute of _screened_sup.
-_RECOMPUTE_ROWS = 64
 
 
 def _uniform_step(ts: np.ndarray) -> float | None:
@@ -189,26 +187,21 @@ def _grid_rows(t_values: np.ndarray, distinct: np.ndarray, where: np.ndarray,
     """The row filler of _screened_sup for t_values uniform with step dt:
     the time start + j, start a multiple of _TIME_CHUNK and j < _TIME_CHUNK,
     is row j of the step table times row e^{i t_start v}, one multiply per
-    entry with no accumulated rounding.  The table is made once per call,
-    and once more in complex64."""
+    entry with no accumulated rounding.  The indices of one call lie in one
+    such chunk.  The table is made once per call, and once more in
+    complex64."""
     table = _step_table(distinct, where, dt, min(_TIME_CHUNK, t_values.size))
     tables = {table.dtype: table, np.dtype(np.complex64): table.astype(np.complex64)}
 
     def fill(out, idx, row):
-        i = 0
-        while i < idx.size:
-            head = int(idx[i])
-            start = head - head % _TIME_CHUNK
-            end = start + _TIME_CHUNK
-            j = idx.size if int(idx[-1]) < end else int(np.searchsorted(idx, end))
-            tail = int(idx[j - 1])
-            if tail - head == j - i - 1:   # consecutive: a view of the table
-                picked = slice(head - start, tail - start + 1)
-            else:
-                picked = idx[i:j] - start
-            first = row * np.exp(1j * t_values[start] * distinct)[where]
-            np.multiply(tables[out.dtype][picked], first.astype(out.dtype), out=out[i:j])
-            i = j
+        head, tail = int(idx[0]), int(idx[-1])
+        start = head - head % _TIME_CHUNK
+        if tail - head == idx.size - 1:   # consecutive: a view of the table
+            picked = slice(head - start, tail - start + 1)
+        else:
+            picked = idx - start
+        first = row * np.exp(1j * t_values[start] * distinct)[where]
+        np.multiply(tables[out.dtype][picked], first.astype(out.dtype), out=out)
     return fill
 
 
@@ -322,9 +315,10 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     outside columns lo:lo + row.size.  fill(out, idx, row) writes into out,
     in out's precision, the spectra there of the times with the ascending
     indices idx, for the coefficients row.  With values None every time is
-    screened on its own (uniform grids); otherwise times is ascending, and
-    values, the |xi|^a of each column of row, lets nearby times be ruled out
-    together.
+    screened on its own (uniform grids), and the indices of every call to
+    fill lie in one chunk of _TIME_CHUNK times; otherwise times is
+    ascending, and values, the |xi|^a of each column of row, lets nearby
+    times be ruled out together.
 
     The screen works in complex64 on s * row (s and eta from _screen_margin)
     and keeps top(x), the running max of the moduli it has computed.  It
@@ -341,8 +335,8 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     A transformed time is kept when some x has mod32 >= top - 2 eta (not
     < it, so that nan keeps the row).  The complex64 buffers are then freed,
     and only the kept times are filled from row, transformed and reduced in
-    complex128, in batches of _RECOMPUTE_ROWS, exactly as a single complex128
-    pass over every time would compute them.
+    complex128, chunk by chunk, exactly as a single complex128 pass over
+    every time would compute them.
 
     The error budget: eta bounds |mod32 - mod64|, so top <= max64 + eta.
     A computed mod64 is within U + s p of the exact modulus, U the unit of
@@ -424,10 +418,10 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
         level = [tuple(np.concatenate(part) for part in zip(*halves))]
     del spectra, fields, moduli, chunk
     kept = np.sort(np.concatenate(kept))
-    spectra, fields, moduli = _chunk_buffers(min(_RECOMPUTE_ROWS, kept.size), n,
+    per_chunk = np.split(kept, np.flatnonzero(np.diff(kept // _TIME_CHUNK)) + 1)
+    spectra, fields, moduli = _chunk_buffers(max(idx.size for idx in per_chunk), n,
                                              np.complex128)
-    for b in range(0, kept.size, _RECOMPUTE_ROWS):
-        idx = kept[b:b + _RECOMPUTE_ROWS]
+    for idx in per_chunk:
         k = idx.size
         fill(spectra[:k, cols], idx, row)
         np.maximum(sup, _moduli(spectra[:k], fields[:k], moduli[:k]).max(axis=0), out=sup)

@@ -165,6 +165,8 @@ class TestExperimentCommands:
         # delta <= 0 counts the whole domain at every tail start
         ("convergence-probe", {"delta": -1.0}, "delta"),
         ("convergence-probe", {"delta": 0.0}, "delta"),
+        # a = -1 makes the phase at xi = 0 NaN, and NaN never exceeds delta
+        ("convergence-probe", {"a": -1.0}, "'a'"),
         # a = -1 makes the relative differences NaN
         ("prop2-check", {"a": -1.0}, "'a'"),
         ("prop2-check", {"a": 0.0}, "'a'"),
@@ -174,8 +176,8 @@ class TestExperimentCommands:
             "tail-start-below-one", "zero-r", "negative-r", "oversized-selection",
             "overflowing-selection", "repeated-stage", "decreasing-stages",
             "two-stages", "unit-stage-scale", "decreasing-tail-starts",
-            "repeated-tail-start", "negative-delta", "zero-delta", "negative-a",
-            "zero-a"])
+            "repeated-tail-start", "negative-delta", "zero-delta", "negative-probe-a",
+            "negative-a", "zero-a"])
     def test_out_of_range_value_is_error(self, capsys, tmp_path, monkeypatch,
                                          name, params, key):
         def no_work(*args, **kwargs):

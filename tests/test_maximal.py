@@ -469,22 +469,3 @@ class TestConvergenceProbe:
         F = spectral.SpectralFunction1D(GRID, np.exp(-0.5 * xi * xi))
         seq = sequences.TimeSequence("geometric", ratio=0.5)
         assert maximal.convergence_probe(F, seq, 2.0, 1e6, 1) == 0.0
-
-    @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
-    def test_batch_equals_per_time_loop(self, a):
-        # the convergence-probe experiment's data, sequence and default
-        # tail_starts: every batched row is inverse_transform(propagate(...))
-        # bit for bit, and so is the measure
-        xi = GRID.xi_nodes()
-        F = spectral.SpectralFunction1D(GRID, np.exp(-0.5 * xi * xi))
-        seq = sequences.TimeSequence("geometric", ratio=0.5)
-        f0 = spectral.inverse_transform(F).samples
-        for tail_start in (1, 5, 20):
-            times = seq.term(np.arange(tail_start, tail_start + 60))
-            times = times[times >= min(maximal.phase_floor(F.grid.xi_max, a), times[0])]
-            loop = np.array([spectral.inverse_transform(spectral.propagate(F, float(t), a)).samples
-                             for t in times])
-            assert np.array_equal(maximal._evolved(F, times, a), loop)
-            worst = np.abs(loop - f0).max(axis=0)
-            assert maximal.convergence_probe(F, seq, a, 1e-3, tail_start) \
-                == float(np.count_nonzero(worst > 1e-3) * GRID.dx)
