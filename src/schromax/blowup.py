@@ -28,6 +28,12 @@ from schromax.radial import (
 from schromax.special import BesselOrder, gamma_kernel, surface_area
 from schromax.spectral import TWO_PI, bump_value
 
+# The witness scan's sizes: radii across J, times across one top-frequency
+# period, and trapezoid panels across the shell width
+X_COUNT = 9
+T_COUNT = 33
+NODES_PER_RHO = 256
+
 
 @dataclass(frozen=True)
 class BlowupParams:
@@ -123,8 +129,7 @@ class StageScales:
         return (x * self.lam + TWO_PI * k) / la
 
 
-def build_witness_profile(scales: StageScales, n: int,
-                          nodes_per_rho: int) -> RadialProfile:
+def build_witness_profile(scales: StageScales, n: int) -> RadialProfile:
     """The reduced profile f1(s) = sqrt(|S^{n-1}|) s^{(n-1)/2} fhat(s) of the
     radial witness with annular spectrum fhat(s) = (1/rho) g((s - lam)/rho).
 
@@ -132,11 +137,9 @@ def build_witness_profile(scales: StageScales, n: int,
     cover exactly [lam - rho/2, lam + rho/2] and the endpoint values vanish
     to all orders (trapezoid quadrature is then spectrally accurate).
     """
-    if nodes_per_rho < 16:
-        raise ValueError("need at least 16 nodes across the shell width")
     if scales.lam < 1.0 or not (0.0 < scales.rho <= scales.eps * scales.lam):
         raise ValueError("scales violate lam >= 1 or 0 < rho <= eps lam")
-    count = nodes_per_rho
+    count = NODES_PER_RHO
     nodes = np.linspace(scales.lam - 0.5 * scales.rho,
                         scales.lam + 0.5 * scales.rho, count + 1)
     h = nodes[1] - nodes[0]
@@ -165,15 +168,8 @@ class StageReport:
     surrogate_sup: float        # sup over (x, s) of |e^{i Phi} - 1| at aligned t
     spurious_fraction: float    # (remainder + counter-rotating branch) / main branch
 
-    def __post_init__(self):
-        lo, hi = self.scales.interval_j
-        ilo, ihi = self.scales.interval_i
-        if not (ilo <= lo < hi <= ihi):
-            raise ValueError("scan window must sit inside the stage interval")
 
-
-def lower_bound_scan(params: BlowupParams, j: int, x_count: int = 9,
-                     t_count: int = 33, nodes_per_rho: int = 256) -> StageReport:
+def lower_bound_scan(params: BlowupParams, j: int) -> StageReport:
     """Scan sup_t |S_t f| on the shell |x| in J at times near t*(x).
 
     For each radius the time grid spans one full top-frequency period around
@@ -186,12 +182,12 @@ def lower_bound_scan(params: BlowupParams, j: int, x_count: int = 9,
     """
     scales = derive_scales(params.stage_m(j), params.stage_b(j), params, j)
     n = params.n
-    f1 = build_witness_profile(scales, n, nodes_per_rho)
+    f1 = build_witness_profile(scales, n)
     nu = BesselOrder.from_dimension(n, 0)
     a = scales.a
     x_lo, x_hi = scales.interval_j
-    xs = np.linspace(x_lo, x_hi, x_count)
-    t_offsets = np.linspace(-math.pi, math.pi, t_count) / scales.lam ** a
+    xs = np.linspace(x_lo, x_hi, X_COUNT)
+    t_offsets = np.linspace(-math.pi, math.pi, T_COUNT) / scales.lam ** a
     t_aligned = [scales.aligned_time(x) for x in xs]
 
     def at_aligned(evo: KernelEvolution) -> np.ndarray:
@@ -213,7 +209,7 @@ def lower_bound_scan(params: BlowupParams, j: int, x_count: int = 9,
     # radial L2 of sup|H_t f1| over J
     alpha_n = alpha(n)
     dx = xs[1] - xs[0]
-    w = np.full(x_count, dx)
+    w = np.full(X_COUNT, dx)
     w[0] = w[-1] = 0.5 * dx
     maximal_main = float(np.sqrt(np.sum(w * main_h ** 2))) / alpha_n
     maximal_full = float(np.sqrt(np.sum(w * sup_h ** 2))) / alpha_n

@@ -2,7 +2,6 @@
 
     schromax <experiment> [--config cfg.json] --out dir/ [--force] [--workers N]
     schromax --list
-    schromax classify-seq --gen power --alpha 2 --r 0.5 [--weak]
     schromax bessel-table --two-nu 0 [--r-max 50] [--count 500]
 
 Exit codes: 0 pass, 2 bound-violation verdict, 1 error.
@@ -11,7 +10,6 @@ Exit codes: 0 pass, 2 bound-violation verdict, 1 error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -35,28 +33,12 @@ def _run_experiment(args) -> int:
             return 1
     else:
         cfg = harness.ExperimentConfig(args.experiment)
-    workers = args.workers if args.workers else _default_workers()
+    workers = args.workers if args.workers is not None else _default_workers()
     manifest = harness.run_experiment(cfg, args.out, force=args.force,
                                       workers=workers)
     print(f"{manifest.experiment}: {manifest.verdict} "
           f"({manifest.timings['total_seconds']:.1f} s) -> {args.out}")
     return 0 if manifest.verdict == "pass" else 2
-
-
-def _run_classify(args) -> int:
-    params = {"gen": args.gen, "r": args.r}
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.ratio is not None:
-        params["ratio"] = args.ratio
-    tables, summary, _ = harness.run("seq-classify", params)
-    if args.weak:
-        columns, rows = tables["classify.csv"]
-        print(",".join(columns))
-        for row in rows:
-            print(",".join(harness._fmt(v) for v in row))
-    print(json.dumps(summary, sort_keys=True))
-    return 0
 
 
 def _run_bessel_table(args) -> int:
@@ -87,16 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true")
         p.add_argument("--workers", type=int, default=None)
         p.set_defaults(func=_run_experiment, experiment=name)
-
-    p = sub.add_parser("classify-seq")
-    p.add_argument("--gen", required=True,
-                   choices=["power", "geometric", "log"])
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--ratio", type=float, default=None)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--weak", action="store_true",
-                   help="print the (b, count, b^r count) table")
-    p.set_defaults(func=_run_classify)
 
     p = sub.add_parser("bessel-table")
     p.add_argument("--two-nu", type=int, default=0)

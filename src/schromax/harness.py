@@ -561,16 +561,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
                    workers: int | None = None) -> RunManifest:
     """Execute the named experiment into out_dir and write its manifest.
 
-    Raises ValueError on a malformed config (see _resolve_params) before any
-    work or file write, and FileExistsError on output collisions unless force
-    is set.
+    Raises ValueError on a malformed config (see _resolve_params) or a
+    worker count below 1 before any work or file write, and FileExistsError
+    on output collisions unless force is set.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if os.path.isdir(out_dir) and os.listdir(out_dir) and not force:
         raise FileExistsError(f"output directory {out_dir!r} is not empty "
                               "(use force to overwrite)")
     params = _resolve_params(cfg.experiment, cfg.params)
     start = time.perf_counter()
-    tables, summary, verdict = EXPERIMENTS[cfg.experiment].runner(params, workers)
+    tables, summary, verdict = run(cfg.experiment, params, workers)
     elapsed = time.perf_counter() - start
 
     os.makedirs(out_dir, exist_ok=True)

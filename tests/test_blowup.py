@@ -82,7 +82,7 @@ class TestScales:
 class TestWitness:
     def test_profile_support_and_amplitude(self):
         sc = blowup.derive_scales(16.0, 1.0 / 16.0, PARAMS, j=1)
-        f1 = blowup.build_witness_profile(sc, 2, 256)
+        f1 = blowup.build_witness_profile(sc, 2)
         assert f1.nodes[0] == pytest.approx(sc.lam - 0.5 * sc.rho)
         assert f1.nodes[-1] == pytest.approx(sc.lam + 0.5 * sc.rho)
         # center value: sqrt(|S^1|) lam^{1/2} g(0)/rho
@@ -93,18 +93,13 @@ class TestWitness:
                     * bump_value(0.0) / sc.rho)
         assert abs(mid) == pytest.approx(expected, rel=1e-6)
 
-    def test_profile_needs_resolution(self):
-        sc = blowup.derive_scales(16.0, 1.0 / 16.0, PARAMS, j=1)
-        with pytest.raises(ValueError):
-            blowup.build_witness_profile(sc, 2, 8)
-
     def test_hs_norm_scaling(self):
         # ||f||_{H^s}^2 ~ rho^{-1} lam^{2s + n - 1} const across stages
         consts = []
         for j in (2, 4, 6):
             sc = blowup.derive_scales(PARAMS.stage_m(j), PARAMS.stage_b(j),
                                       PARAMS, j)
-            f1 = blowup.build_witness_profile(sc, 2, 256)
+            f1 = blowup.build_witness_profile(sc, 2)
             hs = blowup.hs_norm_witness(f1, PARAMS.s, 2)
             consts.append(hs ** 2 * sc.rho / sc.lam ** (2 * PARAMS.s + 1))
         assert max(consts) / min(consts) == pytest.approx(1.0, rel=1e-3)
@@ -112,8 +107,7 @@ class TestWitness:
 
 class TestGrowth:
     def test_stage_report_fields(self):
-        rep = blowup.lower_bound_scan(PARAMS, 2, x_count=5, t_count=9,
-                                      nodes_per_rho=128)
+        rep = blowup.lower_bound_scan(PARAMS, 2)
         assert rep.ratio == pytest.approx(rep.maximal_norm / rep.hs_norm)
         assert rep.ratio_full > 0.0
         assert rep.surrogate_sup >= 0.0
@@ -140,7 +134,7 @@ def per_radius_norms(params, j, x_count, t_count):
     radius by radius: a one-row Hankel evolution per radius for the full
     field, and the stationary branch summed directly at the aligned time."""
     scales = blowup.derive_scales(params.stage_m(j), params.stage_b(j), params, j)
-    f1 = blowup.build_witness_profile(scales, params.n, 256)
+    f1 = blowup.build_witness_profile(scales, params.n)
     nu = BesselOrder.from_dimension(params.n, 0)
     g = gamma_kernel(nu)
     xs = np.linspace(*scales.interval_j, x_count)
@@ -161,7 +155,7 @@ def per_radius_norms(params, j, x_count, t_count):
 
 
 def test_scan_matches_per_radius_oracle():
-    rep = blowup.lower_bound_scan(PARAMS, 2, x_count=5, t_count=9)
-    main, full = per_radius_norms(PARAMS, 2, 5, 9)
+    rep = blowup.lower_bound_scan(PARAMS, 2)
+    main, full = per_radius_norms(PARAMS, 2, 9, 33)
     assert rep.maximal_norm == pytest.approx(main, rel=1e-12)
     assert rep.ratio_full * rep.hs_norm == pytest.approx(full, rel=1e-12)

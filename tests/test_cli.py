@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, listing, small end-to-end runs."""
 
+import argparse
 import json
 import math
 import os
@@ -27,25 +28,29 @@ class TestListing:
         assert "usage" in out
 
 
-class TestClassifySeq:
-    def test_power_summary(self, capsys):
-        code, out, _ = run_cli(capsys, "classify-seq", "--gen", "power",
-                               "--alpha", "2", "--r", "0.5")
+class TestSeqClassifyCommand:
+    """seq-classify through the experiment front end: the weak constant in
+    summary.json and the (b, count, b^r count) table in classify.csv."""
+
+    def run_config(self, capsys, tmp_path, params):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(harness.ExperimentConfig("seq-classify", params).to_json())
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "seq-classify", "--config", str(cfg_path),
+                             "--out", str(out_dir))
         assert code == 0
-        summary = json.loads(out.strip().splitlines()[-1])
+        return out_dir
+
+    def test_power_summary(self, capsys, tmp_path):
+        out_dir = self.run_config(capsys, tmp_path, {"gen": "power", "alpha": 2.0, "r": 0.5})
+        summary = json.loads((out_dir / "summary.json").read_text())
         assert 0.9 <= summary["weak_constant"] <= 1.5
 
-    def test_weak_table(self, capsys):
-        code, out, _ = run_cli(capsys, "classify-seq", "--gen", "geometric",
-                               "--r", "1", "--weak")
-        assert code == 0
-        lines = out.strip().splitlines()
+    def test_weak_table(self, capsys, tmp_path):
+        out_dir = self.run_config(capsys, tmp_path, {"gen": "geometric", "r": 1.0})
+        lines = (out_dir / "classify.csv").read_text().strip().splitlines()
         assert lines[0] == "b,count,b_r_count"
         assert len(lines) > 10
-
-    def test_requires_generator(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["classify-seq", "--r", "1"])
 
 
 class TestExperimentCommands:
@@ -223,11 +228,44 @@ class TestExperimentCommands:
         with pytest.raises(SystemExit):
             cli.main(["counterexample", "--out", "x"])
 
+    @pytest.mark.parametrize("flag,env", [
+        (["--workers", "-3"], None), (["--workers", "0"], None), ([], "-2"), ([], "0"),
+    ], ids=["negative-flag", "zero-flag", "negative-env", "zero-env"])
+    def test_workers_below_one_is_error(self, capsys, tmp_path, monkeypatch, flag, env):
+        monkeypatch.setattr(harness, "run", self.no_work)
+        if env is not None:
+            monkeypatch.setenv("SCHROMAX_WORKERS", env)
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, "seq-classify", "--out", str(out_dir), *flag)
+        assert code == 1
+        assert err.startswith("error:") and "workers" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_run_experiment_rejects_workers_below_one(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(harness, "run", self.no_work)
+        with pytest.raises(ValueError, match="workers"):
+            harness.run_experiment(harness.ExperimentConfig("seq-classify"),
+                                   str(tmp_path / "x"), workers=workers)
+        assert not (tmp_path / "x").exists()
+
+    @staticmethod
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the worker count was rejected")
+
     def test_workers_env_default(self, monkeypatch):
         monkeypatch.setenv("SCHROMAX_WORKERS", "3")
         assert cli._default_workers() == 3
         monkeypatch.delenv("SCHROMAX_WORKERS")
         assert cli._default_workers() is None
+
+
+def test_one_front_end_per_experiment():
+    """The subcommands are the experiments of harness.EXPERIMENTS, each
+    through run_experiment, plus bessel-table, which prints J_nu and K_nu."""
+    sub, = (action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    assert list(sub.choices) == [*harness.EXPERIMENTS, "bessel-table"]
 
 
 class TestBesselTable:

@@ -447,6 +447,66 @@ class TestMaximalOverELattice:
             assert np.all(sup >= edge * (1.0 - 1e-12))
 
 
+def dilated_inputs(lam, seed):
+    """lam-band random ball data on [-1, 1), and band-1 data with the same
+    seed on [-lam, lam)."""
+    return (spectral.make_bandlimited_random(lam, "ball", seed, spectral.GridSpec(256, 1.0)),
+            spectral.make_bandlimited_random(1.0, "ball", seed, spectral.GridSpec(256, lam)))
+
+
+def dilated_ratios(lam, a, seed, radius):
+    """The maximal_over_E L2-ratios of the dilated_inputs: the first over
+    B x J, J = [0, |J|] and B of radius r, the second over J = [0, lam^a |J|]
+    and radius lam r, with |J| = min(0.25, 0.9 lam^-a)."""
+    length = min(0.25, 0.9 * lam ** -a)
+    F, G = dilated_inputs(lam, seed)
+    f, _ = maximal.maximal_over_E(F, ProductSet(radius, TimeWindow(0.0, length)), a)
+    g, _ = maximal.maximal_over_E(
+        G, ProductSet(lam * radius, TimeWindow(0.0, lam ** a * length)), a)
+    return f.l2() / F.l2_spatial(), g.l2() / G.l2_spatial()
+
+
+DILATION_CASES = [(a, lam, seed, radius) for a in (1.5, 2.0, 3.0) for lam in (2.0, 4.0)
+                  for seed in range(3) for radius in (0.0, 0.05)]
+
+
+class TestDilationIdentity:
+    """Both grids hold the frequencies k pi / L for the same k, so the two
+    inputs share their coefficients up to a constant: g(y) = c f(y / lam)
+    and S_t g(y) = c S_{t / lam^a} f(y / lam).  Their time grids and offset
+    lattices are dilates of each other, so the L2-ratios of the maximal
+    functions agree; the window sup is the case r = 0.  At lam = 2 the
+    ball |xi| <= 2 holds only xi = 0, so only lam = 4 can show a wrong
+    exponent."""
+
+    @pytest.mark.parametrize("a, lam, seed, radius", DILATION_CASES)
+    def test_ratios_agree(self, a, lam, seed, radius):
+        f_ratio, g_ratio = dilated_ratios(lam, a, seed, radius)
+        assert g_ratio == pytest.approx(f_ratio, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sequence_sup_agrees(self, a, seed):
+        # lemma4's members t > lam^-a / 4 (power alpha = 1) with lam^a t <= 1,
+        # times of no uniform grid; g's samples are f's over sqrt(lam)
+        lam = 4.0
+        F, G = dilated_inputs(lam, seed)
+        times = sequences.TimeSequence("power", alpha=1.0).members_in(
+            maximal.phase_floor(lam, a), lam ** -a)
+        f_sup = spectral.sup_over_times(F, times, a)
+        g_sup = spectral.sup_over_times(G, lam ** a * times, a)
+        assert np.max(np.abs(f_sup - math.sqrt(lam) * g_sup)) <= 1e-12 * np.max(f_sup)
+
+    def test_wrong_exponent_is_caught(self, monkeypatch):
+        # phases t |xi| on time grids built for a: the identity fails
+        exact = spectral.sup_over_times
+        monkeypatch.setattr(maximal, "sup_over_times", lambda F, t, a: exact(F, t, 1.0))
+        for a, lam, seed, radius in DILATION_CASES:
+            if lam == 4.0:
+                f_ratio, g_ratio = dilated_ratios(lam, a, seed, radius)
+                assert abs(g_ratio - f_ratio) > 0.01 * f_ratio
+
+
 class TestFits:
     def test_thm3_predictor_shape(self):
         # lam = 1 collapses to |J|^{1/4} + r^{1/2} + 1
