@@ -20,7 +20,10 @@ from schromax import harness
 
 def _default_workers() -> int | None:
     env = os.environ.get("SCHROMAX_WORKERS")
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError:
+        raise ValueError(f"SCHROMAX_WORKERS must be an integer, got {env!r}") from None
 
 
 def _run_experiment(args) -> int:

@@ -36,13 +36,13 @@ SCAN_COLUMNS = ("lambda", "J_len", "ball_r", "a", "s", "seed",
 class Experiment:
     """One row of EXPERIMENTS.
 
-    ``runner(p, workers)`` returns (tables, summary, verdict) for the
-    resolved parameters p (see _resolve_params).  ``defaults`` is the only
-    parameter spec: a config may set its keys and no others.  ``plot``, if
-    set, holds the emit_plot_data spec that run_experiment writes to
-    plot.dat / plot.gp, plus ``csv``, the table it projects, and optionally
-    ``overlay_scale`` k, which draws the line (k slope, k intercept) of the
-    summary's fit.
+    ``runner(p, workers)`` returns (tables, summary, ok) for the resolved
+    parameters p (see _resolve_params); run turns ok into the verdict.
+    ``defaults`` is the only parameter spec: a config may set its keys and
+    no others.  ``plot``, if set, holds the emit_plot_data spec that
+    run_experiment writes to plot.dat / plot.gp, plus ``csv``, the table it
+    projects, and optionally ``overlay_scale`` k, which draws the line
+    (k slope, k intercept) of the summary's fit.
     """
 
     runner: Callable
@@ -103,10 +103,17 @@ def _resolve_params(name: str, params: dict) -> dict:
     return p
 
 
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "violation"
+
+
 def run(name: str, params: dict, workers: int | None = None):
-    """(tables, summary, verdict) of the named experiment, computed in memory."""
+    """(tables, summary, verdict) of the named experiment, computed in memory;
+    the summary records the verdict too."""
     p = _resolve_params(name, params)
-    return EXPERIMENTS[name].runner(p, workers)
+    tables, summary, ok = EXPERIMENTS[name].runner(p, workers)
+    summary["verdict"] = _verdict(ok)
+    return tables, summary, summary["verdict"]
 
 
 @dataclass
@@ -250,13 +257,13 @@ def _scan_rows_and_fit(results, p, predictor):
     return rows, float(slope), float(intercept)
 
 
-def _run_scan(p, workers, *, item, item_keys, predictor, extras=None, check=None):
+def _run_scan(p, workers, *, item, item_keys, predictor, check=None):
     """Measure item((lambda, seed, *p[item_keys])) for lambda = 2^e, e in
-    lam_exponents, and every seed; the verdict passes when the fitted slope
-    of the normalized ratio is at most slope_tol.  extras(p) adds summary
-    entries; a scan whose items end with their time-sample count adds the
-    total as time_samples.  The fit needs two distinct lambdas and at least
-    one seed, the random data lambda >= 1, a finite float 2^e, and a > 0.
+    lam_exponents, and every seed; the scan passes when the fitted slope
+    of the normalized ratio is at most slope_tol.  A scan whose items end
+    with their time-sample count adds the total to the summary as
+    time_samples.  The fit needs two distinct lambdas and at least one
+    seed, the random data lambda >= 1, a finite float 2^e, and a > 0.
     Each lambda's time grid (maximal.TimeWindow.time_count) must have a
     nonzero step and fit in an array; lemma4, which resolves times down to
     lam^-a / 4, the step of a unit window's grid, is checked as a unit window.
@@ -285,23 +292,29 @@ def _run_scan(p, workers, *, item, item_keys, predictor, extras=None, check=None
     for i, result in zip(order, _map_items(item, [items[i] for i in order], workers)):
         results[i] = result
     rows, slope, intercept = _scan_rows_and_fit(results, p, predictor)
-    verdict = "pass" if slope <= p["slope_tol"] else "violation"
-    summary = {"slope": slope, "intercept": intercept,
-               "slope_tol": p["slope_tol"], "verdict": verdict}
-    if extras is not None:
-        summary.update(extras(p))
+    summary = {"slope": slope, "intercept": intercept, "slope_tol": p["slope_tol"]}
     if len(results[0]) > 3:
         summary["time_samples"] = sum(result[3] for result in results)
-    return {"scan.csv": (SCAN_COLUMNS, rows)}, summary, verdict
+    return {"scan.csv": (SCAN_COLUMNS, rows)}, summary, slope <= p["slope_tol"]
 
 
-def _window_scan(e: float):
-    """The window scan against 1 + |J|^e lam^{a e}: e = 1/2 is theorem 1's
-    bound shape and e = 1/4 theorem 2's."""
-    return partial(
-        _run_scan, item=_window_scan_counted, item_keys=("a", "window", "support"),
-        predictor=lambda lam, p: 1.0 + p["window"] ** e * lam ** (p["a"] * e),
-        extras=lambda p: {"model": [e, p["a"] * e]})
+def _window_scan(p, workers):
+    """The window scan against the predictor 1 + |J|^e lam^{a e} of theorem
+    1's bound shape, e = 1/2, in scan.csv and the top-level fit, and of
+    theorem 2's, e = 1/4, in the summary's theorem2 entry, fitted to the
+    same ratios.  It passes when both slopes are at most slope_tol."""
+    def shape(e):
+        return lambda lam, _: 1.0 + p["window"] ** e * lam ** (p["a"] * e)
+    tables, summary, ok = _run_scan(
+        p, workers, item=_window_scan_counted, item_keys=("a", "window", "support"),
+        predictor=shape(0.5))
+    ratios = [(row[0], row[5], row[6]) for row in tables["scan.csv"][1]]
+    _, slope, intercept = _scan_rows_and_fit(ratios, p, shape(0.25))
+    ok2 = slope <= p["slope_tol"]
+    summary["model"] = [0.5, p["a"] * 0.5]
+    summary["theorem2"] = {"slope": slope, "intercept": intercept,
+                           "model": [0.25, p["a"] * 0.25], "verdict": _verdict(ok2)}
+    return tables, summary, ok and ok2
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +340,9 @@ def _prop2_check(p, workers):
     rows = [(float(r), h, o, abs(h - o) / o)
             for r, h, o in zip(case["radii"], case["hankel"], case["oracle"])]
     worst = max(row[3] for row in rows)
-    verdict = "pass" if worst <= p["rel_tol"] else "violation"
-    summary = {"max_rel_diff": worst, "rel_tol": p["rel_tol"], "verdict": verdict}
+    summary = {"max_rel_diff": worst, "rel_tol": p["rel_tol"]}
     return ({"two_route.csv": (("r", "hankel", "oracle", "rel_diff"), rows)},
-            summary, verdict)
+            summary, worst <= p["rel_tol"])
 
 
 def _prop3_bound(p, workers):
@@ -367,13 +379,11 @@ def _prop3_bound(p, workers):
             margins[two_nu] = max(margins.get(two_nu, -math.inf), rem_norm - rhs)
             rows.append((two_nu, seed, rem_norm, rhs))
     worst_margin = max(margins.values(), default=-math.inf)
-    verdict = "pass" if worst_margin <= 0.0 else "violation"
     summary = {"worst_margin": worst_margin,
                "worst_margin_by_two_nu": {str(t): m for t, m in margins.items()},
-               "schur_quadrature": quadrature,
-               "verdict": verdict}
+               "schur_quadrature": quadrature}
     return ({"remainder.csv": (("two_nu", "seed", "rem_norm", "bound"), rows)},
-            summary, verdict)
+            summary, worst_margin <= 0.0)
 
 
 def _thm6_ineq(p, workers):
@@ -382,9 +392,8 @@ def _thm6_ineq(p, workers):
     evolution = radial.thm6_evolution(0, p["n"], p["k"])
     rows = [(seed, *radial.thm6_sides(seed, evolution)) for seed in range(p["profiles"])]
     worst = max(lhs - rhs for _, lhs, rhs in rows)
-    verdict = "pass" if worst <= 0.0 else "violation"
-    summary = {"worst_margin": worst, "verdict": verdict}
-    return ({"ineq.csv": (("seed", "lhs", "rhs"), rows)}, summary, verdict)
+    return ({"ineq.csv": (("seed", "lhs", "rhs"), rows)}, {"worst_margin": worst},
+            worst <= 0.0)
 
 
 def _thm7_identity(p, workers):
@@ -396,10 +405,9 @@ def _thm7_identity(p, workers):
         left, right = radial.thm7_sides(seed, evolution)
         rows.append((seed, left, right, abs(left - right) / right))
     worst = max(row[3] for row in rows)
-    verdict = "pass" if worst <= p["rel_tol"] else "violation"
-    summary = {"max_rel_diff": worst, "rel_tol": p["rel_tol"], "verdict": verdict}
+    summary = {"max_rel_diff": worst, "rel_tol": p["rel_tol"]}
     return ({"identity.csv": (("seed", "n4k0", "n2k1", "rel_diff"), rows)},
-            summary, verdict)
+            summary, worst <= p["rel_tol"])
 
 
 # ---------------------------------------------------------------------------
@@ -423,17 +431,15 @@ def _counterexample_growth(p, workers):
           and all(r.scales.rho / r.scales.lam <= eps * (1 + 1e-12) for r in reports)
           and blowup.drift_monotone(reports)
           and all(r.surrogate_sup <= 0.5 for r in reports if r.scales.j >= 2))
-    verdict = "pass" if ok else "violation"
     summary = {"slope": slope, "intercept": intercept,
                "expected_slope": (a - 4.0 * s) / a,
                "surrogates": [r.surrogate_sup for r in reports],
                "ratio_full": [r.ratio_full for r in reports],
-               "spurious_fractions": [r.spurious_fraction for r in reports],
-               "verdict": verdict}
+               "spurious_fractions": [r.spurious_fraction for r in reports]}
     return ({"witnesses.csv":
              (("j", "M", "b", "lambda", "rho", "hs_norm", "max_norm", "ratio"),
               rows)},
-            summary, verdict)
+            summary, ok)
 
 
 def _seq_classify(p, workers):
@@ -460,10 +466,8 @@ def _seq_classify(p, workers):
     coarse, fine, growing = sequences.weak_lr_trend(seq, r, b_grid)
     summary = {"weak_constant": max(coarse, fine), "coarse": float(coarse),
                "fine": float(fine), "growing": bool(growing),
-               "lr_convergent": sequences.lr_converges(seq, r),
-               "verdict": "pass"}
-    return ({"classify.csv": (("b", "count", "b_r_count"), rows)},
-            summary, "pass")
+               "lr_convergent": sequences.lr_converges(seq, r)}
+    return ({"classify.csv": (("b", "count", "b_r_count"), rows)}, summary, True)
 
 
 def _convergence_probe(p, workers):
@@ -480,18 +484,18 @@ def _convergence_probe(p, workers):
     measures = [maximal.convergence_probe(F, seq, p["a"], p["delta"], ts) for ts in starts]
     rows = list(zip(starts, measures))
     decreasing = all(m2 <= m1 for m1, m2 in zip(measures, measures[1:]))
-    verdict = "pass" if decreasing else "violation"
-    summary = {"measures": measures, "verdict": verdict}
-    return ({"probe.csv": (("tail_start", "measure"), rows)}, summary, verdict)
+    return ({"probe.csv": (("tail_start", "measure"), rows)}, {"measures": measures},
+            decreasing)
 
 
 _SCAN_PLOT = {"csv": "scan.csv", "x": "lambda", "y": "normalized_ratio"}
-_WINDOW_DEFAULTS = {"a": 2.0, "window": 1.0, "support": "ball", "slope_tol": 0.05,
-                    "lam_exponents": [4, 5, 6, 7, 8, 9], "seeds": [0, 1, 2, 3, 4]}
 
 EXPERIMENTS = {
-    "theorem1-scan": Experiment(_window_scan(0.5), _WINDOW_DEFAULTS, _SCAN_PLOT),
-    "theorem2-scan": Experiment(_window_scan(0.25), _WINDOW_DEFAULTS, _SCAN_PLOT),
+    "theorem1-scan": Experiment(
+        _window_scan,
+        {"a": 2.0, "window": 1.0, "support": "ball", "slope_tol": 0.05,
+         "lam_exponents": [4, 5, 6, 7, 8, 9], "seeds": [0, 1, 2, 3, 4]},
+        _SCAN_PLOT),
     "eq6-scan": Experiment(
         partial(_run_scan, item=_product_scan_item,
                 item_keys=("a", "window", "ball_radius"),

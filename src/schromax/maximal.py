@@ -105,26 +105,18 @@ def maximal_over_window(F: SpectralFunction1D, J: TimeWindow, a: float,
 
 
 def maximal_over_sequence(F: SpectralFunction1D, seq: TimeSequence, a: float,
-                          cutoffs: tuple[float, float] | None = None,
                           ) -> tuple[GridFunction1D, int]:
-    """Pointwise sup of |S_{t_m} f| over sequence members in (b_low, b_high].
+    """Pointwise sup of |S_{t_m} f| over the sequence members.
 
     Members below the phase-resolution floor 1/(4 lam^a) are indistinguishable
     from t = 0 at the top frequency and are represented by the single largest
-    such member.  Returns (field, number of members used); an empty selection
-    returns the zero field with count 0.
+    such member.  Returns (field, number of members used).
     """
     t_floor = phase_floor(_top_frequency(F), a)
-    b_low, b_high = cutoffs if cutoffs is not None else (0.0, 1.0)
-    lo = max(b_low, t_floor)
-    members = seq.members_in(lo, b_high) if lo < b_high else np.empty(0)
-    if b_low < t_floor:
-        # one representative for the unresolved cluster below the floor
-        rep = float(seq.term(seq.count_above(t_floor) + 1))
-        if b_low < rep <= b_high:
-            members = np.concatenate([members, [rep]])
-    if members.size == 0:
-        return GridFunction1D(F.grid, np.zeros(F.grid.point_count)), 0
+    members = seq.members_in(t_floor, 1.0) if t_floor < 1.0 else np.empty(0)
+    # one representative for the unresolved cluster below the floor
+    rep = float(seq.term(seq.count_above(t_floor) + 1))
+    members = np.concatenate([members, [rep]])
     sup = sup_over_times(F, members, a)
     return GridFunction1D(F.grid, sup), int(members.size)
 

@@ -241,6 +241,15 @@ class TestExperimentCommands:
         assert err.startswith("error:") and "workers" in err
         assert not out_dir.exists()
 
+    def test_workers_env_not_an_integer_is_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "run", self.no_work)
+        monkeypatch.setenv("SCHROMAX_WORKERS", "abc")
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, "seq-classify", "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error:") and "SCHROMAX_WORKERS" in err and "'abc'" in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_run_experiment_rejects_workers_below_one(self, tmp_path, monkeypatch, workers):
         monkeypatch.setattr(harness, "run", self.no_work)

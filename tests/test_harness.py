@@ -12,7 +12,7 @@ import pytest
 from schromax import harness, maximal, sequences, special
 from schromax.harness import ExperimentConfig
 
-SCAN_NAMES = ("theorem1-scan", "theorem2-scan", "eq6-scan", "lemma4-scan")
+SCAN_NAMES = ("theorem1-scan", "eq6-scan", "lemma4-scan")
 
 
 class TestConfig:
@@ -94,7 +94,7 @@ class TestConfig:
 
     def test_values_take_the_default_type(self):
         # an int for a float parameter must still print as 2.0 in the CSV
-        tables, _, _ = harness.run("theorem2-scan",
+        tables, _, _ = harness.run("theorem1-scan",
                                    {"a": 2, "lam_exponents": [4, 5], "seeds": [0]})
         a = tables["scan.csv"][1][0][3]
         assert type(a) is float and a == 2.0
@@ -177,7 +177,7 @@ class TestRunExperiment:
         assert doc["versions"]["numpy"] == np.__version__
 
     def test_scan_writes_plot_files(self, tmp_path):
-        cfg = ExperimentConfig("theorem2-scan", {"lam_exponents": [4, 5, 6], "seeds": [0]})
+        cfg = ExperimentConfig("theorem1-scan", {"lam_exponents": [4, 5, 6], "seeds": [0]})
         manifest = harness.run_experiment(cfg, str(tmp_path / "s"))
         assert {"scan.csv", "plot.dat", "plot.gp"} <= set(manifest.files)
         data, script = harness.emit_plot_data(
@@ -233,6 +233,45 @@ class TestProp3Runner:
                                          {"two_nu_values": [-1, 0, 1, 3], "profiles": 1})
         assert verdict == "pass"
         assert [row[0] for row in tables["remainder.csv"][1]] == [-1, 0, 1, 3]
+
+
+class TestWindowScan:
+    """theorem1-scan fits both window bound shapes to one set of ratios."""
+
+    @pytest.fixture(scope="class")
+    def strict_run(self, tmp_path_factory):
+        # theorem 1's slope is about -0.77 here and theorem 2's about -0.23
+        out = tmp_path_factory.mktemp("window") / "run"
+        params = {"lam_exponents": [4, 5, 6], "seeds": [0], "slope_tol": -0.5}
+        manifest = harness.run_experiment(ExperimentConfig("theorem1-scan", params), str(out))
+        columns, rows = harness.read_csv(str(out / "scan.csv"))
+        table = [dict(zip(columns, map(float, row))) for row in rows]
+        summary = json.loads((out / "summary.json").read_text())
+        return manifest, table, summary
+
+    def test_fits_equal_direct_polyfits(self, strict_run):
+        _, table, summary = strict_run
+        lams = np.log([row["lambda"] for row in table])
+        shape1 = [row["normalized_ratio"] for row in table]
+        shape2 = [row["ratio"] / (1.0 + row["J_len"] ** 0.25 * row["lambda"] ** (row["a"] / 4))
+                  for row in table]
+        slope1, intercept1 = np.polyfit(lams, np.log(shape1), 1)
+        slope2, intercept2 = np.polyfit(lams, np.log(shape2), 1)
+        assert (summary["slope"], summary["intercept"]) == (slope1, intercept1)
+        assert (summary["theorem2"]["slope"], summary["theorem2"]["intercept"]) == (
+            slope2, intercept2)
+        assert summary["model"] == [0.5, 1.0]
+        assert summary["theorem2"]["model"] == [0.25, 0.5]
+
+    def test_verdict_needs_both_shapes(self, strict_run):
+        manifest, _, summary = strict_run
+        assert summary["slope"] <= -0.5 < summary["theorem2"]["slope"]
+        assert summary["theorem2"]["verdict"] == "violation"
+        assert summary["verdict"] == manifest.verdict == "violation"
+
+    def test_theorem2_scan_is_gone(self):
+        with pytest.raises(ValueError, match="theorem2-scan"):
+            ExperimentConfig("theorem2-scan")
 
 
 class TestScanTimeSamples:

@@ -331,9 +331,11 @@ class TestMaximalOverSequence:
     def test_matches_explicit_sup(self):
         F = band_input(shape="annulus")
         seq = sequences.TimeSequence("geometric", ratio=0.5)
-        sup, count = maximal.maximal_over_sequence(F, seq, 2.0,
-                                                   cutoffs=(0.05, 1.0))
-        members = seq.members_in(0.05, 1.0)
+        sup, count = maximal.maximal_over_sequence(F, seq, 2.0)
+        # the floor LAM^-2 / 4 is 2^-8: the members 2^-1 .. 2^-7 lie above
+        # it, and 2^-8, the largest one at or below it, represents the rest
+        assert maximal.phase_floor(LAM, 2.0) == 2.0 ** -8
+        members = 0.5 ** np.arange(1.0, 9.0)
         assert count == members.size
         direct = spectral.sup_over_times(F, members, 2.0)
         assert np.max(np.abs(sup.samples - direct)) < 1e-12
@@ -345,14 +347,6 @@ class TestMaximalOverSequence:
         floor = 0.25 * LAM ** -2.0
         resolved = seq.members_in(floor, 1.0).size
         assert count == resolved + 1
-
-    def test_empty_selection(self):
-        F = band_input(shape="annulus")
-        seq = sequences.TimeSequence("power", alpha=1.0)   # t_1 = 1/2
-        sup, count = maximal.maximal_over_sequence(F, seq, 2.0,
-                                                   cutoffs=(0.95, 0.99))
-        assert count == 0
-        assert np.all(sup.samples == 0)
 
 
 class TestMaximalOverE:
