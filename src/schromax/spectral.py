@@ -178,8 +178,9 @@ def _ascending(ts: np.ndarray) -> np.ndarray:
 def _step_table(distinct: np.ndarray, where: np.ndarray, dt: float,
                 rows: int) -> np.ndarray:
     """e^{i j dt v} for j < rows and v = distinct[where], shape
-    (rows, where.size), with one exp per distinct value and row."""
-    return np.exp(1j * np.outer(dt * np.arange(rows), distinct))[:, where]
+    (rows, where.size) in row order, with one exp per distinct value and
+    row."""
+    return np.take(np.exp(1j * np.outer(dt * np.arange(rows), distinct)), where, axis=1)
 
 
 def _grid_rows(t_values: np.ndarray, distinct: np.ndarray, where: np.ndarray,
@@ -187,21 +188,28 @@ def _grid_rows(t_values: np.ndarray, distinct: np.ndarray, where: np.ndarray,
     """The row filler of _screened_sup for t_values uniform with step dt:
     the time start + j, start a multiple of _TIME_CHUNK and j < _TIME_CHUNK,
     is row j of the step table times row e^{i t_start v}, one multiply per
-    entry with no accumulated rounding.  The indices of one call lie in one
-    such chunk.  The table is made once per call, and once more in
-    complex64."""
-    table = _step_table(distinct, where, dt, min(_TIME_CHUNK, t_values.size))
-    tables = {table.dtype: table, np.dtype(np.complex64): table.astype(np.complex64)}
+    entry with no accumulated rounding.  The indices of one call may lie in
+    any chunks; each chunk's first row is made once per call.  The table is
+    made in complex128 and kept in one precision at a time, so that the two
+    never take memory together: complex64 from the start, for the screen,
+    and complex128 from its first complex128 call on."""
+    rows = min(_TIME_CHUNK, t_values.size)
+    table = {}
+
+    def steps(dtype):
+        if dtype not in table:
+            table.clear()
+            table[dtype] = _step_table(distinct, where, dt, rows).astype(dtype, copy=False)
+        return table[dtype]
+    steps(np.dtype(np.complex64))
 
     def fill(out, idx, row):
-        head, tail = int(idx[0]), int(idx[-1])
-        start = head - head % _TIME_CHUNK
-        if tail - head == idx.size - 1:   # consecutive: a view of the table
-            picked = slice(head - start, tail - start + 1)
-        else:
-            picked = idx - start
-        first = row * np.exp(1j * t_values[start] * distinct)[where]
-        np.multiply(tables[out.dtype][picked], first.astype(out.dtype), out=out)
+        starts = idx - idx % _TIME_CHUNK
+        cuts = [0, *(np.flatnonzero(np.diff(starts)) + 1).tolist(), idx.size]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            first = row * np.exp(1j * t_values[starts[a]] * distinct)[where]
+            np.multiply(steps(out.dtype)[idx[a:b] - starts[a]], first.astype(out.dtype),
+                        out=out[a:b])
     return fill
 
 
@@ -210,7 +218,7 @@ def _time_rows(t_values: np.ndarray, distinct: np.ndarray, where: np.ndarray):
     each time, one exp per distinct value and time, computed in complex128
     and cast once to out's precision."""
     def fill(out, idx, row):
-        phase = np.exp(1j * t_values[idx][:, None] * distinct)[:, where]
+        phase = np.take(np.exp(1j * t_values[idx][:, None] * distinct), where, axis=1)
         np.multiply(row, phase, out=out, casting="same_kind")
     return fill
 
@@ -267,42 +275,51 @@ def _screen_margin(row: np.ndarray, n: int) -> tuple[float, float]:
 
 
 def _time_slope(row: np.ndarray, values: np.ndarray, times: np.ndarray,
-                n: int) -> tuple[float, float]:
-    """(L, p) for the length-n spectra row e^{i t values} at the ascending
-    times: L a Lipschitz constant in t of the exact moduli of their inverse
-    DFTs, and p a bound on how far the float64 rounding of the phases moves
-    a computed modulus.
+                n: int) -> tuple[float, float, float]:
+    """(L, K, p) for the length-n spectra row e^{i t values} at the monotone
+    times: L and K bounds on the first and second t-derivatives of their
+    inverse DFTs, and p a bound on how far the float64 rounding of the
+    phases moves a computed modulus.
 
-    For every real c, |u(t, x_j)| = |(1/n) sum_k row_k e^{i t (v_k - c)}
-    e^{2 pi i j k / n}|, whose t-derivative is at most (1/n) sum_k |row_k|
-    |v_k - c| term by term (a Bernstein bound for the exponential sum in t);
-    c is the |row|-weighted median of v, which makes that sum least.  L is
-    its float64 value rounded up by the factor 1 + 2 (n + 3) eps64, more
-    than the rounding of the terms and of their sum.  A phase t v is
-    computed with an error of at most u64 |t| v, which moves each |u| by at
-    most u64 max|t| max v ||row||_1 / n; p is twice that.
+    For every real c, |u(t, x_j)| = |g(t)| with g(t) = (1/n) sum_k row_k
+    e^{i t (v_k - c)} e^{2 pi i j k / n}, and |g^(m)| <= (1/n) sum_k |row_k|
+    |v_k - c|^m term by term (a Bernstein bound for the exponential sum in
+    t).  L takes m = 1 and c the |row|-weighted median of v, which makes
+    that sum least, so it is a Lipschitz constant of |u| in t; K takes
+    m = 2 and c the |row|-weighted mean of v.  Both are their float64
+    values rounded up by the factor 1 + 2 (n + 4) eps64, more than the
+    rounding of the terms and of their sum.  A phase t v of _time_rows is
+    computed with an error of at most u64 |t| v.  A row of _grid_rows is
+    that of the time t_start + j dt, within 35 eps64 max|t| of its own time
+    by _uniform_step's tolerance, with phase errors of at most 5 u64
+    max|t| v.  A phase error d moves each |u| by at most d max v
+    ||row||_1 / n, so p = 40 eps64 max|t| max v ||row||_1 / n covers both.
     """
     magnitude = np.abs(row)
     order = np.argsort(values, kind="stable")
     weight = np.cumsum(magnitude[order])
     median = values[order[min(np.searchsorted(weight, 0.5 * weight[-1]), values.size - 1)]]
+    mean = np.dot(magnitude, values) / weight[-1]
     eps = float(np.finfo(float).eps)
-    slope = float(np.dot(magnitude, np.abs(values - median))) / n * (1.0 + 2.0 * (n + 3) * eps)
+    up = (1.0 + 2.0 * (n + 4) * eps) / n
+    slope = float(np.dot(magnitude, np.abs(values - median))) * up
+    curvature = float(np.dot(magnitude, (values - mean) ** 2)) * up
     t_max = max(abs(float(times[0])), abs(float(times[-1])))
-    return slope, eps * t_max * float(np.max(values)) * float(np.sum(magnitude)) / n
+    return (slope, curvature,
+            40.0 * eps * t_max * float(np.max(values)) * float(np.sum(magnitude)) / n)
 
 
 def _initial_ranges(times: np.ndarray, width: float):
     """The initial time ranges of _screened_sup as (first, last) index
     arrays (both ends inclusive), one pair per block of 16 _TIME_CHUNK
-    consecutive times: a block is cut wherever floor((t - t_block) / width)
+    consecutive times: a block is cut wherever floor(|t - t_block| / width)
     changes, so that each range spans less than width.  A width that is not
     positive gives single-time ranges."""
     block = 16 * _TIME_CHUNK
     for start in range(0, times.size, block):
         stop = min(start + block, times.size)
         if width > 0:
-            bins = np.floor((times[start:stop] - times[start]) / width)
+            bins = np.floor(np.abs(times[start:stop] - times[start]) / width)
             first = start + np.flatnonzero(np.diff(bins, prepend=-1.0))
         else:
             first = np.arange(start, stop)
@@ -310,56 +327,66 @@ def _initial_ranges(times: np.ndarray, width: float):
 
 
 def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
-                  values: np.ndarray | None = None) -> np.ndarray:
-    """max over the times of |ifft| of length-n spectra that are zero
-    outside columns lo:lo + row.size.  fill(out, idx, row) writes into out,
-    in out's precision, the spectra there of the times with the ascending
-    indices idx, for the coefficients row.  With values None every time is
-    screened on its own (uniform grids), and the indices of every call to
-    fill lie in one chunk of _TIME_CHUNK times; otherwise times is
-    ascending, and values, the |xi|^a of each column of row, lets nearby
-    times be ruled out together.
+                  values: np.ndarray) -> np.ndarray:
+    """max over the monotone times of |ifft| of length-n spectra that are
+    zero outside columns lo:lo + row.size.  fill(out, idx, row) writes into
+    out, in out's precision, the spectra there of the times with the
+    ascending indices idx, for the coefficients row; values, the |xi|^a of
+    each column of row, gives the bounds that rule out the times between
+    two screened ones together.
 
     The screen works in complex64 on s * row (s and eta from _screen_margin)
-    and keeps top(x), the running max of the moduli it has computed.  It
-    takes ranges of consecutive times, first those of _initial_ranges with
-    width = rho / L (rho = ||s row||_2 / n, the RMS modulus; L the Lipschitz
-    constant of _time_slope for s * row), and goes level by level.  At each
-    level the middle time of every range is transformed, in batches of
-    _TIME_CHUNK, and top is raised; a range is dropped when every x has
+    and keeps top(x), the running max of the moduli it has computed.  A
+    screened time t is transformed in a batch of _TIME_CHUNK, top is
+    raised, and t records one scalar, the float32 difference (whose sign is
+    exact)
 
-        mod32(mid) + L r + eps < top - 2 eta,
+        e_t = max over x of mod32_t(x) - (top(x) - 2 eta).
 
-    r the largest distance from mid to a time of the range, and otherwise
-    the times before mid and those after it are the next level's ranges.
-    A transformed time is kept when some x has mod32 >= top - 2 eta (not
-    < it, so that nan keeps the row).  The complex64 buffers are then freed,
-    and only the kept times are filled from row, transformed and reduced in
-    complex128, chunk by chunk, exactly as a single complex128 pass over
-    every time would compute them.
+    t is kept when e_t >= 0 (not < 0, so that nan keeps the row).  With L,
+    K and p from _time_slope for s * row, the first times screened are the
+    two ends of each range of _initial_ranges with width sqrt(8 rho / K)
+    (rho = ||s row||_2 / n, the RMS modulus; inf for K = 0), and the ranges
+    are the first intervals.  Then it goes level by level: an interval
+    between screened times a < c (indices) with c - a > 1 is dropped when
+
+        max(e_a, e_c) < -(reach + eps) (1 + 2^-20),   reach = min(L H / 2, K H^2 / 8),
+
+    H = |t_c - t_a|, and otherwise its middle (a + c) // 2 is screened and
+    splits it in two for the next level.  top only rises, so a recorded e
+    stays an upper bound, and max over x of max(f, g) is max(max f, max g),
+    so the test is exact; the factor 1 + 2^-20 covers the rounding of the
+    difference (at most 2^-24 of its size) and of reach.  The complex64
+    buffers are then freed, and only the kept times are filled from row,
+    transformed and reduced in complex128, in batches of _TIME_CHUNK / 2,
+    exactly as a single complex128 pass over every time would compute them.
+
+    The bound: every t between t_a and t_c has |u(t, x)| <= max(|u(t_a, x)|,
+    |u(t_c, x)|) + reach at every x.  L H / 2 is the Lipschitz bound from
+    the nearer end.  For K H^2 / 8, g(t) = e^{-i mu t} u(t, x), mu the
+    weighted mean of _time_slope, has |g| = |u| and |g''| <= K.  The linear
+    interpolant of g between t_a and t_c has modulus at most max(|g(t_a)|,
+    |g(t_c)|), and the interpolation error is the integral of a Peano
+    kernel G >= 0 against g'', with the integral of G at most H^2 / 8, so
+    complex values need no sqrt(2).
 
     The error budget: eta bounds |mod32 - mod64|, so top <= max64 + eta.
     A computed mod64 is within U + s p of the exact modulus, U the unit of
     _screen_margin (the complex128 rows' own rounding, as there) and p the
-    phase bound of _time_slope, and the exact modulus moves by at most
-    L |t - t'|; eps = 2 (U + s p).  The drop test takes the max over x of
-    the float32 difference mod32 - (top - 2 eta), whose sign is exact, and
-    compares it with -(L r + eps) in float64, with L r + eps rounded up by
-    the factor 1 + 2^-20; that covers the difference's rounding, at most
-    2^-24 of its size, which matters only where it is near -(L r + eps).
+    phase bound of _time_slope; eps = 2 (U + s p).
 
-    Why no max is lost: let t* be a complex128 argmax at x and mid the
-    middle of a range that holds t*, within r of it.  Then
+    Why no max is lost: let t* be a complex128 argmax at x, inside an
+    interval with ends a and c.  Then
 
-        mod32(mid) + L r + 2 (U + s p) >= mod64(t*) - eta >= top - 2 eta,
+        max(mod32(a), mod32(c)) + reach + 2 (U + s p) >= mod64(t*) - eta >= top - 2 eta,
 
-    so no range that holds t* is dropped.  Ranges only shrink, so t* is the
-    middle of one at some level, and it is kept, its mod32 being at least
+    so no interval that holds t* is dropped.  Intervals only shrink, so t*
+    is screened at some level, and it is kept, its mod32 being at least
     mod64(t*) - eta >= top - 2 eta.  The max over the kept times is then the
     max over every time, and a max does not depend on the order or the
     grouping of its rows, so the result equals the single pass bit for bit.
-    Each time is the middle of at most one range, so none is transformed
-    twice in complex64; single-time ranges screen every time once.
+    Each time is an end of one range or the middle of one interval, so none
+    is transformed twice in complex64.
     """
     sup = np.zeros(n)
     count = times.size
@@ -368,60 +395,63 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     s, eta = _screen_margin(row, n)
     scaled = s * row
     cols = slice(lo, lo + row.size)
-    # single-time ranges are never wider than their middle, so need no slack
-    width = slope = slack = 0.0
-    if values is not None:
-        lipschitz, phase = _time_slope(row, values, times, n)
-        unit = eta / (7.0 * (math.log2(n) + 1.0))   # U of _screen_margin
-        slope, slack = s * lipschitz, 2.0 * (unit + s * phase)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # rho / L, in which s cancels: inf for L = 0, nan for a row
-            # that is not finite
-            width = np.linalg.norm(row) / n / lipschitz
+    lipschitz, curvature, phase = _time_slope(row, values, times, n)
+    unit = eta / (7.0 * (math.log2(n) + 1.0))   # U of _screen_margin
+    slope, bend, slack = s * lipschitz, s * curvature, 2.0 * (unit + s * phase)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # sqrt(8 rho / K), in which s cancels: inf for K = 0, nan for a row
+        # that is not finite
+        width = np.sqrt(8.0 * np.linalg.norm(row) / n / curvature)
     # top and kept go before the complex64 buffers, so that freeing those
     # leaves memory the complex128 buffers can reuse
     top = np.zeros(n, dtype=np.float32)
     kept = []
     spectra, fields, moduli = _chunk_buffers(min(_TIME_CHUNK, count), n, np.complex64)
-    level = _initial_ranges(times, width)
-    while True:
-        halves = []
-        for first, last in level:
-            middle = (first + last) // 2
-            spread = np.flatnonzero(first < last)   # ranges of more than one time
-            for b in range(0, first.size, _TIME_CHUNK):
-                mid = middle[b:b + _TIME_CHUNK]
-                m = mid.size
-                fill(spectra[:m, cols], mid, scaled)
-                chunk = _moduli(spectra[:m], fields[:m], moduli[:m])
-                np.maximum(top, chunk.max(axis=0), out=top)
-                floor = top - 2.0 * eta
-                kept.append(mid[~np.all(chunk < floor, axis=1)])
-                wide = (spread[np.searchsorted(spread, b):np.searchsorted(spread, b + m)]
-                        if spread.size else spread)
-                if wide.size == 0:
-                    continue
-                # max over x of mod32 - (top - 2 eta); a float32 difference
-                # has the sign of the exact one
-                excess = (chunk[wide - b] - floor).max(axis=1)
-                low, mid, high = first[wide], middle[wide], last[wide]
-                radius = np.maximum(times[mid] - times[low], times[high] - times[mid])
-                reach = (slope * radius + slack) * (1.0 + 2.0 ** -20)
-                live = ~(excess < -reach)
-                low, mid, high = low[live], mid[live], high[live]
-                starts = np.stack((low, mid + 1), axis=1).ravel()
-                ends = np.stack((mid - 1, high), axis=1).ravel()
-                nonempty = starts <= ends
-                halves.append((starts[nonempty], ends[nonempty]))
-        if not halves:
-            break
-        level = [tuple(np.concatenate(part) for part in zip(*halves))]
-    del spectra, fields, moduli, chunk
+
+    def screen(idx):
+        """e of each of the ascending indices idx, screened in batches."""
+        excess = np.empty(idx.size, dtype=np.float32)
+        for b in range(0, idx.size, _TIME_CHUNK):
+            part = idx[b:b + _TIME_CHUNK]
+            m = part.size
+            fill(spectra[:m, cols], part, scaled)
+            chunk = _moduli(spectra[:m], fields[:m], moduli[:m])
+            np.maximum(top, chunk.max(axis=0), out=top)
+            np.subtract(chunk, top - 2.0 * eta, out=chunk)
+            chunk.max(axis=1, out=excess[b:b + m])
+            kept.append(part[~(excess[b:b + m] < 0)])
+        return excess
+
+    def live(low, high, e_low, e_high):
+        """Whether each interval has inner times that its ends do not rule out."""
+        gap = np.abs(times[high] - times[low])
+        reach = np.minimum(slope * gap / 2.0, bend * gap * gap / 8.0) + slack
+        return (high - low > 1) & ~(np.maximum(e_low, e_high) < -reach * (1.0 + 2.0 ** -20))
+
+    low, high = (np.concatenate(ends) for ends in zip(*_initial_ranges(times, width)))
+    ends = np.stack((low, high), axis=1).ravel()
+    ends = ends[np.diff(ends, prepend=-1) > 0]   # a range of one time has one end
+    excess = screen(ends)
+    level = (low, high, excess[np.searchsorted(ends, low)], excess[np.searchsorted(ends, high)])
+    del low, high, ends, excess
+    keep = live(*level)
+    level = [part[keep] for part in level]
+    while level[0].size:
+        low, high, e_low, e_high = level
+        middle = (low + high) // 2
+        e_middle = screen(middle)
+        # the live halves in ascending order
+        keep = np.stack((live(low, middle, e_low, e_middle),
+                         live(middle, high, e_middle, e_high)), axis=1).ravel()
+        level = [np.stack(pair, axis=1).ravel()[keep] for pair in (
+            (low, middle), (middle, high), (e_low, e_middle), (e_middle, e_high))]
+    del spectra, fields, moduli
     kept = np.sort(np.concatenate(kept))
-    per_chunk = np.split(kept, np.flatnonzero(np.diff(kept // _TIME_CHUNK)) + 1)
-    spectra, fields, moduli = _chunk_buffers(max(idx.size for idx in per_chunk), n,
-                                             np.complex128)
-    for idx in per_chunk:
+    # complex128 batches of half as many rows fit in the freed complex64 buffers
+    batch = _TIME_CHUNK // 2
+    spectra, fields, moduli = _chunk_buffers(min(batch, kept.size), n, np.complex128)
+    for b in range(0, kept.size, batch):
+        idx = kept[b:b + batch]
         k = idx.size
         fill(spectra[:k, cols], idx, row)
         np.maximum(sup, _moduli(spectra[:k], fields[:k], moduli[:k]).max(axis=0), out=sup)
@@ -434,18 +464,18 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     Only the coefficients matter that are nonzero: they lie in columns
     lo:hi, and one exp per distinct |xi|^a among them and per time (or per
     row of a step table) gives their phases.  A uniformly spaced grid (see
-    _uniform_step) builds its batches of _TIME_CHUNK times from one step
-    table (_grid_rows) and screens every time on its own.  Other times are
-    taken in ascending order (_ascending), build each row directly
-    (_time_rows), and are screened by bisection of time ranges, which rules
-    out whole runs of nearby times by the Lipschitz bound of _time_slope.
-    Both go through _screened_sup, which screens in complex64 and recomputes
-    in complex128 only the times within 2 eta of the running max at some x,
-    eta = 7 (log2 N + 1) eps32 ||c||_2 / sqrt(N) the a-priori FFT rounding
-    bound of _screen_margin for the coefficient vector c scaled by a power
-    of two, so its result is the complex128 sup over every time, bit for
-    bit.  The 1/dx scale is applied after the max, which is exact because
-    correctly rounded division is monotone.
+    _uniform_step) builds its rows from one step table (_grid_rows); other
+    times are taken in ascending order (_ascending) and build each row
+    directly (_time_rows).  Both go through _screened_sup, which screens in
+    complex64 the ends of intervals of times and bisects them, ruling out
+    the times between two screened ones by the slope and curvature bounds
+    of _time_slope, and recomputes in complex128 only the times within
+    2 eta of the running max at some x, eta = 7 (log2 N + 1) eps32 ||c||_2
+    / sqrt(N) the a-priori FFT rounding bound of _screen_margin for the
+    coefficient vector c scaled by a power of two, so its result is the
+    complex128 sup over every time, bit for bit.  The 1/dx scale is
+    applied after the max, which is exact because correctly rounded
+    division is monotone.
     """
     g = F.grid
     n = g.point_count
@@ -461,14 +491,12 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     where[nonzero - lo] = inverse
     t_values = np.asarray(t_values, dtype=float)
     dt = _uniform_step(t_values)
-    if dt is not None:
-        sup = _screened_sup(_grid_rows(t_values, distinct, where, dt), base[lo:hi], lo, n,
-                            t_values)
-    else:
+    if dt is None:
         t_values = _ascending(t_values)
-        sup = _screened_sup(_time_rows(t_values, distinct, where), base[lo:hi], lo, n,
-                            t_values, distinct[where])
-    return sup / g.dx
+        fill = _time_rows(t_values, distinct, where)
+    else:
+        fill = _grid_rows(t_values, distinct, where, dt)
+    return _screened_sup(fill, base[lo:hi], lo, n, t_values, distinct[where]) / g.dx
 
 
 def grid_for_bandlimit(lam: float, half_length: float = 1.0,

@@ -260,6 +260,22 @@ class TestScreen:
                               equal_nan=True)
 
 
+class TestUniformGrids:
+    """Uniform grids through the bisection of _screened_sup, against one
+    complex128 pass over every time (conftest.single_pass)."""
+
+    @pytest.mark.parametrize("length", [1.0, 0.25, 0.01])
+    @pytest.mark.parametrize("shape", ["ball", "annulus"])
+    def test_no_time_screened_twice(self, length, shape, moduli_rows, single_pass):
+        F = spectral.make_bandlimited_random(40.0, shape, 11, GRID)
+        ts = np.linspace(0.2, 0.2 + length, 3001)
+        assert spectral._uniform_step(ts) is not None
+        sup = spectral.sup_over_times(F, ts, 2.0)
+        assert np.array_equal(sup, single_pass(spectral.sup_over_times, F, ts, 2.0))
+        assert moduli_rows["complex64"] <= ts.size
+        assert 0 < moduli_rows["complex128"] <= moduli_rows["complex64"]
+
+
 class TestArbitraryTimes:
     """Times that are not uniform through the screen, against one complex128
     pass over every time (conftest.single_pass)."""
@@ -356,13 +372,36 @@ class TestTimeSlope:
         row = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
         distinct, where = np.unique(np.abs(GRID.xi_nodes()[lo:hi]) ** a, return_inverse=True)
         ts = np.array([t, t + gap])
-        slope, phase = spectral._time_slope(row, distinct[where], ts, n)
+        slope, _, phase = spectral._time_slope(row, distinct[where], ts, n)
         s, eta = spectral._screen_margin(row, n)
         unit = eta / (7.0 * (math.log2(n) + 1.0)) / s
         buffers = spectral._chunk_buffers(2, n, np.complex128)
         spectral._time_rows(ts, distinct, where)(buffers[0][:, lo:hi], np.arange(2), row)
         mod = spectral._moduli(*buffers)
         assert np.all(np.abs(mod[1] - mod[0]) <= slope * (ts[1] - ts[0]) + 2.0 * (unit + phase))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), a=st.sampled_from([1.5, 2.0, 3.0]),
+           t=st.floats(0.0, 1.0), gap=st.floats(1e-9, 1e-1), inner=st.floats(0.0, 1.0))
+    def test_inner_moduli_within_bound_of_the_ends(self, seed, a, t, gap, inner):
+        # an inner time's modulus exceeds the larger end's by at most
+        # min(L H / 2, K H^2 / 8), the reach by which the screen drops an
+        # interval between two screened times
+        rng = np.random.default_rng(seed)
+        n = GRID.point_count
+        lo = int(rng.integers(0, n - 1))
+        hi = int(rng.integers(lo + 1, n + 1))
+        row = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
+        distinct, where = np.unique(np.abs(GRID.xi_nodes()[lo:hi]) ** a, return_inverse=True)
+        ts = np.array([t, t + inner * gap, t + gap])
+        slope, curvature, phase = spectral._time_slope(row, distinct[where], ts, n)
+        s, eta = spectral._screen_margin(row, n)
+        unit = eta / (7.0 * (math.log2(n) + 1.0)) / s
+        buffers = spectral._chunk_buffers(3, n, np.complex128)
+        spectral._time_rows(ts, distinct, where)(buffers[0][:, lo:hi], np.arange(3), row)
+        mod = spectral._moduli(*buffers)
+        h = ts[2] - ts[0]
+        reach = min(slope * h / 2.0, curvature * h * h / 8.0)
+        assert np.all(mod[1] <= np.maximum(mod[0], mod[2]) + reach + 2.0 * (unit + phase))
 
 
 class TestRandomData:
