@@ -183,43 +183,40 @@ def _step_table(distinct: np.ndarray, where: np.ndarray, dt: float,
     return np.take(np.exp(1j * np.outer(dt * np.arange(rows), distinct)), where, axis=1)
 
 
-def _grid_rows(t_values: np.ndarray, distinct: np.ndarray, where: np.ndarray,
-               dt: float):
-    """The row filler of _screened_sup for t_values uniform with step dt:
-    the time start + j, start a multiple of _TIME_CHUNK and j < _TIME_CHUNK,
-    is row j of the step table times row e^{i t_start v}, one multiply per
-    entry with no accumulated rounding.  The indices of one call may lie in
-    any chunks; each chunk's first row is made once per call.  The table is
-    made in complex128 and kept in one precision at a time, so that the two
-    never take memory together: complex64 from the start, for the screen,
-    and complex128 from its first complex128 call on."""
-    rows = min(_TIME_CHUNK, t_values.size)
+def _time_rows(t_values: np.ndarray, distinct: np.ndarray, where: np.ndarray,
+               dt: float | None = None):
+    """The row filler of _screened_sup: fill(out, idx, row) writes into out,
+    in out's precision, the spectra row e^{i t v} (v = distinct[where]) of
+    the times with the ascending indices idx.  Each index has an anchor:
+    itself for any times, and for times uniform with step dt the multiple
+    of _TIME_CHUNK at or below it.  One exp per distinct value and anchor
+    gives the anchor rows row e^{i t_anchor v} in complex128, each cast once
+    to out's precision.  Without dt that is the row; with dt it is then
+    multiplied by row idx - anchor of the step table, one multiply per entry
+    with no accumulated rounding.  The table is made in complex128 and kept
+    in one precision at a time, so that the two never take memory together:
+    complex64 from the start, for the screen, and complex128 from its first
+    complex128 call on."""
+    period = _TIME_CHUNK if dt is not None else 1
     table = {}
 
     def steps(dtype):
         if dtype not in table:
             table.clear()
+            rows = min(_TIME_CHUNK, t_values.size)
             table[dtype] = _step_table(distinct, where, dt, rows).astype(dtype, copy=False)
         return table[dtype]
-    steps(np.dtype(np.complex64))
+    if dt is not None:
+        steps(np.dtype(np.complex64))
 
     def fill(out, idx, row):
-        starts = idx - idx % _TIME_CHUNK
-        cuts = [0, *(np.flatnonzero(np.diff(starts)) + 1).tolist(), idx.size]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            first = row * np.exp(1j * t_values[starts[a]] * distinct)[where]
-            np.multiply(steps(out.dtype)[idx[a:b] - starts[a]], first.astype(out.dtype),
-                        out=out[a:b])
-    return fill
-
-
-def _time_rows(t_values: np.ndarray, distinct: np.ndarray, where: np.ndarray):
-    """The row filler of _screened_sup for any times: row e^{i t v} for
-    each time, one exp per distinct value and time, computed in complex128
-    and cast once to out's precision."""
-    def fill(out, idx, row):
-        phase = np.take(np.exp(1j * t_values[idx][:, None] * distinct), where, axis=1)
-        np.multiply(row, phase, out=out, casting="same_kind")
+        anchors, pick = np.unique(idx - idx % period, return_inverse=True)
+        phase = np.take(np.exp(1j * t_values[anchors][:, None] * distinct), where, axis=1)
+        if dt is None:
+            np.multiply(row, phase, out=out, casting="same_kind")
+        else:
+            first = np.multiply(row, phase, out=phase).astype(out.dtype)
+            np.multiply(steps(out.dtype)[idx - anchors[pick]], first[pick], out=out)
     return fill
 
 
@@ -274,39 +271,32 @@ def _screen_margin(row: np.ndarray, n: int) -> tuple[float, float]:
     return s, 7.0 * (math.log2(n) + 1.0) * unit
 
 
-def _time_slope(row: np.ndarray, values: np.ndarray, times: np.ndarray,
-                n: int) -> tuple[float, float, float]:
-    """(L, K, p) for the length-n spectra row e^{i t values} at the monotone
-    times: L and K bounds on the first and second t-derivatives of their
-    inverse DFTs, and p a bound on how far the float64 rounding of the
-    phases moves a computed modulus.
+def _time_curvature(row: np.ndarray, values: np.ndarray, times: np.ndarray,
+                    n: int) -> tuple[float, float]:
+    """(K, p) for the length-n spectra row e^{i t values} at the monotone
+    times: K a bound on the second t-derivative of their inverse DFTs, up
+    to a phase, and p a bound on how far the float64 rounding of the phases
+    moves a computed modulus.
 
-    For every real c, |u(t, x_j)| = |g(t)| with g(t) = (1/n) sum_k row_k
-    e^{i t (v_k - c)} e^{2 pi i j k / n}, and |g^(m)| <= (1/n) sum_k |row_k|
-    |v_k - c|^m term by term (a Bernstein bound for the exponential sum in
-    t).  L takes m = 1 and c the |row|-weighted median of v, which makes
-    that sum least, so it is a Lipschitz constant of |u| in t; K takes
-    m = 2 and c the |row|-weighted mean of v.  Both are their float64
-    values rounded up by the factor 1 + 2 (n + 4) eps64, more than the
-    rounding of the terms and of their sum.  A phase t v of _time_rows is
-    computed with an error of at most u64 |t| v.  A row of _grid_rows is
-    that of the time t_start + j dt, within 35 eps64 max|t| of its own time
-    by _uniform_step's tolerance, with phase errors of at most 5 u64
-    max|t| v.  A phase error d moves each |u| by at most d max v
+    With mu the |row|-weighted mean of v, g(t) = e^{-i mu t} u(t, x_j) =
+    (1/n) sum_k row_k e^{i t (v_k - mu)} e^{2 pi i j k / n} has |g| = |u|
+    and |g''| <= (1/n) sum_k |row_k| (v_k - mu)^2 term by term (a Bernstein
+    bound for the exponential sum in t); K is its float64 value rounded up
+    by the factor 1 + 2 (n + 4) eps64, more than the rounding of the terms
+    and of their sum.  A phase t v of an anchor row of _time_rows is
+    computed with an error of at most u64 |t| v.  A row built from the step
+    table is that of the time t_anchor + j dt, within 35 eps64 max|t| of its
+    own time by _uniform_step's tolerance, with phase errors of at most
+    5 u64 max|t| v.  A phase error d moves each |u| by at most d max v
     ||row||_1 / n, so p = 40 eps64 max|t| max v ||row||_1 / n covers both.
     """
     magnitude = np.abs(row)
-    order = np.argsort(values, kind="stable")
-    weight = np.cumsum(magnitude[order])
-    median = values[order[min(np.searchsorted(weight, 0.5 * weight[-1]), values.size - 1)]]
-    mean = np.dot(magnitude, values) / weight[-1]
+    total = float(np.sum(magnitude))
+    mean = np.dot(magnitude, values) / total
     eps = float(np.finfo(float).eps)
-    up = (1.0 + 2.0 * (n + 4) * eps) / n
-    slope = float(np.dot(magnitude, np.abs(values - median))) * up
-    curvature = float(np.dot(magnitude, (values - mean) ** 2)) * up
+    curvature = float(np.dot(magnitude, (values - mean) ** 2)) * (1.0 + 2.0 * (n + 4) * eps) / n
     t_max = max(abs(float(times[0])), abs(float(times[-1])))
-    return (slope, curvature,
-            40.0 * eps * t_max * float(np.max(values)) * float(np.sum(magnitude)) / n)
+    return curvature, 40.0 * eps * t_max * float(np.max(values)) * total / n
 
 
 def _initial_ranges(times: np.ndarray, width: float):
@@ -332,7 +322,7 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     zero outside columns lo:lo + row.size.  fill(out, idx, row) writes into
     out, in out's precision, the spectra there of the times with the
     ascending indices idx, for the coefficients row; values, the |xi|^a of
-    each column of row, gives the bounds that rule out the times between
+    each column of row, gives the bound that rules out the times between
     two screened ones together.
 
     The screen works in complex64 on s * row (s and eta from _screen_margin)
@@ -343,14 +333,14 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
 
         e_t = max over x of mod32_t(x) - (top(x) - 2 eta).
 
-    t is kept when e_t >= 0 (not < 0, so that nan keeps the row).  With L,
-    K and p from _time_slope for s * row, the first times screened are the
+    t is kept when e_t >= 0 (not < 0, so that nan keeps the row).  With K
+    and p from _time_curvature for s * row, the first times screened are the
     two ends of each range of _initial_ranges with width sqrt(8 rho / K)
     (rho = ||s row||_2 / n, the RMS modulus; inf for K = 0), and the ranges
     are the first intervals.  Then it goes level by level: an interval
     between screened times a < c (indices) with c - a > 1 is dropped when
 
-        max(e_a, e_c) < -(reach + eps) (1 + 2^-20),   reach = min(L H / 2, K H^2 / 8),
+        max(e_a, e_c) < -(reach + eps) (1 + 2^-20),   reach = K H^2 / 8,
 
     H = |t_c - t_a|, and otherwise its middle (a + c) // 2 is screened and
     splits it in two for the next level.  top only rises, so a recorded e
@@ -362,9 +352,8 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     exactly as a single complex128 pass over every time would compute them.
 
     The bound: every t between t_a and t_c has |u(t, x)| <= max(|u(t_a, x)|,
-    |u(t_c, x)|) + reach at every x.  L H / 2 is the Lipschitz bound from
-    the nearer end.  For K H^2 / 8, g(t) = e^{-i mu t} u(t, x), mu the
-    weighted mean of _time_slope, has |g| = |u| and |g''| <= K.  The linear
+    |u(t_c, x)|) + reach at every x: g(t) = e^{-i mu t} u(t, x), mu the
+    weighted mean of _time_curvature, has |g| = |u| and |g''| <= K.  The linear
     interpolant of g between t_a and t_c has modulus at most max(|g(t_a)|,
     |g(t_c)|), and the interpolation error is the integral of a Peano
     kernel G >= 0 against g'', with the integral of G at most H^2 / 8, so
@@ -373,7 +362,7 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     The error budget: eta bounds |mod32 - mod64|, so top <= max64 + eta.
     A computed mod64 is within U + s p of the exact modulus, U the unit of
     _screen_margin (the complex128 rows' own rounding, as there) and p the
-    phase bound of _time_slope; eps = 2 (U + s p).
+    phase bound of _time_curvature; eps = 2 (U + s p).
 
     Why no max is lost: let t* be a complex128 argmax at x, inside an
     interval with ends a and c.  Then
@@ -395,9 +384,9 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     s, eta = _screen_margin(row, n)
     scaled = s * row
     cols = slice(lo, lo + row.size)
-    lipschitz, curvature, phase = _time_slope(row, values, times, n)
+    curvature, phase = _time_curvature(row, values, times, n)
     unit = eta / (7.0 * (math.log2(n) + 1.0))   # U of _screen_margin
-    slope, bend, slack = s * lipschitz, s * curvature, 2.0 * (unit + s * phase)
+    bend, slack = s * curvature, 2.0 * (unit + s * phase)
     with np.errstate(divide="ignore", invalid="ignore"):
         # sqrt(8 rho / K), in which s cancels: inf for K = 0, nan for a row
         # that is not finite
@@ -425,7 +414,7 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     def live(low, high, e_low, e_high):
         """Whether each interval has inner times that its ends do not rule out."""
         gap = np.abs(times[high] - times[low])
-        reach = np.minimum(slope * gap / 2.0, bend * gap * gap / 8.0) + slack
+        reach = bend * gap * gap / 8.0 + slack
         return (high - low > 1) & ~(np.maximum(e_low, e_high) < -reach * (1.0 + 2.0 ** -20))
 
     low, high = (np.concatenate(ends) for ends in zip(*_initial_ranges(times, width)))
@@ -462,20 +451,18 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     """Pointwise sup of |S_t f| over the given times (nonnegative, real).
 
     Only the coefficients matter that are nonzero: they lie in columns
-    lo:hi, and one exp per distinct |xi|^a among them and per time (or per
-    row of a step table) gives their phases.  A uniformly spaced grid (see
-    _uniform_step) builds its rows from one step table (_grid_rows); other
-    times are taken in ascending order (_ascending) and build each row
-    directly (_time_rows).  Both go through _screened_sup, which screens in
-    complex64 the ends of intervals of times and bisects them, ruling out
-    the times between two screened ones by the slope and curvature bounds
-    of _time_slope, and recomputes in complex128 only the times within
-    2 eta of the running max at some x, eta = 7 (log2 N + 1) eps32 ||c||_2
-    / sqrt(N) the a-priori FFT rounding bound of _screen_margin for the
-    coefficient vector c scaled by a power of two, so its result is the
-    complex128 sup over every time, bit for bit.  The 1/dx scale is
-    applied after the max, which is exact because correctly rounded
-    division is monotone.
+    lo:hi.  _time_rows gives their phases with one exp per distinct |xi|^a
+    among them and per time, or, on a uniformly spaced grid (see
+    _uniform_step), per anchor of a step table; other times are taken in
+    ascending order (_ascending).  _screened_sup screens in complex64 the
+    ends of intervals of times and bisects them, ruling out the times
+    between two screened ones by the curvature bound of _time_curvature,
+    and recomputes in complex128 only the times within 2 eta of the
+    running max at some x, eta = 7 (log2 N + 1) eps32 ||c||_2 / sqrt(N) the
+    a-priori FFT rounding bound of _screen_margin for the coefficient
+    vector c scaled by a power of two, so its result is the complex128 sup
+    over every time, bit for bit.  The 1/dx scale is applied after the
+    max, which is exact because correctly rounded division is monotone.
     """
     g = F.grid
     n = g.point_count
@@ -493,9 +480,7 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     dt = _uniform_step(t_values)
     if dt is None:
         t_values = _ascending(t_values)
-        fill = _time_rows(t_values, distinct, where)
-    else:
-        fill = _grid_rows(t_values, distinct, where, dt)
+    fill = _time_rows(t_values, distinct, where, dt)
     return _screened_sup(fill, base[lo:hi], lo, n, t_values, distinct[where]) / g.dx
 
 

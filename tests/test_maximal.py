@@ -195,9 +195,8 @@ class TestScreenedSupBytes:
     def test_a_zero_curvature_is_caught(self, monkeypatch, single_pass):
         # with K = 0 the screen drops intervals by their ends alone, and the
         # comparison above sees the lost maxima
-        bounds = spectral._time_slope
-        monkeypatch.setattr(spectral, "_time_slope",
-                            lambda *args: (bounds(*args)[0], 0.0, bounds(*args)[2]))
+        bounds = spectral._time_curvature
+        monkeypatch.setattr(spectral, "_time_curvature", lambda *args: (0.0, bounds(*args)[1]))
         window = TimeWindow(0.0, 1.0)
         differs = 0
         for lam in (16.0, 32.0):
@@ -209,6 +208,54 @@ class TestScreenedSupBytes:
                     ref = single_pass(maximal.maximal_over_window, F, window, 2.0)[0]
                     differs += not np.array_equal(got.samples, ref.samples)
         assert differs > 0
+
+    def test_a_zero_curvature_is_caught_off_the_grid(self, monkeypatch, single_pass):
+        # the same fault on the path for times that are not uniform: window
+        # grids moved by up to 1e-3 of a step, which _uniform_step rejects
+        bounds = spectral._time_curvature
+        differs = 0
+        for lam in (16.0, 32.0):
+            grid = spectral.grid_for_bandlimit(lam)
+            times = TimeWindow(0.0, 1.0).times(lam, 2.0)
+            jitter = np.random.default_rng(0).random(times.size)
+            times = times + 1e-3 * (times[1] - times[0]) * jitter
+            assert spectral._uniform_step(times) is None
+            for shape in ("annulus", "ball"):
+                for seed in range(3):
+                    F = spectral.make_bandlimited_random(lam, shape, seed, grid)
+                    ref = single_pass(spectral.sup_over_times, F, times, 2.0)
+                    assert np.array_equal(spectral.sup_over_times(F, times, 2.0), ref)
+                    with monkeypatch.context() as patched:
+                        patched.setattr(spectral, "_time_curvature",
+                                        lambda *args: (0.0, bounds(*args)[1]))
+                        differs += not np.array_equal(spectral.sup_over_times(F, times, 2.0), ref)
+        assert differs > 0
+
+    @pytest.mark.parametrize("lam", [32.0, 64.0])
+    def test_two_cluster_spectrum_equal_to_single_pass(self, lam, single_pass):
+        # random coefficients for |xi| <= lam / 10 and 5% of them for
+        # 0.9 lam <= |xi| <= lam: two clusters of |xi|^2 far apart, whose
+        # weighted spread makes the curvature bound loose, so the bisection
+        # screens more times than on ball or annulus data; the sups must
+        # still be those of the single pass, on a window grid and on a
+        # sequence
+        grid = spectral.grid_for_bandlimit(lam)
+        xi = np.abs(grid.xi_nodes())
+        seq = sequences.TimeSequence("power", alpha=1.0)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            coeffs = np.zeros(grid.point_count, dtype=np.complex128)
+            for mask, scale in ((xi <= 0.1 * lam, 1.0), ((xi >= 0.9 * lam) & (xi <= lam), 0.05)):
+                m = int(mask.sum())
+                coeffs[mask] = scale * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            F = spectral.SpectralFunction1D(grid, coeffs, band_limit=lam)
+            window = TimeWindow(0.0, 1.0)
+            assert np.array_equal(
+                maximal.maximal_over_window(F, window, 2.0)[0].samples,
+                single_pass(maximal.maximal_over_window, F, window, 2.0)[0].samples)
+            assert np.array_equal(
+                maximal.maximal_over_sequence(F, seq, 2.0)[0].samples,
+                single_pass(maximal.maximal_over_sequence, F, seq, 2.0)[0].samples)
 
 
 class TestScreenedRecompute:
@@ -260,28 +307,11 @@ class TestSequenceSupBytes:
                     compared += 1
         assert compared >= 12
 
-    def test_a_zero_slope_is_caught(self, monkeypatch, single_pass):
-        # with L = 0 the screen drops intervals whose max lies away from their
-        # ends, and the comparison above sees the lost maxima
-        bounds = spectral._time_slope
-        monkeypatch.setattr(spectral, "_time_slope", lambda *args: (0.0, *bounds(*args)[1:]))
-        seq = sequences.TimeSequence("power", alpha=1.0)
-        differs = 0
-        for lam in (16.0, 32.0):
-            grid = spectral.grid_for_bandlimit(lam)
-            for shape in ("annulus", "ball"):
-                for seed in range(3):
-                    F = spectral.make_bandlimited_random(lam, shape, seed, grid)
-                    got, _ = maximal.maximal_over_sequence(F, seq, 2.0)
-                    ref, _ = single_pass(maximal.maximal_over_sequence, F, seq, 2.0)
-                    differs += not np.array_equal(got.samples, ref.samples)
-        assert differs > 0
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bisection_screens_few_members_at_top_lambda(self, seed, moduli_rows):
         # the lemma4 workload item at lam = 2^8 (a = 2, annulus data): of its
         # 262,143 members, most lie within 1e-10 of their neighbours, and the
-        # Lipschitz bound rules them out in runs
+        # curvature bound rules them out in runs
         grid = spectral.grid_for_bandlimit(256.0)
         F = spectral.make_bandlimited_random(256.0, "annulus", seed, grid)
         seq = sequences.TimeSequence("power", alpha=1.0)

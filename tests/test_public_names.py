@@ -1,5 +1,6 @@
-"""Every public module-level name in src/schromax has a caller in the program,
-and every public member of its classes is read by the program.
+"""Every public module-level name and every private top-level function in
+src/schromax has a caller in the program, and every public member of its
+classes is read by the program.
 
 A caller is another top-level definition in src/schromax, or code in
 perfbench/.  Tests do not count.  The check reads ast.Name and ast.Attribute
@@ -18,7 +19,8 @@ SRC = os.path.join(ROOT, "src", "schromax")
 MODULES = {os.path.basename(p)[:-3]: p for p in glob.glob(os.path.join(SRC, "*.py"))}
 
 # Called only by tests/test_acceptance.py, whose gate may not change.
-ACCEPTANCE_ONLY = {"hankel_propagate", "simpson_weights", "forward_transform"}
+ACCEPTANCE_ONLY = {"hankel_propagate", "simpson_weights", "forward_transform",
+                   "_window_scan_item"}
 
 
 def _parse(path):
@@ -27,8 +29,11 @@ def _parse(path):
 
 
 def _defined_names(stmt):
-    """Public names a top-level statement defines (imports define none)."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+    """Names a top-level statement defines that need a caller: the name of
+    any function, and public names otherwise (imports define none)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.ClassDef):
         names = [stmt.name]
     elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]

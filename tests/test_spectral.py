@@ -310,7 +310,7 @@ class TestArbitraryTimes:
         self.check(F, np.array(ts), single_pass, moduli_rows)
 
     def test_one_distinct_frequency_power(self, moduli_rows, single_pass):
-        # coefficients only at +-xi_0: L = 0 and |S_t f(x)| is constant in t,
+        # coefficients only at +-xi_0: K = 0 and |S_t f(x)| is constant in t,
         # so every row ties with the max
         coeffs = np.zeros(GRID.point_count, dtype=np.complex128)
         xi = GRID.xi_nodes()
@@ -358,34 +358,16 @@ class TestArbitraryTimes:
 
 
 class TestTimeSlope:
-    """_time_slope's bound, which lets the screen rule out a range of times by
-    one transformed middle, on complex128 rows built as the screen builds
-    them."""
-
-    @given(seed=st.integers(0, 2 ** 32 - 1), a=st.sampled_from([1.5, 2.0, 3.0]),
-           t=st.floats(0.0, 1.0), gap=st.floats(1e-12, 1e-2))
-    def test_moduli_move_within_bound(self, seed, a, t, gap):
-        rng = np.random.default_rng(seed)
-        n = GRID.point_count
-        lo = int(rng.integers(0, n - 1))
-        hi = int(rng.integers(lo + 1, n + 1))
-        row = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
-        distinct, where = np.unique(np.abs(GRID.xi_nodes()[lo:hi]) ** a, return_inverse=True)
-        ts = np.array([t, t + gap])
-        slope, _, phase = spectral._time_slope(row, distinct[where], ts, n)
-        s, eta = spectral._screen_margin(row, n)
-        unit = eta / (7.0 * (math.log2(n) + 1.0)) / s
-        buffers = spectral._chunk_buffers(2, n, np.complex128)
-        spectral._time_rows(ts, distinct, where)(buffers[0][:, lo:hi], np.arange(2), row)
-        mod = spectral._moduli(*buffers)
-        assert np.all(np.abs(mod[1] - mod[0]) <= slope * (ts[1] - ts[0]) + 2.0 * (unit + phase))
+    """_time_curvature's bound, which lets the screen rule out a range of
+    times by its two screened ends, on complex128 rows built as the screen
+    builds them."""
 
     @given(seed=st.integers(0, 2 ** 32 - 1), a=st.sampled_from([1.5, 2.0, 3.0]),
            t=st.floats(0.0, 1.0), gap=st.floats(1e-9, 1e-1), inner=st.floats(0.0, 1.0))
     def test_inner_moduli_within_bound_of_the_ends(self, seed, a, t, gap, inner):
         # an inner time's modulus exceeds the larger end's by at most
-        # min(L H / 2, K H^2 / 8), the reach by which the screen drops an
-        # interval between two screened times
+        # K H^2 / 8, the reach by which the screen drops an interval between
+        # two screened times
         rng = np.random.default_rng(seed)
         n = GRID.point_count
         lo = int(rng.integers(0, n - 1))
@@ -393,14 +375,14 @@ class TestTimeSlope:
         row = rng.standard_normal(hi - lo) + 1j * rng.standard_normal(hi - lo)
         distinct, where = np.unique(np.abs(GRID.xi_nodes()[lo:hi]) ** a, return_inverse=True)
         ts = np.array([t, t + inner * gap, t + gap])
-        slope, curvature, phase = spectral._time_slope(row, distinct[where], ts, n)
+        curvature, phase = spectral._time_curvature(row, distinct[where], ts, n)
         s, eta = spectral._screen_margin(row, n)
         unit = eta / (7.0 * (math.log2(n) + 1.0)) / s
         buffers = spectral._chunk_buffers(3, n, np.complex128)
         spectral._time_rows(ts, distinct, where)(buffers[0][:, lo:hi], np.arange(3), row)
         mod = spectral._moduli(*buffers)
         h = ts[2] - ts[0]
-        reach = min(slope * h / 2.0, curvature * h * h / 8.0)
+        reach = curvature * h * h / 8.0
         assert np.all(mod[1] <= np.maximum(mod[0], mod[2]) + reach + 2.0 * (unit + phase))
 
 
