@@ -467,7 +467,18 @@ def _seq_classify(p, workers):
     summary = {"weak_constant": max(coarse, fine), "coarse": float(coarse),
                "fine": float(fine), "growing": bool(growing),
                "lr_convergent": sequences.lr_converges(seq, r)}
-    return ({"classify.csv": (("b", "count", "b_r_count"), rows)}, summary, True)
+    # the verdict: the summary reads the generator's known class.  The power
+    # sequence is in weak l^{1/alpha} with a constant near 1, and in no weak
+    # l^r for r < 1/alpha; geometric is in every l^r, log in no weak l^r
+    if gen == "power" and math.isclose(r * seq.alpha, 1.0):
+        ok = 0.9 <= summary["weak_constant"] <= 1.5 and not growing
+    elif gen == "power":
+        ok = growing == (r < 1.0 / seq.alpha)
+    elif gen == "geometric":
+        ok = summary["lr_convergent"] and not growing
+    else:
+        ok = growing
+    return ({"classify.csv": (("b", "count", "b_r_count"), rows)}, summary, ok)
 
 
 def _convergence_probe(p, workers):

@@ -317,7 +317,7 @@ def _initial_ranges(times: np.ndarray, width: float):
 
 
 def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
-                  values: np.ndarray) -> np.ndarray:
+                  values: np.ndarray, dtype=np.complex64) -> np.ndarray:
     """max over the monotone times of |ifft| of length-n spectra that are
     zero outside columns lo:lo + row.size.  fill(out, idx, row) writes into
     out, in out's precision, the spectra there of the times with the
@@ -325,15 +325,16 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     each column of row, gives the bound that rules out the times between
     two screened ones together.
 
-    The screen works in complex64 on s * row (s and eta from _screen_margin)
-    and keeps top(x), the running max of the moduli it has computed.  A
+    The screen works in dtype: in complex64 on s * row (s and eta from
+    _screen_margin), or in complex128 on row itself with s = 1 and eta = 0.
+    It keeps top(x), the running max of the moduli it has computed.  A
     screened time t is transformed in a batch of _TIME_CHUNK, top is
-    raised, and t records one scalar, the float32 difference (whose sign is
-    exact)
+    raised, and t records one scalar, the difference (whose sign is exact)
 
-        e_t = max over x of mod32_t(x) - (top(x) - 2 eta).
+        e_t = max over x of mod_t(x) - (top(x) - 2 eta).
 
-    t is kept when e_t >= 0 (not < 0, so that nan keeps the row).  With K
+    In complex64, t is kept when e_t >= 0 (not < 0, so that nan keeps the
+    row); a complex128 screen keeps no list.  With K
     and p from _time_curvature for s * row, the first times screened are the
     two ends of each range of _initial_ranges with width sqrt(8 rho / K)
     (rho = ||s row||_2 / n, the RMS modulus; inf for K = 0), and the ranges
@@ -346,10 +347,11 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     splits it in two for the next level.  top only rises, so a recorded e
     stays an upper bound, and max over x of max(f, g) is max(max f, max g),
     so the test is exact; the factor 1 + 2^-20 covers the rounding of the
-    difference (at most 2^-24 of its size) and of reach.  The complex64
-    buffers are then freed, and only the kept times are filled from row,
-    transformed and reduced in complex128, in batches of _TIME_CHUNK / 2,
-    exactly as a single complex128 pass over every time would compute them.
+    difference (at most 2^-24 of its size) and of reach.  After a complex64
+    screen its buffers are freed, and only the kept times are filled from
+    row, transformed and reduced in complex128, in batches of
+    _TIME_CHUNK / 2, exactly as a single complex128 pass over every time
+    would compute them.  A complex128 screen returns top itself.
 
     The bound: every t between t_a and t_c has |u(t, x)| <= max(|u(t_a, x)|,
     |u(t_c, x)|) + reach at every x: g(t) = e^{-i mu t} u(t, x), mu the
@@ -359,47 +361,53 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     kernel G >= 0 against g'', with the integral of G at most H^2 / 8, so
     complex values need no sqrt(2).
 
-    The error budget: eta bounds |mod32 - mod64|, so top <= max64 + eta.
-    A computed mod64 is within U + s p of the exact modulus, U the unit of
-    _screen_margin (the complex128 rows' own rounding, as there) and p the
-    phase bound of _time_curvature; eps = 2 (U + s p).
+    The error budget: eta bounds |mod32 - mod64| (eta = 0 when the screen
+    is the complex128 pass), so top <= max64 + eta.  A computed mod64 is
+    within U + s p of the exact modulus, U the unit of _screen_margin for
+    s * row (the complex128 rows' own rounding, as there) and p the phase
+    bound of _time_curvature; eps = 2 (U + s p).
 
     Why no max is lost: let t* be a complex128 argmax at x, inside an
     interval with ends a and c.  Then
 
-        max(mod32(a), mod32(c)) + reach + 2 (U + s p) >= mod64(t*) - eta >= top - 2 eta,
+        max(mod(a), mod(c)) + reach + 2 (U + s p) >= mod64(t*) - eta >= top - 2 eta,
 
     so no interval that holds t* is dropped.  Intervals only shrink, so t*
-    is screened at some level, and it is kept, its mod32 being at least
-    mod64(t*) - eta >= top - 2 eta.  The max over the kept times is then the
-    max over every time, and a max does not depend on the order or the
-    grouping of its rows, so the result equals the single pass bit for bit.
-    Each time is an end of one range or the middle of one interval, so none
-    is transformed twice in complex64.
+    is screened at some level.  A complex128 screen computes each row as the
+    single pass does, so top(x) is mod64(t*, x) once t* is screened.  A
+    complex64 screen keeps t*, its mod32 being at least mod64(t*) - eta >=
+    top - 2 eta, so the max over the kept times is the max over every time.
+    A max does not depend on the order or the grouping of its rows, so
+    either way the result equals the single pass bit for bit.  Each time is
+    an end of one range or the middle of one interval, so none is screened
+    twice.
     """
     sup = np.zeros(n)
     count = times.size
     if count == 0:
         return sup
+    recompute = dtype == np.complex64
     s, eta = _screen_margin(row, n)
+    unit = eta / (7.0 * (math.log2(n) + 1.0)) / s   # U of _screen_margin for row
+    if not recompute:
+        s, eta = 1.0, 0.0
     scaled = s * row
     cols = slice(lo, lo + row.size)
     curvature, phase = _time_curvature(row, values, times, n)
-    unit = eta / (7.0 * (math.log2(n) + 1.0))   # U of _screen_margin
-    bend, slack = s * curvature, 2.0 * (unit + s * phase)
+    bend, slack = s * curvature, 2.0 * s * (unit + phase)
     with np.errstate(divide="ignore", invalid="ignore"):
         # sqrt(8 rho / K), in which s cancels: inf for K = 0, nan for a row
         # that is not finite
         width = np.sqrt(8.0 * np.linalg.norm(row) / n / curvature)
     # top and kept go before the complex64 buffers, so that freeing those
     # leaves memory the complex128 buffers can reuse
-    top = np.zeros(n, dtype=np.float32)
+    top = np.zeros(n, dtype=np.finfo(dtype).dtype)
     kept = []
-    spectra, fields, moduli = _chunk_buffers(min(_TIME_CHUNK, count), n, np.complex64)
+    spectra, fields, moduli = _chunk_buffers(min(_TIME_CHUNK, count), n, dtype)
 
     def screen(idx):
         """e of each of the ascending indices idx, screened in batches."""
-        excess = np.empty(idx.size, dtype=np.float32)
+        excess = np.empty(idx.size, dtype=top.dtype)
         for b in range(0, idx.size, _TIME_CHUNK):
             part = idx[b:b + _TIME_CHUNK]
             m = part.size
@@ -408,7 +416,8 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
             np.maximum(top, chunk.max(axis=0), out=top)
             np.subtract(chunk, top - 2.0 * eta, out=chunk)
             chunk.max(axis=1, out=excess[b:b + m])
-            kept.append(part[~(excess[b:b + m] < 0)])
+            if recompute:
+                kept.append(part[~(excess[b:b + m] < 0)])
         return excess
 
     def live(low, high, e_low, e_high):
@@ -434,6 +443,8 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
                          live(middle, high, e_middle, e_high)), axis=1).ravel()
         level = [np.stack(pair, axis=1).ravel()[keep] for pair in (
             (low, middle), (middle, high), (e_low, e_middle), (e_middle, e_high))]
+    if not recompute:
+        return top
     del spectra, fields, moduli
     kept = np.sort(np.concatenate(kept))
     # complex128 batches of half as many rows fit in the freed complex64 buffers
@@ -454,15 +465,17 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     lo:hi.  _time_rows gives their phases with one exp per distinct |xi|^a
     among them and per time, or, on a uniformly spaced grid (see
     _uniform_step), per anchor of a step table; other times are taken in
-    ascending order (_ascending).  _screened_sup screens in complex64 the
-    ends of intervals of times and bisects them, ruling out the times
-    between two screened ones by the curvature bound of _time_curvature,
-    and recomputes in complex128 only the times within 2 eta of the
-    running max at some x, eta = 7 (log2 N + 1) eps32 ||c||_2 / sqrt(N) the
-    a-priori FFT rounding bound of _screen_margin for the coefficient
-    vector c scaled by a power of two, so its result is the complex128 sup
-    over every time, bit for bit.  The 1/dx scale is applied after the
-    max, which is exact because correctly rounded division is monotone.
+    ascending order (_ascending).  _screened_sup screens the ends of
+    intervals of times and bisects them, ruling out the times between two
+    screened ones by the curvature bound of _time_curvature.  On a uniform
+    grid it screens in complex64 and recomputes in complex128 only the
+    times within 2 eta of the running max at some x, eta = 7 (log2 N + 1)
+    eps32 ||c||_2 / sqrt(N) the a-priori FFT rounding bound of
+    _screen_margin for the coefficient vector c scaled by a power of two.
+    On other times it screens in complex128 with eta = 0, and the result is
+    its running max top.  Either way the result is the complex128 sup over
+    every time, bit for bit.  The 1/dx scale is applied after the max,
+    which is exact because correctly rounded division is monotone.
     """
     g = F.grid
     n = g.point_count
@@ -481,7 +494,11 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     if dt is None:
         t_values = _ascending(t_values)
     fill = _time_rows(t_values, distinct, where, dt)
-    return _screened_sup(fill, base[lo:hi], lo, n, t_values, distinct[where]) / g.dx
+    # a grid keeps about a third of its times after the bisection, and there
+    # the complex64 screen is faster; other times keep a few percent, and a
+    # complex128 screen saves the recompute of most of them
+    dtype = np.complex64 if dt is not None else np.complex128
+    return _screened_sup(fill, base[lo:hi], lo, n, t_values, distinct[where], dtype) / g.dx
 
 
 def grid_for_bandlimit(lam: float, half_length: float = 1.0,

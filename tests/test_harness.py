@@ -355,6 +355,33 @@ class TestSeqClassifyRunner:
             harness.run("seq-classify", {"gen": "zeta"})
 
     @pytest.mark.parametrize("params", [
+        *({"gen": "power", "r": r} for r in (0.5, 1.0, 2.0)),
+        *({"gen": "geometric", "r": r} for r in (0.25, 0.5, 1.0, 2.0, 4.0)),
+        *({"gen": "log", "r": r} for r in (0.5, 1.0, 2.0, 4.0))])
+    def test_known_classes_pass(self, params):
+        # power alpha = 1 / r is in weak l^r, geometric in every l^r, log in
+        # no weak l^r
+        assert harness.run("seq-classify", params)[2] == "pass"
+
+    @pytest.mark.parametrize("params", [
+        {"gen": "power", "r": 1.0, "alpha": 1.0, "depth": 16},
+        {"gen": "power", "r": 0.8, "alpha": 2.0},
+        {"gen": "power", "r": 0.2, "alpha": 2.0},
+        {"gen": "geometric", "r": 1.0, "ratio": 0.5, "depth": 16},
+        {"gen": "log", "r": 1.0, "depth": 9}])
+    def test_a_wrong_trend_is_a_violation(self, params, monkeypatch):
+        # the verdict reads the generator's class, so flipping the growth
+        # flag of weak_lr_trend turns each pass into a violation
+        assert harness.run("seq-classify", params)[2] == "pass"
+        trend = sequences.weak_lr_trend
+
+        def flipped(*args):
+            coarse, fine, growing = trend(*args)
+            return coarse, fine, not growing
+        monkeypatch.setattr(sequences, "weak_lr_trend", flipped)
+        assert harness.run("seq-classify", params)[2] == "violation"
+
+    @pytest.mark.parametrize("params", [
         {"gen": "power", "r": 1.0}, {"gen": "power", "r": 0.37, "alpha": 2.5},
         {"gen": "geometric", "r": 0.7, "ratio": 0.3}, {"gen": "log", "r": 2.0},
         {"gen": "power", "r": 1.3, "depth": 7}])

@@ -279,8 +279,8 @@ class TestScreenedRecompute:
 class TestSequenceSupBytes:
     """maximal_over_sequence against the same call with spectral.sup_over_times
     replaced by one complex128 pass over every time (conftest.single_pass):
-    equal bit for bit, with no member transformed twice in complex64 and the
-    complex128 recompute limited to members that were screened."""
+    equal bit for bit, with the members screened in complex128 alone and
+    none transformed twice."""
 
     # a workload item (lam = 2^8, a = 2, alpha = 1) has 2^18 - 2 members;
     # cases with more are left out
@@ -300,8 +300,8 @@ class TestSequenceSupBytes:
                     F = spectral.make_bandlimited_random(lam, shape, seed, grid)
                     moduli_rows.update(complex64=0, complex128=0)
                     got, members = maximal.maximal_over_sequence(F, seq, a)
-                    assert moduli_rows["complex64"] <= members
-                    assert 0 < moduli_rows["complex128"] <= moduli_rows["complex64"]
+                    assert moduli_rows["complex64"] == 0
+                    assert 0 < moduli_rows["complex128"] <= members
                     ref, _ = single_pass(maximal.maximal_over_sequence, F, seq, a)
                     assert np.array_equal(got.samples, ref.samples)
                     compared += 1
@@ -311,14 +311,33 @@ class TestSequenceSupBytes:
     def test_bisection_screens_few_members_at_top_lambda(self, seed, moduli_rows):
         # the lemma4 workload item at lam = 2^8 (a = 2, annulus data): of its
         # 262,143 members, most lie within 1e-10 of their neighbours, and the
-        # curvature bound rules them out in runs
+        # curvature bound rules them out in runs, so at most 2% are screened
         grid = spectral.grid_for_bandlimit(256.0)
         F = spectral.make_bandlimited_random(256.0, "annulus", seed, grid)
         seq = sequences.TimeSequence("power", alpha=1.0)
         _, members = maximal.maximal_over_sequence(F, seq, 2.0)
         assert members == 2 ** 18 - 1
-        assert moduli_rows["complex64"] <= 0.2 * members
-        assert 0 < moduli_rows["complex128"] <= moduli_rows["complex64"]
+        assert moduli_rows["complex64"] == 0
+        assert 0 < moduli_rows["complex128"] <= 0.02 * members
+
+    def test_a_zero_curvature_is_caught(self, monkeypatch, single_pass):
+        # the lemma4 workload item at lam = 2^8 (a = 2, ball data): with K = 0
+        # the screen drops intervals of members by their ends alone, and the
+        # comparison with the single pass sees the lost maxima
+        grid = spectral.grid_for_bandlimit(256.0)
+        seq = sequences.TimeSequence("power", alpha=1.0)
+        bounds = spectral._time_curvature
+        differs = 0
+        for seed in range(3):
+            F = spectral.make_bandlimited_random(256.0, "ball", seed, grid)
+            ref = single_pass(maximal.maximal_over_sequence, F, seq, 2.0)[0].samples
+            assert np.array_equal(maximal.maximal_over_sequence(F, seq, 2.0)[0].samples, ref)
+            with monkeypatch.context() as patched:
+                patched.setattr(spectral, "_time_curvature",
+                                lambda *args: (0.0, bounds(*args)[1]))
+                got = maximal.maximal_over_sequence(F, seq, 2.0)[0].samples
+            differs += not np.array_equal(got, ref)
+        assert differs > 0
 
 
 class TestSequenceMemory:

@@ -277,8 +277,8 @@ class TestUniformGrids:
 
 
 class TestArbitraryTimes:
-    """Times that are not uniform through the screen, against one complex128
-    pass over every time (conftest.single_pass)."""
+    """Times that are not uniform through the complex128 screen, against one
+    complex128 pass over every time (conftest.single_pass)."""
 
     @staticmethod
     def check(F, ts, single_pass, moduli_rows=None):
@@ -287,10 +287,10 @@ class TestArbitraryTimes:
         assert np.array_equal(sup, single_pass(spectral.sup_over_times, F, ts, 2.0),
                               equal_nan=True)
         if moduli_rows is not None:
-            # no time is transformed twice in complex64, and only screened
-            # times are recomputed
-            assert moduli_rows["complex64"] <= ts.size
-            assert moduli_rows["complex128"] <= moduli_rows["complex64"]
+            # the screen is the complex128 pass: no complex64 row, and no
+            # time transformed twice
+            assert moduli_rows["complex64"] == 0
+            assert moduli_rows["complex128"] <= ts.size
         return sup
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -330,18 +330,18 @@ class TestArbitraryTimes:
 
     def test_cluster_marks_every_row(self, moduli_rows, single_pass):
         # 600 times within 1e-12 of each other: every row ties with the max
-        # to far below eta, so every time is recomputed
+        # to far below the rounding slack, so every time is screened
         F = spectral.make_bandlimited_random(40.0, "ball", 5, GRID)
         ts = 0.3 + 1e-12 * np.random.default_rng(0).random(600)
         self.check(F, ts, single_pass)
-        assert moduli_rows == {"complex64": ts.size, "complex128": ts.size}
+        assert moduli_rows == {"complex64": 0, "complex128": ts.size}
 
     def test_single_coefficient(self, moduli_rows, single_pass):
         coeffs = np.zeros(GRID.point_count, dtype=np.complex128)
         coeffs[140] = 0.5 - 2.0j
         ts = 1.0 / np.arange(1, 400)
         self.check(spectral.SpectralFunction1D(GRID, coeffs), ts, single_pass)
-        assert moduli_rows["complex64"] == ts.size
+        assert moduli_rows == {"complex64": 0, "complex128": ts.size}
 
     def test_zero_coefficients(self, moduli_rows, single_pass):
         F = spectral.SpectralFunction1D(GRID, np.zeros(GRID.point_count))
