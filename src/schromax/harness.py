@@ -378,7 +378,7 @@ def _prop3_bound(p, workers):
             rhs = bound * f1.norm()
             margins[two_nu] = max(margins.get(two_nu, -math.inf), rem_norm - rhs)
             rows.append((two_nu, seed, rem_norm, rhs))
-    worst_margin = max(margins.values(), default=-math.inf)
+    worst_margin = max(margins[nu.two_nu] for nu in orders if not nu.kernel_vanishes)
     summary = {"worst_margin": worst_margin,
                "worst_margin_by_two_nu": {str(t): m for t, m in margins.items()},
                "schur_quadrature": quadrature}
@@ -394,20 +394,6 @@ def _thm6_ineq(p, workers):
     worst = max(lhs - rhs for _, lhs, rhs in rows)
     return ({"ineq.csv": (("seed", "lhs", "rhs"), rows)}, {"worst_margin": worst},
             worst <= 0.0)
-
-
-def _thm7_identity(p, workers):
-    _require_profiles(p)
-    from schromax import radial
-    evolution = radial.thm6_evolution(0, 4, 0)
-    rows = []
-    for seed in range(p["profiles"]):
-        left, right = radial.thm7_sides(seed, evolution)
-        rows.append((seed, left, right, abs(left - right) / right))
-    worst = max(row[3] for row in rows)
-    summary = {"max_rel_diff": worst, "rel_tol": p["rel_tol"]}
-    return ({"identity.csv": (("seed", "n4k0", "n2k1", "rel_diff"), rows)},
-            summary, worst <= p["rel_tol"])
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +435,6 @@ def _seq_classify(p, workers):
         raise ValueError(f"seq-classify parameter 'depth' must be null or a "
                          f"positive integer, got {depth!r}")
     _require_positive("seq-classify", p, "r")
-    depth = int(depth) if depth is not None else (9 if gen == "log" else 16)
     if gen == "power":
         alpha = float(p["alpha"]) if p["alpha"] is not None else 1.0 / r
         seq = sequences.TimeSequence("power", alpha=alpha)
@@ -459,8 +444,17 @@ def _seq_classify(p, workers):
         seq = sequences.TimeSequence("log")
     else:
         raise ValueError(f"unknown sequence generator {gen!r}")
-    b_grid = sequences.default_b_grid(depth)
-    counts = [seq.count_above(float(b)) for b in b_grid]
+    # power data hold about 2^(depth / alpha) members above 2^-depth, so the default
+    # depth 8 alpha reaches 2^8 of them; 2^-1074 is the least positive float
+    if depth is None:
+        depth = ({"log": 9, "geometric": 16}.get(gen)
+                 or min(max(16, math.ceil(8 * seq.alpha)), 1074))
+    b_grid = sequences.default_b_grid(int(depth))
+    try:
+        counts = [seq.count_above(float(b)) for b in b_grid]
+    except (OverflowError, ValueError):
+        raise ValueError(f"seq-classify parameter 'depth' = {depth} is too large: 2^-depth "
+                         "or the count above it leaves the float range") from None
     rows = [(float(b), c, float(b) ** r * c) for b, c in zip(b_grid, counts)]
     # the halves partition the grid, so their larger constant is the grid's
     coarse, fine, growing = sequences.weak_lr_trend(seq, r, b_grid)
@@ -526,7 +520,6 @@ EXPERIMENTS = {
     "prop3-bound": Experiment(
         _prop3_bound, {"two_nu_values": [-1, 0, 1, 2, 3], "profiles": 50}),
     "thm6-ineq": Experiment(_thm6_ineq, {"n": 2, "k": 0, "profiles": 10}),
-    "thm7-identity": Experiment(_thm7_identity, {"profiles": 5, "rel_tol": 1e-4}),
     "counterexample-growth": Experiment(
         _counterexample_growth,
         {"a": 2.0, "s": 0.25, "n": 2, "eps": 0.02, "j_values": [1, 2, 3, 4, 5, 6],
@@ -536,7 +529,8 @@ EXPERIMENTS = {
         {"csv": "witnesses.csv", "x": "M", "y": "ratio", "transform_x": "log",
          "transform_y": "log", "overlay_scale": 0.5}),
     "seq-classify": Experiment(
-        # depth None: 9 for gen "log", else 16; alpha None: 1 / r
+        # depth None: 9 for gen "log", 16 for "geometric", ceil(8 alpha) in
+        # [16, 1074] for "power"; alpha None: 1 / r
         _seq_classify,
         {"gen": "power", "r": 1.0, "depth": None, "alpha": None, "ratio": 0.5}),
     "convergence-probe": Experiment(

@@ -171,18 +171,6 @@ class RemainderOperator(KernelEvolution):
     rem_sup = KernelEvolution.sup_field
 
 
-def _polar_lift_norm(n: int, nodes: np.ndarray, weights: np.ndarray,
-                     sup: np.ndarray) -> float:
-    """alpha_n ||S_E^{*(n)} f_P|| from sup_E |H_t f1| on radial nodes.
-
-    Integrates the pointwise formula |S_t f_P(x)| = alpha_n^{-1}
-    |x|^{(1-n)/2} |H_t f1(|x|)| |P(-x')| in polar coordinates; the angular
-    integral of |P|^2 over the sphere is 1 by normalization.
-    """
-    amp = (1.0 / alpha(n)) * nodes ** ((1 - n) / 2.0) * sup
-    return alpha(n) * math.sqrt(float(np.sum(weights * amp ** 2 * nodes ** (n - 1))))
-
-
 # ---------------------------------------------------------------------------
 # two-dimensional tensor-grid oracle (n = 2, k = 0 only)
 # ---------------------------------------------------------------------------
@@ -276,7 +264,7 @@ def default_time_set() -> np.ndarray:
 
 def thm6_evolution(seed: int, n: int, k: int) -> HankelEvolution:
     """The Hankel evolution of the seed's profile on the output nodes of the
-    thm6_sides and thm7_sides left sides."""
+    thm6_sides left side."""
     return HankelEvolution(uniform_profile(*random_profile_func(seed), 768),
                            BesselOrder.from_dimension(n, k), np.linspace(0.02, 40.0, 2000))
 
@@ -312,17 +300,3 @@ def thm6_sides(seed: int, evolution: HankelEvolution) -> tuple[float, float]:
     rhs = SQRT_TWO_PI * math.sqrt(2.0) * line_norm + a_nu * f1.norm()
     return lhs, rhs
 
-
-def thm7_sides(seed: int, evolution: HankelEvolution) -> tuple[float, float]:
-    """alpha_n ||S_E^{*(n)} f_P|| for (n, k) = (4, 0) and (2, 1).
-
-    Both pairs share nu = 1, so one evolution serves both and the maximal
-    norms coincide; each side goes through its own dimensional polar lift.
-    ``evolution``, from ``thm6_evolution`` for (4, 0) and any seed, lends
-    its kernel matrix to this seed, as in thm6_sides.
-    """
-    evo = evolution.for_profile(uniform_profile(*random_profile_func(seed), 768))
-    sup = evo.sup_field(default_time_set(), 2.0)
-    w = trapezoid_weights(evo.out_nodes)
-    return (_polar_lift_norm(4, evo.out_nodes, w, sup),
-            _polar_lift_norm(2, evo.out_nodes, w, sup))

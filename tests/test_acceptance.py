@@ -150,14 +150,8 @@ def test_criterion_7_remainder_schur_bound():
 
 
 # -------------------------------------------------------------------------
-# 8. equal-order identity and the dimension-reduction inequality
+# 8. the dimension-reduction inequality
 # -------------------------------------------------------------------------
-
-def test_criterion_8_equal_order_identity():
-    _, summary, verdict = harness.run("thm7-identity", {"profiles": 5})
-    assert verdict == "pass"
-    assert summary["max_rel_diff"] <= 1e-4
-
 
 def test_criterion_8_reduction_inequality():
     _, summary, verdict = harness.run("thm6-ineq", {"profiles": 10})

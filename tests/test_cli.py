@@ -127,7 +127,7 @@ class TestExperimentCommands:
         assert "two distinct lam_exponents" in err
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("name", ["prop3-bound", "thm6-ineq", "thm7-identity"])
+    @pytest.mark.parametrize("name", ["prop3-bound", "thm6-ineq"])
     def test_zero_profiles_is_error(self, capsys, tmp_path, name):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"experiment": name, "params": {"profiles": 0}}))
@@ -140,6 +140,8 @@ class TestExperimentCommands:
 
     @pytest.mark.parametrize("name,params,key", [
         ("seq-classify", {"depth": 9.5}, "depth"),
+        # exp(1 / b) overflows a float from b = 2^-10 on
+        ("seq-classify", {"gen": "log", "depth": 10}, "depth"),
         ("theorem1-scan", {"a": 1000.0, "lam_exponents": [4, 5], "seeds": [0]}, "lam^-a"),
         ("theorem1-scan", {"a": 1072.0, "lam_exponents": [0, 1], "seeds": [0]}, "lam^-a"),
         ("theorem1-scan", {"a": 100.0, "lam_exponents": [0, 1], "seeds": [0]}, "lam^-a"),
@@ -175,9 +177,9 @@ class TestExperimentCommands:
         # a = -1 makes the relative differences NaN
         ("prop2-check", {"a": -1.0}, "'a'"),
         ("prop2-check", {"a": 0.0}, "'a'"),
-    ], ids=["fractional-depth", "underflowing-step", "overflowing-count",
-            "too-many-times", "overflowing-lambda", "no-orders", "only-zero-kernels",
-            "zero-kernel-pair", "repeated-order", "no-tail-starts",
+    ], ids=["fractional-depth", "overflowing-depth", "underflowing-step",
+            "overflowing-count", "too-many-times", "overflowing-lambda", "no-orders",
+            "only-zero-kernels", "zero-kernel-pair", "repeated-order", "no-tail-starts",
             "tail-start-below-one", "zero-r", "negative-r", "oversized-selection",
             "overflowing-selection", "repeated-stage", "decreasing-stages",
             "two-stages", "unit-stage-scale", "decreasing-tail-starts",

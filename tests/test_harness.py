@@ -57,7 +57,7 @@ class TestConfig:
                      "'a'", id="number-infinite"),
         pytest.param({"experiment": "eq6-scan", "params": {"a": math.nan}},
                      "'a'", id="number-nan"),
-        pytest.param({"experiment": "thm7-identity", "params": {"profiles": 2.5}},
+        pytest.param({"experiment": "thm6-ineq", "params": {"profiles": 2.5}},
                      "profiles", id="int-fraction"),
         pytest.param({"experiment": "seq-classify", "params": {"depth": [9]}},
                      "depth", id="null-list"),
@@ -200,7 +200,8 @@ class TestProp3Runner:
         assert margins["-1"] == 0.0
         assert margins["1"] == 0.0
         assert all(margins[t] < 0.0 for t in ("0", "2", "3"))
-        assert summary["worst_margin"] == max(margins.values())
+        # the worst margin is taken over the orders with K_nu != 0
+        assert summary["worst_margin"] == max(margins[t] for t in ("0", "2", "3"))
         rows = tables["remainder.csv"][1]
         assert verdict == "pass"
         assert all(rem_norm <= bound for _, _, rem_norm, bound in rows)
@@ -357,10 +358,12 @@ class TestSeqClassifyRunner:
     @pytest.mark.parametrize("params", [
         *({"gen": "power", "r": r} for r in (0.5, 1.0, 2.0)),
         *({"gen": "geometric", "r": r} for r in (0.25, 0.5, 1.0, 2.0, 4.0)),
-        *({"gen": "log", "r": r} for r in (0.5, 1.0, 2.0, 4.0))])
+        *({"gen": "log", "r": r} for r in (0.5, 1.0, 2.0, 4.0)),
+        *({"gen": "power", "r": 1.0 / alpha, "alpha": alpha}
+          for alpha in (0.5, 1.0, 2.0, 4.0, 8.0))])
     def test_known_classes_pass(self, params):
         # power alpha = 1 / r is in weak l^r, geometric in every l^r, log in
-        # no weak l^r
+        # no weak l^r; the default depth grows with alpha
         assert harness.run("seq-classify", params)[2] == "pass"
 
     @pytest.mark.parametrize("params", [
@@ -391,7 +394,9 @@ class TestSeqClassifyRunner:
         p = harness._resolve_params("seq-classify", params)
         seq = sequences.TimeSequence(p["gen"], alpha=p["alpha"] or 1.0 / p["r"],
                                      ratio=p["ratio"])
-        grid = sequences.default_b_grid(p["depth"] or (9 if p["gen"] == "log" else 16))
+        depth = ({"log": 9, "geometric": 16}.get(p["gen"])
+                 or min(max(16, math.ceil(8 * seq.alpha)), 1074))
+        grid = sequences.default_b_grid(p["depth"] or depth)
         assert summary["weak_constant"] == sequences.weak_lr_constant(seq, p["r"], grid)
         counts = [seq.count_above(b) for b in grid]
         assert [row[1] for row in tables["classify.csv"][1]] == counts
