@@ -305,14 +305,15 @@ class TestTwoDimensionalOracle:
 
 
 class TestDimensionalLift:
-    @pytest.mark.parametrize("two_nu", [0, 1, 2])
-    def test_lift_norm_identity(self, two_nu):
-        # alpha_n ||S_E^{*(n)} f_P|| = ||H_E^* f1||_{L2(R_+)} for every (n, k)
-        # of order nu: the radial norm on midpoint nodes (trapezoid weights on
-        # [nodes[0], mid[-1]]) against the one on the profile's own nodes, two
+    @pytest.mark.parametrize("n,k", [(2, 0), (3, 0), (2, 1), (4, 0)])
+    def test_lift_norm_identity(self, n, k):
+        # alpha_n ||S_E^{*(n)} f_P|| = ||H_E^* f1||_{L2(R_+)}: the lift leaves
+        # only the order nu of (n, k), so (2, 1) and (4, 0) are one case. The
+        # radial norm on midpoint nodes (trapezoid weights on [nodes[0],
+        # mid[-1]]) against the one on the profile's own nodes, two
         # independent quadratures of the same sup field
         f1 = radial.random_profile(0, count=256)
-        nu = BesselOrder(two_nu)
+        nu = BesselOrder.from_dimension(n, k)
         times = np.linspace(0.0, 0.5, 16)
         mid = 0.5 * (f1.nodes[:-1] + f1.nodes[1:])
         edges = np.concatenate([f1.nodes[:1], mid])
