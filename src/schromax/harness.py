@@ -17,7 +17,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -556,14 +556,20 @@ def _plot_texts(out_dir: str, plot: dict, summary: dict) -> tuple[str, str]:
     return emit_plot_data(os.path.join(out_dir, csv_name), spec)
 
 
-def _library_versions() -> dict:
-    """The python, numpy and scipy versions, from package metadata so that
-    recording them loads no scipy module.  The imports are deferred to keep
-    them out of the time of importing the harness."""
+@cache
+def _read_versions() -> dict:
     import platform
     from importlib import metadata
     return {"python": platform.python_version(), "numpy": metadata.version("numpy"),
             "scipy": metadata.version("scipy")}
+
+
+def _library_versions() -> dict:
+    """The python, numpy and scipy versions, from package metadata so that
+    recording them loads no scipy module, read once per process.  The
+    imports are deferred to keep them out of the time of importing the
+    harness."""
+    return dict(_read_versions())
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,

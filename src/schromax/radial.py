@@ -165,10 +165,15 @@ class RemainderOperator(KernelEvolution):
     """
 
     def __init__(self, f1: RadialProfile, nu: BesselOrder, out_nodes: np.ndarray):
+        self.nu = nu
         kernel = np.zeros_like if nu.kernel_vanishes else partial(remainder_kernel, nu)
         super().__init__(f1, out_nodes, kernel)
 
-    rem_sup = KernelEvolution.sup_field
+    def rem_sup(self, t_values, a: float) -> np.ndarray:
+        """sup_field; zeros, with no phases and no product, where K_nu = 0."""
+        if self.nu.kernel_vanishes:
+            return np.zeros(self.out_nodes.size)
+        return self.sup_field(t_values, a)
 
 
 # ---------------------------------------------------------------------------

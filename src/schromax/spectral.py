@@ -300,20 +300,40 @@ def _time_curvature(row: np.ndarray, values: np.ndarray, times: np.ndarray,
 
 
 def _initial_ranges(times: np.ndarray, width: float):
-    """The initial time ranges of _screened_sup as (first, last) index
-    arrays (both ends inclusive), one pair per block of 16 _TIME_CHUNK
-    consecutive times: a block is cut wherever floor(|t - t_block| / width)
-    changes, so that each range spans less than width.  A width that is not
-    positive gives single-time ranges."""
+    """The first index of each initial time range of _screened_sup, as one
+    array per block of 16 _TIME_CHUNK consecutive times: a block is cut
+    wherever floor(|t - t_block| / width) changes, so that each range spans
+    less than width.  A width that is not positive gives single-time
+    ranges."""
     block = 16 * _TIME_CHUNK
     for start in range(0, times.size, block):
-        stop = min(start + block, times.size)
         if width > 0:
-            bins = np.floor(np.abs(times[start:stop] - times[start]) / width)
-            first = start + np.flatnonzero(np.diff(bins, prepend=-1.0))
+            bins = np.floor(np.abs(times[start:start + block] - times[start]) / width)
+            yield start + np.flatnonzero(np.diff(bins, prepend=-1.0))
         else:
-            first = np.arange(start, stop)
-        yield first, np.append(first[1:] - 1, stop - 1)
+            yield np.arange(start, min(start + block, times.size))
+
+
+def _interpolated_peak(e_low: np.ndarray, e_high: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """max over s in [0, 1] of (1 - s) e_low + s e_high + 4 reach s (1 - s),
+    in float64: max(e_low, e_high) + (reach - |e_high - e_low| / 4)_+^2 / reach,
+    whose last term is 0 where reach = 0 and nan where an e is nan.
+
+    The concave quadratic in s peaks at s = 1/2 + (e_high - e_low) / (8 reach),
+    which lies in [0, 1] exactly when |e_high - e_low| <= 4 reach; there its
+    value is the formula, and otherwise the peak is the larger end."""
+    peak = np.subtract(e_high, e_low, dtype=float)
+    np.abs(peak, out=peak)
+    peak *= -0.25
+    peak += reach
+    np.maximum(peak, 0.0, out=peak)
+    # r / reach <= 1, and fmin turns its 0 / 0 at reach = 0 into 1
+    with np.errstate(invalid="ignore"):
+        ratio = np.divide(peak, reach)
+    np.fmin(ratio, 1.0, out=ratio)
+    peak *= ratio
+    peak += np.maximum(e_low, e_high)
+    return peak
 
 
 def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
@@ -334,32 +354,38 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
         e_t = max over x of mod_t(x) - (top(x) - 2 eta).
 
     In complex64, t is kept when e_t >= 0 (not < 0, so that nan keeps the
-    row); a complex128 screen keeps no list.  With K
-    and p from _time_curvature for s * row, the first times screened are the
-    two ends of each range of _initial_ranges with width sqrt(8 rho / K)
-    (rho = ||s row||_2 / n, the RMS modulus; inf for K = 0), and the ranges
-    are the first intervals.  Then it goes level by level: an interval
-    between screened times a < c (indices) with c - a > 1 is dropped when
+    row); a complex128 screen keeps no list.  With K and p from
+    _time_curvature for s * row, the first times screened are the first
+    time of each range of _initial_ranges with width sqrt(8 rho / K) (rho =
+    ||s row||_2 / n, the RMS modulus; inf for K = 0) and the last time, and
+    the first intervals run between consecutive ones.  Then it goes level
+    by level: an interval between screened times a < c (indices) with
+    c - a > 1 is dropped when
 
-        max(e_a, e_c) < -(reach + eps) (1 + 2^-20),   reach = K H^2 / 8,
+        max(e_a, e_c) + (R - |e_c - e_a| / 4)_+^2 / R < -(eps + 2^-20 (R + eps)),
 
-    H = |t_c - t_a|, and otherwise its middle (a + c) // 2 is screened and
-    splits it in two for the next level.  top only rises, so a recorded e
-    stays an upper bound, and max over x of max(f, g) is max(max f, max g),
-    so the test is exact; the factor 1 + 2^-20 covers the rounding of the
-    difference (at most 2^-24 of its size) and of reach.  After a complex64
-    screen its buffers are freed, and only the kept times are filled from
-    row, transformed and reduced in complex128, in batches of
-    _TIME_CHUNK / 2, exactly as a single complex128 pass over every time
-    would compute them.  A complex128 screen returns top itself.
+    R = K H^2 / 8 and H = |t_c - t_a| (the middle term, from
+    _interpolated_peak, is 0 for R = 0 and at most R), and otherwise its
+    middle (a + c) // 2 is screened and splits it in two for the next
+    level.  top only rises, so a recorded e stays an upper bound, and max
+    over x of max(f, g) is max(max f, max g), so each e is exact up to the
+    rounding of its difference.  After a complex64 screen its buffers are
+    freed, and only the kept times are filled from row, transformed and
+    reduced in complex128, in batches of _TIME_CHUNK / 2, exactly as a
+    single complex128 pass over every time would compute them.  A
+    complex128 screen returns top itself.
 
-    The bound: every t between t_a and t_c has |u(t, x)| <= max(|u(t_a, x)|,
-    |u(t_c, x)|) + reach at every x: g(t) = e^{-i mu t} u(t, x), mu the
-    weighted mean of _time_curvature, has |g| = |u| and |g''| <= K.  The linear
-    interpolant of g between t_a and t_c has modulus at most max(|g(t_a)|,
-    |g(t_c)|), and the interpolation error is the integral of a Peano
-    kernel G >= 0 against g'', with the integral of G at most H^2 / 8, so
-    complex values need no sqrt(2).
+    The bound: every t = (1 - s) t_a + s t_c, 0 <= s <= 1, has at every x
+
+        |u(t, x)| <= (1 - s) |u(t_a, x)| + s |u(t_c, x)| + 4 R s (1 - s).
+
+    g(t) = e^{-i mu t} u(t, x), mu the weighted mean of _time_curvature, has
+    |g| = |u| and |g''| <= K.  The linear interpolant of g between t_a and
+    t_c has modulus at most (1 - s) |g(t_a)| + s |g(t_c)|, and the
+    interpolation error is the integral of a Peano kernel G >= 0 against
+    g'', with the integral of G equal to H^2 s (1 - s) / 2, so complex values
+    need no sqrt(2).  The largest value of (1 - s) e_a + s e_c + 4 R s (1 - s)
+    over s in [0, 1] is the left side of the drop test (_interpolated_peak).
 
     The error budget: eta bounds |mod32 - mod64| (eta = 0 when the screen
     is the complex128 pass), so top <= max64 + eta.  A computed mod64 is
@@ -367,20 +393,27 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     s * row (the complex128 rows' own rounding, as there) and p the phase
     bound of _time_curvature; eps = 2 (U + s p).
 
-    Why no max is lost: let t* be a complex128 argmax at x, inside an
-    interval with ends a and c.  Then
+    Why no max is lost: let t* be a complex128 argmax at x, at fraction s
+    of an interval with ends a and c, and T = top - 2 eta.  Then
 
-        max(mod(a), mod(c)) + reach + 2 (U + s p) >= mod64(t*) - eta >= top - 2 eta,
+        (1 - s) (mod(a) - T) + s (mod(c) - T) + 4 R s (1 - s) + eps
+            >= mod64(t*) - eta - T >= 0,
 
-    so no interval that holds t* is dropped.  Intervals only shrink, so t*
-    is screened at some level.  A complex128 screen computes each row as the
-    single pass does, so top(x) is mod64(t*, x) once t* is screened.  A
-    complex64 screen keeps t*, its mod32 being at least mod64(t*) - eta >=
+    so the peak over s of the exact differences, plus eps, is at least 0.
+    A recorded e is the rounding of its exact difference, within 2^-23 of
+    its size.  When e_a, e_c < 0 (as a drop needs), the exact differences
+    are at most (1 - 2^-23) times them, and the peak of those is at most
+    the computed peak plus 2^-22 R, with R read up by its own rounding; the
+    margin 2^-20 (R + eps) covers that and the rounding of the peak and of
+    eps.  So no interval that holds t* is dropped.  Intervals only shrink,
+    so t* is screened at some level.  A complex128 screen computes each row
+    as the single pass does, so top(x) is mod64(t*, x) once t* is screened.
+    A complex64 screen keeps t*, its mod32 being at least mod64(t*) - eta >=
     top - 2 eta, so the max over the kept times is the max over every time.
     A max does not depend on the order or the grouping of its rows, so
     either way the result equals the single pass bit for bit.  Each time is
-    an end of one range or the middle of one interval, so none is screened
-    twice.
+    the first of one range, the last time or the middle of one interval, so
+    none is screened twice.
     """
     sup = np.zeros(n)
     count = times.size
@@ -422,16 +455,21 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
 
     def live(low, high, e_low, e_high):
         """Whether each interval has inner times that its ends do not rule out."""
-        gap = np.abs(times[high] - times[low])
-        reach = bend * gap * gap / 8.0 + slack
-        return (high - low > 1) & ~(np.maximum(e_low, e_high) < -reach * (1.0 + 2.0 ** -20))
+        reach = np.subtract(times[high], times[low])
+        np.multiply(reach, reach, out=reach)
+        reach *= bend / 8.0
+        peak = _interpolated_peak(e_low, e_high, reach)
+        # reach becomes the threshold -(eps + 2^-20 (R + eps))
+        reach += slack
+        reach *= -2.0 ** -20
+        reach -= slack
+        return (high - low > 1) & ~(peak < reach)
 
-    low, high = (np.concatenate(ends) for ends in zip(*_initial_ranges(times, width)))
-    ends = np.stack((low, high), axis=1).ravel()
-    ends = ends[np.diff(ends, prepend=-1) > 0]   # a range of one time has one end
+    ends = np.concatenate([*_initial_ranges(times, width), [count - 1]])
+    ends = ends[np.diff(ends, prepend=-1) > 0]   # the last time may start a range
     excess = screen(ends)
-    level = (low, high, excess[np.searchsorted(ends, low)], excess[np.searchsorted(ends, high)])
-    del low, high, ends, excess
+    level = [ends[:-1], ends[1:], excess[:-1], excess[1:]]
+    del ends, excess
     keep = live(*level)
     level = [part[keep] for part in level]
     while level[0].size:
@@ -465,9 +503,11 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     lo:hi.  _time_rows gives their phases with one exp per distinct |xi|^a
     among them and per time, or, on a uniformly spaced grid (see
     _uniform_step), per anchor of a step table; other times are taken in
-    ascending order (_ascending).  _screened_sup screens the ends of
-    intervals of times and bisects them, ruling out the times between two
-    screened ones by the curvature bound of _time_curvature.  On a uniform
+    ascending order (_ascending).  _screened_sup screens the first time of
+    each initial range and the last time, then bisects the intervals
+    between screened times, ruling out the times inside one by its ends'
+    moduli, interpolated linearly, plus the curvature bound of
+    _time_curvature.  On a uniform
     grid it screens in complex64 and recomputes in complex128 only the
     times within 2 eta of the running max at some x, eta = 7 (log2 N + 1)
     eps32 ||c||_2 / sqrt(N) the a-priori FFT rounding bound of
@@ -494,7 +534,7 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     if dt is None:
         t_values = _ascending(t_values)
     fill = _time_rows(t_values, distinct, where, dt)
-    # a grid keeps about a third of its times after the bisection, and there
+    # a grid keeps about a fifth of its times after the bisection, and there
     # the complex64 screen is faster; other times keep a few percent, and a
     # complex128 screen saves the recompute of most of them
     dtype = np.complex64 if dt is not None else np.complex128

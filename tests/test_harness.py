@@ -176,6 +176,15 @@ class TestRunExperiment:
         assert set(doc["versions"]) == {"python", "numpy", "scipy"}
         assert doc["versions"]["numpy"] == np.__version__
 
+    def test_library_versions_read_once(self, monkeypatch):
+        # package metadata is read once per process, and each call gets its
+        # own dict
+        from importlib import metadata
+        first = harness._library_versions()
+        monkeypatch.setattr(metadata, "version", lambda name: pytest.fail("read again"))
+        first["numpy"] = "changed"
+        assert harness._library_versions()["numpy"] == np.__version__
+
     def test_scan_writes_plot_files(self, tmp_path):
         cfg = ExperimentConfig("theorem1-scan", {"lam_exponents": [4, 5, 6], "seeds": [0]})
         manifest = harness.run_experiment(cfg, str(tmp_path / "s"))

@@ -150,6 +150,19 @@ class TestRemainderSplit:
         assert np.max(np.abs(self._main(f1, nu).field(0.3, 2.0) - h.values)) < 1e-13
         assert not np.any(radial.RemainderOperator(f1, nu, f1.nodes).field(0.3, 2.0))
 
+    @pytest.mark.parametrize("two_nu", [-1, 1])
+    def test_vanishing_order_sup_equals_zero_product(self, two_nu):
+        # rem_sup skips the product where K_nu = 0; the zero kernel's sup_field
+        # gives the same bytes
+        nu = BesselOrder(two_nu)
+        f1 = radial.random_profile(2)
+        op = radial.RemainderOperator(f1, nu, f1.nodes)
+        times = np.linspace(0.0, 1.0, 160)
+        sup = op.rem_sup(times, 2.0)
+        assert sup.dtype == np.float64
+        assert np.array_equal(sup, op.sup_field(times, 2.0))
+        assert not np.signbit(sup).any()
+
     def test_sup_below_dominator(self):
         f1 = radial.random_profile(3)
         nu = BesselOrder(0)

@@ -260,6 +260,29 @@ class TestScreen:
                               equal_nan=True)
 
 
+class TestInterpolatedPeak:
+    """_interpolated_peak, the drop bound of _screened_sup: the largest value
+    of (1 - s) e_low + s e_high + 4 reach s (1 - s) over s in [0, 1]."""
+
+    @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(0.0, 10.0))
+    def test_equals_brute_force_max(self, e_low, e_high, reach):
+        s = np.linspace(0.0, 1.0, 200_001)
+        brute = np.max((1.0 - s) * e_low + s * e_high + 4.0 * reach * s * (1.0 - s))
+        peak = spectral._interpolated_peak(np.array([e_low]), np.array([e_high]),
+                                           np.array([reach]))[0]
+        # the grid misses the vertex by at most half a step, which costs at
+        # most reach (step / 2)^2 * 4 = reach step^2
+        assert brute - 1e-13 <= peak <= brute + reach * (s[1] - s[0]) ** 2 + 1e-13
+        assert max(e_low, e_high) <= peak <= max(e_low, e_high) + reach
+
+    def test_zero_reach_and_nan(self):
+        e_low = np.array([-1.0, -3.0, math.nan], dtype=np.float32)
+        e_high = np.array([-2.0, -3.0, -1.0], dtype=np.float32)
+        peak = spectral._interpolated_peak(e_low, e_high, np.zeros(3))
+        assert peak.dtype == np.float64
+        assert np.array_equal(peak, [-1.0, -3.0, math.nan], equal_nan=True)
+
+
 class TestUniformGrids:
     """Uniform grids through the bisection of _screened_sup, against one
     complex128 pass over every time (conftest.single_pass)."""
