@@ -402,18 +402,18 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     so the peak over s of the exact differences, plus eps, is at least 0.
     A recorded e is the rounding of its exact difference, within 2^-23 of
     its size.  When e_a, e_c < 0 (as a drop needs), the exact differences
-    are at most (1 - 2^-23) times them, and the peak of those is at most
-    the computed peak plus 2^-22 R, with R read up by its own rounding; the
-    margin 2^-20 (R + eps) covers that and the rounding of the peak and of
-    eps.  So no interval that holds t* is dropped.  Intervals only shrink,
-    so t* is screened at some level.  A complex128 screen computes each row
-    as the single pass does, so top(x) is mod64(t*, x) once t* is screened.
-    A complex64 screen keeps t*, its mod32 being at least mod64(t*) - eta >=
-    top - 2 eta, so the max over the kept times is the max over every time.
-    A max does not depend on the order or the grouping of its rows, so
-    either way the result equals the single pass bit for bit.  Each time is
-    the first of one range, the last time or the middle of one interval, so
-    none is screened twice.
+    are at most (1 - 2^-23) times them, so their peak is at most
+    (1 - 2^-23) times the peak of the recorded ones plus 2^-23 R, R read up
+    by its own rounding; the margin 2^-20 (R + eps) covers that and the
+    rounding of the peak and of eps.  So no interval that holds t* is
+    dropped.  Intervals only shrink, so t* is screened at some level.  A
+    complex128 screen computes each row as the single pass does, so top(x)
+    is mod64(t*, x) once t* is screened.  A complex64 screen keeps t*, its
+    mod32 being at least mod64(t*) - eta >= top - 2 eta, so the max over
+    the kept times is the max over every time.  A max does not depend on
+    the order or the grouping of its rows, so either way the result equals
+    the single pass bit for bit.  Each time is the first of one range, the
+    last time or the middle of one interval, so none is screened twice.
     """
     sup = np.zeros(n)
     count = times.size
@@ -507,12 +507,11 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     each initial range and the last time, then bisects the intervals
     between screened times, ruling out the times inside one by its ends'
     moduli, interpolated linearly, plus the curvature bound of
-    _time_curvature.  On a uniform
-    grid it screens in complex64 and recomputes in complex128 only the
-    times within 2 eta of the running max at some x, eta = 7 (log2 N + 1)
-    eps32 ||c||_2 / sqrt(N) the a-priori FFT rounding bound of
-    _screen_margin for the coefficient vector c scaled by a power of two.
-    On other times it screens in complex128 with eta = 0, and the result is
+    _time_curvature.  On a uniform grid it screens in complex64 and
+    recomputes in complex128 only the times within 2 eta of the running max
+    at some x, eta = 7 (log2 N + 1) eps32 ||c||_2 / sqrt(N) the a-priori FFT
+    rounding bound of _screen_margin for the coefficient vector c scaled by
+    a power of two.  On other times it screens in complex128 with eta = 0, and the result is
     its running max top.  Either way the result is the complex128 sup over
     every time, bit for bit.  The 1/dx scale is applied after the max,
     which is exact because correctly rounded division is monotone.

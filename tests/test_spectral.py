@@ -381,16 +381,17 @@ class TestArbitraryTimes:
 
 
 class TestTimeSlope:
-    """_time_curvature's bound, which lets the screen rule out a range of
-    times by its two screened ends, on complex128 rows built as the screen
+    """_time_curvature's bound, which lets the screen rule out the times
+    between two screened ones, on complex128 rows built as the screen
     builds them."""
 
     @given(seed=st.integers(0, 2 ** 32 - 1), a=st.sampled_from([1.5, 2.0, 3.0]),
            t=st.floats(0.0, 1.0), gap=st.floats(1e-9, 1e-1), inner=st.floats(0.0, 1.0))
     def test_inner_moduli_within_bound_of_the_ends(self, seed, a, t, gap, inner):
-        # an inner time's modulus exceeds the larger end's by at most
-        # K H^2 / 8, the reach by which the screen drops an interval between
-        # two screened times
+        # an inner time at fraction s of the interval exceeds the ends'
+        # moduli, interpolated linearly, by at most 4 R s (1 - s), R = K H^2 / 8,
+        # the bound by which the screen drops an interval between two
+        # screened times
         rng = np.random.default_rng(seed)
         n = GRID.point_count
         lo = int(rng.integers(0, n - 1))
@@ -406,7 +407,9 @@ class TestTimeSlope:
         mod = spectral._moduli(*buffers)
         h = ts[2] - ts[0]
         reach = curvature * h * h / 8.0
-        assert np.all(mod[1] <= np.maximum(mod[0], mod[2]) + reach + 2.0 * (unit + phase))
+        frac = (ts[1] - ts[0]) / h
+        bound = (1.0 - frac) * mod[0] + frac * mod[2] + 4.0 * reach * frac * (1.0 - frac)
+        assert np.all(mod[1] <= bound + 2.0 * (unit + phase))
 
 
 class TestRandomData:
