@@ -171,11 +171,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, columns, rows) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _csv_text(columns, rows) -> str:
+    return "".join(",".join(map(_fmt, line)) + "\n" for line in (columns, *rows))
 
 
 def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
@@ -189,19 +186,13 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
 # the scaling scans
 # ---------------------------------------------------------------------------
 
-def _window_scan_counted(args):
+def _window_scan_item(args):
     """(lambda, seed, ratio, time samples) of one window-scan item."""
     lam, seed, a, window_len, support = args
     grid = spectral.grid_for_bandlimit(lam)
     F = spectral.make_bandlimited_random(lam, support, seed, grid)
     sup, samples = maximal.maximal_over_window(F, maximal.TimeWindow(0.0, window_len), a)
     return lam, seed, sup.l2() / F.l2_spatial(), samples
-
-
-def _window_scan_item(args):
-    """(lambda, seed, ratio) of one window-scan item, the form in which
-    tests/test_acceptance.py measures the window scan."""
-    return _window_scan_counted(args)[:3]
 
 
 def _product_scan_item(args):
@@ -268,7 +259,8 @@ def _run_scan(p, workers, *, item, item_keys, predictor, check=None):
     nonzero step and fit in an array; lemma4, which resolves times down to
     lam^-a / 4, the step of a unit window's grid, is checked as a unit window.
     check(lam, p), if set, raises ValueError for a lambda the items cannot
-    run; every check runs before any item.
+    run, and predictor(lam, p) must be a positive finite float at every
+    lambda; every check runs before any item.
 
     The items go to _map_items largest lambda first, so that a pool starts
     the longest items first, and their rows are written in the config's
@@ -281,10 +273,17 @@ def _run_scan(p, workers, *, item, item_keys, predictor, check=None):
         raise ValueError(f"a scan needs 0 <= lam_exponents < {sys.float_info.max_exp} "
                          f"and a > 0, got lam_exponents {exps} and a {p['a']}")
     window = maximal.TimeWindow(0.0, p.get("window", 1.0))
-    for e in exps:
-        window.time_count(2.0 ** e, p["a"])
+    for lam in (2.0 ** e for e in exps):
+        window.time_count(lam, p["a"])
         if check is not None:
-            check(2.0 ** e, p)
+            check(lam, p)
+        try:
+            shape = predictor(lam, p)
+        except OverflowError:
+            shape = math.inf
+        if not (isinstance(shape, float) and 0.0 < shape < math.inf):
+            raise ValueError(f"the bound shape at lam = {lam} must be a positive "
+                             f"finite float, got {shape}")
     items = [(2.0 ** e, seed, *(p[key] for key in item_keys))
              for e in exps for seed in p["seeds"]]
     order = sorted(range(len(items)), key=lambda i: -items[i][0])
@@ -306,7 +305,7 @@ def _window_scan(p, workers):
     def shape(e):
         return lambda lam, _: 1.0 + p["window"] ** e * lam ** (p["a"] * e)
     tables, summary, ok = _run_scan(
-        p, workers, item=_window_scan_counted, item_keys=("a", "window", "support"),
+        p, workers, item=_window_scan_item, item_keys=("a", "window", "support"),
         predictor=shape(0.5))
     ratios = [(row[0], row[5], row[6]) for row in tables["scan.csv"][1]]
     _, slope, intercept = _scan_rows_and_fit(ratios, p, shape(0.25))
@@ -435,15 +434,8 @@ def _seq_classify(p, workers):
         raise ValueError(f"seq-classify parameter 'depth' must be null or a "
                          f"positive integer, got {depth!r}")
     _require_positive("seq-classify", p, "r")
-    if gen == "power":
-        alpha = float(p["alpha"]) if p["alpha"] is not None else 1.0 / r
-        seq = sequences.TimeSequence("power", alpha=alpha)
-    elif gen == "geometric":
-        seq = sequences.TimeSequence("geometric", ratio=p["ratio"])
-    elif gen == "log":
-        seq = sequences.TimeSequence("log")
-    else:
-        raise ValueError(f"unknown sequence generator {gen!r}")
+    alpha = float(p["alpha"]) if p["alpha"] is not None else 1.0 / r
+    seq = sequences.TimeSequence(gen, alpha=alpha, ratio=p["ratio"])
     # power data hold about 2^(depth / alpha) members above 2^-depth, so the default
     # depth 8 alpha reaches 2^8 of them; 2^-1074 is the least positive float
     if depth is None:
@@ -472,6 +464,9 @@ def _seq_classify(p, workers):
         ok = summary["lr_convergent"] and not growing
     else:
         ok = growing
+    # and the closed-form counts must match a direct count over the terms
+    ok = ok and all(np.count_nonzero(seq.prefix(c + 2) > b) == c
+                    for b, c in zip(b_grid, counts) if c <= 2 ** 16)
     return ({"classify.csv": (("b", "count", "b_r_count"), rows)}, summary, ok)
 
 
@@ -539,23 +534,6 @@ EXPERIMENTS = {
 }
 
 
-def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def _plot_texts(out_dir: str, plot: dict, summary: dict) -> tuple[str, str]:
-    spec = dict(plot)
-    csv_name = spec.pop("csv")
-    scale = spec.pop("overlay_scale", None)
-    if scale is not None:
-        spec["overlay"] = (scale * summary["slope"], scale * summary["intercept"])
-    return emit_plot_data(os.path.join(out_dir, csv_name), spec)
-
-
 @cache
 def _read_versions() -> dict:
     import platform
@@ -574,7 +552,8 @@ def _library_versions() -> dict:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
                    workers: int | None = None) -> RunManifest:
-    """Execute the named experiment into out_dir and write its manifest.
+    """Execute the named experiment into out_dir and write its manifest,
+    whose digests are the SHA-256 of each artifact's text as written (UTF-8).
 
     Raises ValueError on a malformed config (see _resolve_params) or a
     worker count below 1 before any work or file write, and FileExistsError
@@ -590,22 +569,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
     tables, summary, verdict = run(cfg.experiment, params, workers)
     elapsed = time.perf_counter() - start
 
-    os.makedirs(out_dir, exist_ok=True)
-    files = {}
-    for name, (columns, rows) in tables.items():
-        path = os.path.join(out_dir, name)
-        write_csv(path, columns, rows)
-        files[name] = _sha256_file(path)
-    texts = {"summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
-             "config.json": cfg.to_json()}
+    texts = {name: _csv_text(*table) for name, table in tables.items()}
+    texts["summary.json"] = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    texts["config.json"] = cfg.to_json()
     plot = EXPERIMENTS[cfg.experiment].plot
     if plot is not None:
-        texts["plot.dat"], texts["plot.gp"] = _plot_texts(out_dir, plot, summary)
+        spec = dict(plot)
+        columns, rows = tables[spec.pop("csv")]
+        scale = spec.pop("overlay_scale", None)
+        if scale is not None:
+            spec["overlay"] = (scale * summary["slope"], scale * summary["intercept"])
+        texts["plot.dat"], texts["plot.gp"] = emit_plot_data(columns, rows, spec)
+    os.makedirs(out_dir, exist_ok=True)
+    files = {}
     for name, text in texts.items():
-        path = os.path.join(out_dir, name)
-        with open(path, "w", newline="\n") as fh:
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        files[name] = _sha256_file(path)
+        files[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     manifest = RunManifest(
         experiment=cfg.experiment,
@@ -623,8 +603,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,
     return manifest
 
 
-def emit_plot_data(csv_path: str, spec: dict) -> tuple[str, str]:
-    """Project a result CSV onto gnuplot data + script text.
+def emit_plot_data(columns, rows, spec: dict) -> tuple[str, str]:
+    """Project a result table (a runner's, or one read_csv read back: each
+    plotted cell goes through float()) onto gnuplot data + script text.
 
     spec keys: x, y (column names, required), transform_x / transform_y
     ("log" applies natural log to the data column; without transform_x the
@@ -634,12 +615,11 @@ def emit_plot_data(csv_path: str, spec: dict) -> tuple[str, str]:
     """
     if not spec.get("x") or not spec.get("y"):
         raise ValueError("plot spec needs x and y column selections")
-    columns, rows = read_csv(csv_path)
     try:
-        ix = columns.index(spec["x"])
-        iy = columns.index(spec["y"])
+        ix = list(columns).index(spec["x"])
+        iy = list(columns).index(spec["y"])
     except ValueError as exc:
-        raise ValueError(f"missing column in {csv_path}: {exc}") from None
+        raise ValueError(f"missing plot column: {exc}") from None
 
     def conv(value, which):
         v = float(value)

@@ -77,8 +77,8 @@ def window_scan_results():
 
 
 def _normalized_scan_slope(results, p, q):
-    lams = np.array([lam for lam, _, _ in results])
-    ratios = np.array([ratio for _, _, ratio in results])
+    lams = np.array([lam for lam, _, _, _ in results])
+    ratios = np.array([ratio for _, _, ratio, _ in results])
     predictor = 1.0 + 1.0 ** p * lams ** q
     slope, _ = np.polyfit(np.log(lams), np.log(ratios / predictor), 1)
     return float(slope)

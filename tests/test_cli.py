@@ -160,6 +160,9 @@ class TestExperimentCommands:
         # (lam^-a / 4)^(-1 / alpha) overflows a float from lam = 2^5 on
         ("lemma4-scan", {"alpha": 0.01, "lam_exponents": [4, 5], "seeds": [0]},
          "alpha = 0.01"),
+        # the bound shape lam^s overflows a float at s = 400, and is 0 at s = -400
+        ("lemma4-scan", {"s": 400.0}, "bound shape"),
+        ("lemma4-scan", {"s": -400.0}, "bound shape"),
         # drift_monotone compares the stages in list order
         ("counterexample-growth", {"j_values": [1, 1, 2, 3]}, "j_values"),
         ("counterexample-growth", {"j_values": [3, 2, 1]}, "j_values"),
@@ -181,7 +184,8 @@ class TestExperimentCommands:
             "overflowing-count", "too-many-times", "overflowing-lambda", "no-orders",
             "only-zero-kernels", "zero-kernel-pair", "repeated-order", "no-tail-starts",
             "tail-start-below-one", "zero-r", "negative-r", "oversized-selection",
-            "overflowing-selection", "repeated-stage", "decreasing-stages",
+            "overflowing-selection", "overflowing-bound-shape", "vanishing-bound-shape",
+            "repeated-stage", "decreasing-stages",
             "two-stages", "unit-stage-scale", "decreasing-tail-starts",
             "repeated-tail-start", "negative-delta", "zero-delta", "negative-probe-a",
             "negative-a", "zero-a"])

@@ -1,5 +1,6 @@
 """Experiment orchestration: configs, determinism, artifacts, plot emission."""
 
+import hashlib
 import json
 import math
 import os
@@ -92,6 +93,15 @@ class TestConfig:
             harness.run_experiment(ExperimentConfig(name, params), str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("s", [400.0, -400.0])
+    def test_bound_shape_rejected_before_any_item(self, s, monkeypatch):
+        # lam^s overflows a float at s = 400 and underflows to 0 at s = -400
+        def no_items(*args):
+            raise AssertionError("scan items ran")
+        monkeypatch.setattr(harness, "_map_items", no_items)
+        with pytest.raises(ValueError, match="bound shape at lam = 16.0"):
+            harness.run("lemma4-scan", {"s": s})
+
     def test_values_take_the_default_type(self):
         # an int for a float parameter must still print as 2.0 in the CSV
         tables, _, _ = harness.run("theorem1-scan",
@@ -103,23 +113,23 @@ class TestConfig:
 class TestCsvFormat:
     def test_shortest_roundtrip_floats(self, tmp_path):
         path = tmp_path / "t.csv"
-        harness.write_csv(path, ("a", "b"), [(0.1, 1), (1 / 3, 2)])
-        text = path.read_text()
+        text = harness._csv_text(("a", "b"), [(0.1, 1), (1 / 3, 2)])
         assert "0.1," in text
         assert repr(1 / 3) in text
+        path.write_text(text)
         cols, rows = harness.read_csv(path)
         assert cols == ["a", "b"]
         assert float(rows[1][0]) == 1 / 3
 
-    def test_numpy_scalars_plain_decimals(self, tmp_path):
-        path = tmp_path / "t.csv"
-        harness.write_csv(path, ("a", "b"), [(np.float64(0.11044985585722125), np.int64(3))])
-        assert path.read_text() == "a,b\n0.11044985585722125,3\n"
+    def test_numpy_scalars_plain_decimals(self):
+        text = harness._csv_text(("a", "b"), [(np.float64(0.11044985585722125), np.int64(3))])
+        assert text == "a,b\n0.11044985585722125,3\n"
 
     def test_lf_endings(self, tmp_path):
-        path = tmp_path / "t.csv"
-        harness.write_csv(path, ("a",), [(1.0,)])
-        assert b"\r" not in path.read_bytes()
+        cfg = ExperimentConfig("theorem1-scan", {"lam_exponents": [4, 5], "seeds": [0]})
+        harness.run_experiment(cfg, str(tmp_path))
+        for name in os.listdir(tmp_path):
+            assert b"\r" not in (tmp_path / name).read_bytes(), name
 
 
 class TestRunExperiment:
@@ -160,6 +170,16 @@ class TestRunExperiment:
         assert (tmp_path / "a" / "classify.csv").read_bytes() == \
             (tmp_path / "b" / "classify.csv").read_bytes()
 
+    @pytest.mark.parametrize("name, params", [
+        ("theorem1-scan", {"lam_exponents": [4, 5], "seeds": [0]}),
+        ("seq-classify", {})])
+    def test_manifest_digests_are_the_file_bytes(self, name, params, tmp_path):
+        harness.run_experiment(ExperimentConfig(name, params), str(tmp_path))
+        files = json.loads((tmp_path / "manifest.json").read_text())["files"]
+        assert set(files) == set(os.listdir(tmp_path)) - {"manifest.json"}
+        for file, digest in files.items():
+            assert hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() == digest
+
     def test_convergence_probe_runs(self, tmp_path):
         cfg = ExperimentConfig("convergence-probe")
         manifest = harness.run_experiment(cfg, str(tmp_path / "p"))
@@ -190,7 +210,8 @@ class TestRunExperiment:
         manifest = harness.run_experiment(cfg, str(tmp_path / "s"))
         assert {"scan.csv", "plot.dat", "plot.gp"} <= set(manifest.files)
         data, script = harness.emit_plot_data(
-            str(tmp_path / "s" / "scan.csv"), {"x": "lambda", "y": "normalized_ratio"})
+            *harness.read_csv(str(tmp_path / "s" / "scan.csv")),
+            {"x": "lambda", "y": "normalized_ratio"})
         assert (tmp_path / "s" / "plot.dat").read_text() == data
         assert (tmp_path / "s" / "plot.gp").read_text() == script
 
@@ -286,7 +307,7 @@ class TestWindowScan:
 
 class TestScanTimeSamples:
     @pytest.mark.parametrize("name, item, keys, passes", [
-        ("theorem1-scan", harness._window_scan_counted, ("a", "window", "support"), 1),
+        ("theorem1-scan", harness._window_scan_item, ("a", "window", "support"), 1),
         # r = 0.1 at lambda = 16 and 32 needs the edge pass B besides pass A
         ("eq6-scan", harness._product_scan_item, ("a", "window", "ball_radius"), 2),
     ], ids=["theorem1-scan", "eq6-scan"])
@@ -394,6 +415,19 @@ class TestSeqClassifyRunner:
         assert harness.run("seq-classify", params)[2] == "violation"
 
     @pytest.mark.parametrize("params", [
+        {"gen": "power", "r": 1.0, "alpha": 1.0, "depth": 16},
+        {"gen": "geometric", "r": 1.0, "ratio": 0.5, "depth": 16},
+        {"gen": "log", "r": 1.0, "depth": 9}])
+    def test_a_miscount_is_a_violation(self, params, monkeypatch):
+        # the verdict checks count_above against a direct count of the terms,
+        # so one member too many turns each pass into a violation
+        assert harness.run("seq-classify", params)[2] == "pass"
+        count_above = sequences.TimeSequence.count_above
+        monkeypatch.setattr(sequences.TimeSequence, "count_above",
+                            lambda seq, b: count_above(seq, b) + 1)
+        assert harness.run("seq-classify", params)[2] == "violation"
+
+    @pytest.mark.parametrize("params", [
         {"gen": "power", "r": 1.0}, {"gen": "power", "r": 0.37, "alpha": 2.5},
         {"gen": "geometric", "r": 0.7, "ratio": 0.3}, {"gen": "log", "r": 2.0},
         {"gen": "power", "r": 1.3, "depth": 7}])
@@ -413,24 +447,22 @@ class TestSeqClassifyRunner:
 
 class TestEmitPlotData:
     @pytest.fixture()
-    def scan_csv(self, tmp_path):
-        path = tmp_path / "scan.csv"
-        harness.write_csv(path, harness.SCAN_COLUMNS,
-                          [(16.0, 1.0, 0.0, 2.0, 0.0, 0, 3.0, 17.0, 3.0 / 17.0),
-                           (32.0, 1.0, 0.0, 2.0, 0.0, 0, 4.0, 33.0, 4.0 / 33.0)])
-        return path
+    def scan_table(self):
+        return (harness.SCAN_COLUMNS,
+                [(16.0, 1.0, 0.0, 2.0, 0.0, 0, 3.0, 17.0, 3.0 / 17.0),
+                 (32.0, 1.0, 0.0, 2.0, 0.0, 0, 4.0, 33.0, 4.0 / 33.0)])
 
-    def test_projection(self, scan_csv):
+    def test_projection(self, scan_table):
         data, script = harness.emit_plot_data(
-            str(scan_csv), {"x": "lambda", "y": "normalized_ratio"})
+            *scan_table, {"x": "lambda", "y": "normalized_ratio"})
         lines = data.strip().splitlines()
         assert lines[0].split() == [repr(16.0), repr(3.0 / 17.0)]
         assert "set logscale xy" in script
         assert "plot 'plot.dat' with points" in script
 
-    def test_log_transform_and_overlay(self, scan_csv):
+    def test_log_transform_and_overlay(self, scan_table):
         data, script = harness.emit_plot_data(
-            str(scan_csv),
+            *scan_table,
             {"x": "lambda", "y": "ratio", "transform_x": "log",
              "transform_y": "log", "overlay": (0.5, -1.0)})
         first_x = float(data.splitlines()[0].split()[0])
@@ -438,13 +470,13 @@ class TestEmitPlotData:
         assert "0.5*x + -1.0 with lines" in script
         assert "logscale" not in script
 
-    def test_missing_column(self, scan_csv):
+    def test_missing_column(self, scan_table):
         with pytest.raises(ValueError):
-            harness.emit_plot_data(str(scan_csv), {"x": "lambda", "y": "nope"})
+            harness.emit_plot_data(*scan_table, {"x": "lambda", "y": "nope"})
 
-    def test_empty_selection(self, scan_csv):
+    def test_empty_selection(self, scan_table):
         with pytest.raises(ValueError):
-            harness.emit_plot_data(str(scan_csv), {"x": "", "y": "ratio"})
+            harness.emit_plot_data(*scan_table, {"x": "", "y": "ratio"})
 
 
 def test_import_leaves_out_scipy_integrate():

@@ -19,8 +19,7 @@ SRC = os.path.join(ROOT, "src", "schromax")
 MODULES = {os.path.basename(p)[:-3]: p for p in glob.glob(os.path.join(SRC, "*.py"))}
 
 # Called only by tests/test_acceptance.py, whose gate may not change.
-ACCEPTANCE_ONLY = {"hankel_propagate", "simpson_weights", "forward_transform",
-                   "_window_scan_item"}
+ACCEPTANCE_ONLY = {"hankel_propagate", "simpson_weights", "forward_transform"}
 
 
 def _parse(path):
