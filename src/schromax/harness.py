@@ -236,13 +236,17 @@ def _map_items(fn, items, workers):
 
 def _scan_rows_and_fit(results, p, predictor):
     """scan.csv rows and the (slope, intercept) of log(ratio / predictor)
-    against log(lambda).  A column the scan has no parameter for reads 0.0."""
+    against log(lambda).  A column the scan has no parameter for reads 0.0;
+    a ratio / predictor that is not finite raises ValueError."""
     window, ball_r, s = p.get("window", 0.0), p.get("ball_radius", 0.0), p.get("s", 0.0)
     rows = []
     for lam, seed, ratio, *_ in results:
         pred = predictor(lam, p)
-        rows.append((float(lam), window, ball_r, p["a"], s, seed,
-                     ratio, pred, ratio / pred))
+        normalized = ratio / pred
+        if not math.isfinite(normalized):
+            raise ValueError(f"the normalized ratio at lam = {lam} is not finite: "
+                             f"{ratio} / {pred}")
+        rows.append((float(lam), window, ball_r, p["a"], s, seed, ratio, pred, normalized))
     slope, intercept = np.polyfit(np.log([row[0] for row in rows]),
                                   np.log([row[8] for row in rows]), 1)
     return rows, float(slope), float(intercept)
@@ -254,13 +258,14 @@ def _run_scan(p, workers, *, item, item_keys, predictor, check=None):
     of the normalized ratio is at most slope_tol.  A scan whose items end
     with their time-sample count adds the total to the summary as
     time_samples.  The fit needs two distinct lambdas and at least one
-    seed, the random data lambda >= 1, a finite float 2^e, and a > 0.
+    seed, the random data lambda >= 1, a finite float 2^e, a > 0, and
+    ball_radius >= 0 where the scan has one.
     Each lambda's time grid (maximal.TimeWindow.time_count) must have a
     nonzero step and fit in an array; lemma4, which resolves times down to
     lam^-a / 4, the step of a unit window's grid, is checked as a unit window.
     check(lam, p), if set, raises ValueError for a lambda the items cannot
-    run, and predictor(lam, p) must be a positive finite float at every
-    lambda; every check runs before any item.
+    run, and predictor(lam, p) must be a normal positive finite float at
+    every lambda; every check runs before any item.
 
     The items go to _map_items largest lambda first, so that a pool starts
     the longest items first, and their rows are written in the config's
@@ -272,6 +277,9 @@ def _run_scan(p, workers, *, item, item_keys, predictor, check=None):
     if not (0 <= min(exps) and max(exps) < sys.float_info.max_exp and p["a"] > 0):
         raise ValueError(f"a scan needs 0 <= lam_exponents < {sys.float_info.max_exp} "
                          f"and a > 0, got lam_exponents {exps} and a {p['a']}")
+    if not p.get("ball_radius", 0.0) >= 0.0:
+        raise ValueError(f"a scan's 'ball_radius' must be nonnegative, "
+                         f"got {p['ball_radius']!r}")
     window = maximal.TimeWindow(0.0, p.get("window", 1.0))
     for lam in (2.0 ** e for e in exps):
         window.time_count(lam, p["a"])
@@ -281,9 +289,9 @@ def _run_scan(p, workers, *, item, item_keys, predictor, check=None):
             shape = predictor(lam, p)
         except OverflowError:
             shape = math.inf
-        if not (isinstance(shape, float) and 0.0 < shape < math.inf):
-            raise ValueError(f"the bound shape at lam = {lam} must be a positive "
-                             f"finite float, got {shape}")
+        if not (isinstance(shape, float) and sys.float_info.min <= shape < math.inf):
+            raise ValueError(f"the bound shape at lam = {lam} must be a normal "
+                             f"positive finite float, got {shape}")
     items = [(2.0 ** e, seed, *(p[key] for key in item_keys))
              for e in exps for seed in p["seeds"]]
     order = sorted(range(len(items)), key=lambda i: -items[i][0])

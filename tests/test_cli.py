@@ -163,6 +163,11 @@ class TestExperimentCommands:
         # the bound shape lam^s overflows a float at s = 400, and is 0 at s = -400
         ("lemma4-scan", {"s": 400.0}, "bound shape"),
         ("lemma4-scan", {"s": -400.0}, "bound shape"),
+        # 32^-210 is subnormal: the normalized ratio would overflow
+        ("lemma4-scan", {"s": -210.0, "lam_exponents": [4, 5], "seeds": [0]},
+         "bound shape at lam = 32.0"),
+        ("eq6-scan", {"ball_radius": -0.1, "lam_exponents": [4, 5], "seeds": [0]},
+         "'ball_radius'"),
         # drift_monotone compares the stages in list order
         ("counterexample-growth", {"j_values": [1, 1, 2, 3]}, "j_values"),
         ("counterexample-growth", {"j_values": [3, 2, 1]}, "j_values"),
@@ -185,6 +190,7 @@ class TestExperimentCommands:
             "only-zero-kernels", "zero-kernel-pair", "repeated-order", "no-tail-starts",
             "tail-start-below-one", "zero-r", "negative-r", "oversized-selection",
             "overflowing-selection", "overflowing-bound-shape", "vanishing-bound-shape",
+            "subnormal-bound-shape", "negative-ball-radius",
             "repeated-stage", "decreasing-stages",
             "two-stages", "unit-stage-scale", "decreasing-tail-starts",
             "repeated-tail-start", "negative-delta", "zero-delta", "negative-probe-a",

@@ -93,14 +93,22 @@ class TestConfig:
             harness.run_experiment(ExperimentConfig(name, params), str(out))
         assert not out.exists()
 
-    @pytest.mark.parametrize("s", [400.0, -400.0])
-    def test_bound_shape_rejected_before_any_item(self, s, monkeypatch):
-        # lam^s overflows a float at s = 400 and underflows to 0 at s = -400
+    @pytest.mark.parametrize("s,lam", [(400.0, 16.0), (-400.0, 16.0), (-210.0, 32.0)],
+                             ids=["400.0", "-400.0", "-210.0"])
+    def test_bound_shape_rejected_before_any_item(self, s, lam, monkeypatch):
+        # lam^s overflows a float at s = 400 and underflows to 0 at s = -400; at
+        # s = -210, 32^s is subnormal, and a ratio divided by it would overflow
         def no_items(*args):
             raise AssertionError("scan items ran")
         monkeypatch.setattr(harness, "_map_items", no_items)
-        with pytest.raises(ValueError, match="bound shape at lam = 16.0"):
+        with pytest.raises(ValueError, match=f"bound shape at lam = {lam}"):
             harness.run("lemma4-scan", {"s": s})
+
+    def test_infinite_normalized_ratio_names_lambda(self):
+        # the smallest normal shape still overflows a ratio of 4
+        with pytest.raises(ValueError, match="normalized ratio at lam = 16.0"):
+            harness._scan_rows_and_fit([(16.0, 0, 4.0)], {"a": 2.0},
+                                       lambda lam, p: sys.float_info.min)
 
     def test_values_take_the_default_type(self):
         # an int for a float parameter must still print as 2.0 in the CSV
@@ -257,6 +265,14 @@ class TestProp3Runner:
         monkeypatch.setattr(special, "schur_constant_for_order", no_work)
         with pytest.raises(ValueError, match="two_nu_values"):
             harness.run("prop3-bound", {"two_nu_values": orders, "profiles": 1})
+
+    @pytest.mark.parametrize("name", ["prop3-bound", "thm6-ineq"])
+    def test_defaults_compute_no_quadrature(self, name, monkeypatch):
+        # their orders with K_nu != 0 (2 nu = 0, 2, 3) are tabulated
+        def no_quadrature(*args):
+            raise AssertionError("a Schur quadrature ran")
+        monkeypatch.setattr(special, "schur_quadrature", no_quadrature)
+        assert harness.run(name, {})[2] == "pass"
 
     def test_vanishing_orders_beside_a_nonzero_kernel(self):
         # the radial workload's orders stay valid

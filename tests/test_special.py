@@ -256,17 +256,17 @@ class TestFarFieldAvoidsJv:
             return scipy_jv(nu, r)
 
         monkeypatch.setattr(special, "jv", recording)
-        special.schur_constant_for_order.cache_clear()
+        special.schur_quadrature.cache_clear()
         return seen
 
     @pytest.mark.parametrize("two_nu", [0, 2])
     def test_integer_orders_never_call_jv(self, jv_radii, two_nu):
-        special.schur_constant_for_order(two_nu)
+        special.schur_quadrature(two_nu)
         assert jv_radii == []
 
     @pytest.mark.parametrize("two_nu", [3, 4])
     def test_jv_only_below_far_radius(self, jv_radii, two_nu):
-        special.schur_constant_for_order(two_nu)
+        special.schur_quadrature(two_nu)
         radius = special.far_radius(BesselOrder(two_nu))
         assert jv_radii
         assert all(nu == two_nu / 2 and np.all(r < radius) for nu, r in jv_radii)
@@ -295,6 +295,18 @@ class TestSchurConstants:
         a3 = special.schur_constant_for_order(3).value
         assert 0.4 < a0 < 0.8
         assert a0 < a2 < a3
+
+    @pytest.mark.parametrize("two_nu", sorted(special._SCHUR_TABLE))
+    def test_table_is_the_quadrature(self, two_nu):
+        tabulated, computed = special._SCHUR_TABLE[two_nu], special.schur_quadrature(two_nu)
+        for field in special.SchurConstant._fields:
+            assert getattr(tabulated, field) == getattr(computed, field)
+        assert special.schur_constant_for_order(two_nu) is tabulated
+
+    @pytest.mark.parametrize("two_nu", [-1, 1, 5])
+    def test_untabulated_orders_take_the_quadrature(self, two_nu):
+        assert two_nu not in special._SCHUR_TABLE
+        assert special.schur_constant_for_order(two_nu) == special.schur_quadrature(two_nu)
 
     @pytest.mark.parametrize("two_nu", [0, 2, 3])
     def test_refined_rule_agrees(self, two_nu):
@@ -363,7 +375,7 @@ class TestSchurConstants:
     def test_bounded_temporaries(self):
         tracemalloc.start()
         try:
-            special.schur_constant_for_order.__wrapped__(3)
+            special.schur_quadrature.__wrapped__(3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
