@@ -74,8 +74,9 @@ class ProductSet:
     ball_center: float = 0.0
 
     def __post_init__(self):
-        if self.ball_radius < 0:
-            raise ValueError("ball radius must be nonnegative")
+        if not 0.0 <= self.ball_radius < math.inf:
+            raise ValueError("ball_radius must be finite and nonnegative, "
+                             f"got {self.ball_radius!r}")
 
     def seed_offsets(self, lam: float) -> np.ndarray:
         if self.ball_radius == 0.0:
@@ -142,6 +143,27 @@ def maximal_over_E(F: SpectralFunction1D, E: ProductSet, a: float,
     wrapped sliding maximum.  Pass B, the offset c + r on the coarse grid,
     runs only when K delta < 2r.  Each pass is evaluated once on the time
     grid; modulation leaves the type B in t unchanged.
+
+    Each pass screens against a level (see sup_over_times) that rules out
+    the nodes whose sup the result does not use, so that only the sups it
+    uses are exact:
+
+    - Pass A (_ball_level): at a fine node, the least over the windows of
+      K + 1 nodes that hold it of the largest top in the window, or +inf
+      in no window.  Let x* be a complex128 argmax of window W, with sup
+      M_W in the screen's units.  Every top in W is at most M_W + eta, so
+      the level at x* is at most M_W + eta = sup64(x*) + eta: the level
+      covers x*, and pass A's sup at x* is exact.  Elsewhere in W it is at
+      most sup64 <= M_W, so W's max is M_W bit for bit.
+    - Pass B (_floor_level): the larger of its own top and out, pass A's
+      result, times unit and rounded down.  Where B's complex128 sup v
+      exceeds out, so does the quotient that the 1/dx scale rounds to v
+      (rounding is monotone), and the level there is at most that quotient
+      times unit plus eta: B's sup there is exact.  Elsewhere it is at most
+      v <= out.  Either way max(out, B's sup) is max(out, v).
+
+    With r = 0 (K = 0, m = 1) each window is one node and pass A's level is
+    its top, the level sup_over_times takes without one.
     """
     if F.band_limit is None:
         raise ValueError("maximal estimates require a band-limited input")
@@ -164,17 +186,52 @@ def maximal_over_E(F: SpectralFunction1D, E: ProductSet, a: float,
     padded = np.zeros(n * m, dtype=np.complex128)
     padded[(n * m - n) // 2:(n * m + n) // 2] = F.coefficients
     G = SpectralFunction1D(fine, padded, band_limit=lam)
-    passes = [_modulation(G, low)]
-    if K * delta < high - low:
-        passes.append(_modulation(F, high))
-
     times = E.window.times(lam, a)
-    sups = [sup_over_times(H, times, a) for H in passes]
-    wrapped = np.concatenate([sups[0], sups[0][:K]])
-    out = sliding_window_view(wrapped, K + 1)[::m].max(axis=1)
-    for edge in sups[1:]:
+    sup_a = sup_over_times(_modulation(G, low), times, a,
+                           level=_ball_level(K, m) if K else None)
+    out = _window_peaks(sup_a, K, m)
+    passes = 1
+    if K * delta < high - low:
+        edge = sup_over_times(_modulation(F, high), times, a, level=_floor_level(out))
         np.maximum(out, edge, out=out)
-    return GridFunction1D(g, out), int(times.size) * len(passes)
+        passes = 2
+    return GridFunction1D(g, out), int(times.size) * passes
+
+
+def _window_peaks(values: np.ndarray, K: int, m: int) -> np.ndarray:
+    """max of values[(j m + k) mod values.size] over 0 <= k <= K, for each j:
+    the wrapped sliding maximum of maximal_over_E's windows."""
+    wrapped = np.concatenate([values, values[:K]])
+    return sliding_window_view(wrapped, K + 1)[::m].max(axis=1)
+
+
+def _ball_level(K: int, m: int):
+    """The level of maximal_over_E's pass A, as sup_over_times takes it: at
+    fine node i m + rho (rho < m), the least of the window peaks of top for
+    the windows j = i - d, ..., i (mod N) that hold it, d = floor((K - rho)
+    / m), which is K // m for rho <= K % m and one less above; +inf where
+    d < 0."""
+    q, p = divmod(K, m)
+
+    def level(top, unit):
+        peaks = _window_peaks(top, K, m)
+        n = peaks.size
+        out = np.full((n, m), np.inf, dtype=top.dtype)
+        for d, rho in ((q, slice(0, p + 1)), (q - 1, slice(p + 1, m))):
+            if d >= 0:
+                held = np.concatenate([peaks[n - d:], peaks])
+                out[:, rho] = sliding_window_view(held, d + 1).min(axis=1)[:, None]
+        return out.ravel()
+    return level
+
+
+def _floor_level(out: np.ndarray):
+    """The level of maximal_over_E's pass B, as sup_over_times takes it: the
+    larger of top and out * unit, the latter cast to top's dtype and then
+    moved one step down, which puts it below the real product."""
+    def level(top, unit):
+        return np.maximum(top, np.nextafter((out * unit).astype(top.dtype), -np.inf))
+    return level
 
 
 def _modulation(F: SpectralFunction1D, y: float) -> SpectralFunction1D:

@@ -337,7 +337,7 @@ def _interpolated_peak(e_low: np.ndarray, e_high: np.ndarray, reach: np.ndarray)
 
 
 def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
-                  values: np.ndarray, dtype=np.complex64) -> np.ndarray:
+                  values: np.ndarray, dtype=np.complex64, level=None) -> np.ndarray:
     """max over the monotone times of |ifft| of length-n spectra that are
     zero outside columns lo:lo + row.size.  fill(out, idx, row) writes into
     out, in out's precision, the spectra there of the times with the
@@ -347,19 +347,21 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
 
     The screen works in dtype: in complex64 on s * row (s and eta from
     _screen_margin), or in complex128 on row itself with s = 1 and eta = 0.
-    It keeps top(x), the running max of the moduli it has computed.  A
-    screened time t is transformed in a batch of _TIME_CHUNK, top is
-    raised, and t records one scalar, the difference (whose sign is exact)
+    It keeps top(x), the running max of the moduli it has computed, and a
+    level L(x): top itself, or level(top, s) when level is given.  A
+    screened time t is transformed in a batch of _TIME_CHUNK, top is raised,
+    L is taken, and t records one scalar, the difference (whose sign is
+    exact)
 
-        e_t = max over x of mod_t(x) - (top(x) - 2 eta).
+        e_t = max over x of mod_t(x) - (L(x) - 2 eta).
 
     In complex64, t is kept when e_t >= 0 (not < 0, so that nan keeps the
     row); a complex128 screen keeps no list.  With K and p from
     _time_curvature for s * row, the first times screened are the first
     time of each range of _initial_ranges with width sqrt(8 rho / K) (rho =
     ||s row||_2 / n, the RMS modulus; inf for K = 0) and the last time, and
-    the first intervals run between consecutive ones.  Then it goes level
-    by level: an interval between screened times a < c (indices) with
+    the first intervals run between consecutive ones.  Then it goes round
+    by round: an interval between screened times a < c (indices) with
     c - a > 1 is dropped when
 
         max(e_a, e_c) + (R - |e_c - e_a| / 4)_+^2 / R < -(eps + 2^-20 (R + eps)),
@@ -367,13 +369,22 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     R = K H^2 / 8 and H = |t_c - t_a| (the middle term, from
     _interpolated_peak, is 0 for R = 0 and at most R), and otherwise its
     middle (a + c) // 2 is screened and splits it in two for the next
-    level.  top only rises, so a recorded e stays an upper bound, and max
-    over x of max(f, g) is max(max f, max g), so each e is exact up to the
-    rounding of its difference.  After a complex64 screen its buffers are
-    freed, and only the kept times are filled from row, transformed and
-    reduced in complex128, in batches of _TIME_CHUNK / 2, exactly as a
-    single complex128 pass over every time would compute them.  A
-    complex128 screen returns top itself.
+    round.  max over x of max(f, g) is max(max f, max g), so each e is
+    exact up to the rounding of its difference.  After a complex64 screen
+    its buffers are freed, and only the kept times are filled from row,
+    transformed and reduced in complex128, in batches of _TIME_CHUNK / 2,
+    exactly as a single complex128 pass over every time would compute them.
+    A complex128 screen returns top itself.
+
+    The level: level(top, s) returns, in top's dtype and units (s times the
+    moduli of row's spectra), one level per node.  Call a node x covered
+    when every L(x) taken is at most s sup64(x) + eta, sup64(x) the
+    complex128 sup over every time at x.  top covers every node, since
+    top(x) <= s sup64(x) + eta at every batch.  The result equals the
+    single pass at every covered node and is at most it elsewhere, a max of
+    the same complex128 moduli over fewer times.  At a covered node L, like
+    top, is at most ||s row||_2 / sqrt(n) + eta, so the float32 threshold
+    L - 2 eta rounds within eta's budget.
 
     The bound: every t = (1 - s) t_a + s t_c, 0 <= s <= 1, has at every x
 
@@ -393,8 +404,10 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     s * row (the complex128 rows' own rounding, as there) and p the phase
     bound of _time_curvature; eps = 2 (U + s p).
 
-    Why no max is lost: let t* be a complex128 argmax at x, at fraction s
-    of an interval with ends a and c, and T = top - 2 eta.  Then
+    Why no max is lost: let x be a covered node, t* a complex128 argmax at
+    x, at fraction s of an interval with ends a and c, and T the larger of
+    the thresholds L(x) - 2 eta of the batches of a and c.  Each of e_a and
+    e_c bounds its difference against T, and T <= mod64(t*) - eta.  Then
 
         (1 - s) (mod(a) - T) + s (mod(c) - T) + 4 R s (1 - s) + eps
             >= mod64(t*) - eta - T >= 0,
@@ -406,13 +419,13 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     (1 - 2^-23) times the peak of the recorded ones plus 2^-23 R, R read up
     by its own rounding; the margin 2^-20 (R + eps) covers that and the
     rounding of the peak and of eps.  So no interval that holds t* is
-    dropped.  Intervals only shrink, so t* is screened at some level.  A
+    dropped.  Intervals only shrink, so t* is screened in some round.  A
     complex128 screen computes each row as the single pass does, so top(x)
     is mod64(t*, x) once t* is screened.  A complex64 screen keeps t*, its
-    mod32 being at least mod64(t*) - eta >= top - 2 eta, so the max over
-    the kept times is the max over every time.  A max does not depend on
-    the order or the grouping of its rows, so either way the result equals
-    the single pass bit for bit.  Each time is the first of one range, the
+    mod32 being at least mod64(t*) - eta >= L(x) - 2 eta, so the max over
+    the kept times at x is the max over every time.  A max does not depend
+    on the order or the grouping of its rows, so either way the result
+    equals the single pass bit for bit.  Each time is the first of one range, the
     last time or the middle of one interval, so none is screened twice.
     """
     sup = np.zeros(n)
@@ -447,7 +460,8 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
             fill(spectra[:m, cols], part, scaled)
             chunk = _moduli(spectra[:m], fields[:m], moduli[:m])
             np.maximum(top, chunk.max(axis=0), out=top)
-            np.subtract(chunk, top - 2.0 * eta, out=chunk)
+            levels = top if level is None else level(top, s)
+            np.subtract(chunk, levels - 2.0 * eta, out=chunk)
             chunk.max(axis=1, out=excess[b:b + m])
             if recompute:
                 kept.append(part[~(excess[b:b + m] < 0)])
@@ -468,18 +482,18 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     ends = np.concatenate([*_initial_ranges(times, width), [count - 1]])
     ends = ends[np.diff(ends, prepend=-1) > 0]   # the last time may start a range
     excess = screen(ends)
-    level = [ends[:-1], ends[1:], excess[:-1], excess[1:]]
+    intervals = [ends[:-1], ends[1:], excess[:-1], excess[1:]]
     del ends, excess
-    keep = live(*level)
-    level = [part[keep] for part in level]
-    while level[0].size:
-        low, high, e_low, e_high = level
+    keep = live(*intervals)
+    intervals = [part[keep] for part in intervals]
+    while intervals[0].size:
+        low, high, e_low, e_high = intervals
         middle = (low + high) // 2
         e_middle = screen(middle)
         # the live halves in ascending order
         keep = np.stack((live(low, middle, e_low, e_middle),
                          live(middle, high, e_middle, e_high)), axis=1).ravel()
-        level = [np.stack(pair, axis=1).ravel()[keep] for pair in (
+        intervals = [np.stack(pair, axis=1).ravel()[keep] for pair in (
             (low, middle), (middle, high), (e_low, e_middle), (e_middle, e_high))]
     if not recompute:
         return top
@@ -496,7 +510,7 @@ def _screened_sup(fill, row: np.ndarray, lo: int, n: int, times: np.ndarray,
     return sup
 
 
-def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
+def sup_over_times(F: SpectralFunction1D, t_values, a: float, level=None) -> np.ndarray:
     """Pointwise sup of |S_t f| over the given times (nonnegative, real).
 
     Only the coefficients matter that are nonzero: they lie in columns
@@ -508,13 +522,23 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     between screened times, ruling out the times inside one by its ends'
     moduli, interpolated linearly, plus the curvature bound of
     _time_curvature.  On a uniform grid it screens in complex64 and
-    recomputes in complex128 only the times within 2 eta of the running max
-    at some x, eta = 7 (log2 N + 1) eps32 ||c||_2 / sqrt(N) the a-priori FFT
+    recomputes in complex128 only the times within 2 eta of the level at
+    some x, eta = 7 (log2 N + 1) eps32 ||c||_2 / sqrt(N) the a-priori FFT
     rounding bound of _screen_margin for the coefficient vector c scaled by
-    a power of two.  On other times it screens in complex128 with eta = 0, and the result is
-    its running max top.  Either way the result is the complex128 sup over
-    every time, bit for bit.  The 1/dx scale is applied after the max,
-    which is exact because correctly rounded division is monotone.
+    a power of two.  On other times it screens in complex128 with eta = 0,
+    and the result is its running max top.  Either way the result is the
+    complex128 sup over every time, bit for bit, at every node that the
+    level covers.  The 1/dx scale is applied after the max, which is exact
+    because correctly rounded division is monotone.
+
+    The level is the running max top of the screen itself, which covers
+    every node, unless level is given (only maximal_over_E gives one).
+    Then level(top, unit) is called after each screened batch and returns
+    one level per node in top's dtype and units; top reads unit times the
+    quotients that the 1/dx scale rounds into the result.  A node is
+    covered when no level there exceeds unit times its complex128 sup's
+    quotient, plus eta; elsewhere the result is at most that sup
+    (_screened_sup).
     """
     g = F.grid
     n = g.point_count
@@ -537,7 +561,10 @@ def sup_over_times(F: SpectralFunction1D, t_values, a: float) -> np.ndarray:
     # the complex64 screen is faster; other times keep a few percent, and a
     # complex128 screen saves the recompute of most of them
     dtype = np.complex64 if dt is not None else np.complex128
-    return _screened_sup(fill, base[lo:hi], lo, n, t_values, distinct[where], dtype) / g.dx
+    # the screen's top reads s * dx times the result, s its power of two
+    screen_level = None if level is None else (lambda top, s: level(top, s * g.dx))
+    return _screened_sup(fill, base[lo:hi], lo, n, t_values, distinct[where], dtype,
+                         screen_level) / g.dx
 
 
 def grid_for_bandlimit(lam: float, half_length: float = 1.0,

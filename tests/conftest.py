@@ -55,9 +55,10 @@ def single_pass_arbitrary_sup(F, t_values, a):
     return sup
 
 
-def single_pass_sup(F, t_values, a):
+def single_pass_sup(F, t_values, a, level=None):
     """spectral.sup_over_times as one complex128 pass over every time:
-    single_pass_grid_sup on a uniform grid, else single_pass_arbitrary_sup."""
+    single_pass_grid_sup on a uniform grid, else single_pass_arbitrary_sup.
+    A level is accepted and ignored: every time is evaluated at every node."""
     t_values = np.asarray(t_values, dtype=float)
     dt = spectral._uniform_step(t_values)
     if dt is None:

@@ -75,6 +75,11 @@ class TestProductSet:
         with pytest.raises(ValueError):
             ProductSet(-0.1, TimeWindow(0.0, 0.5))
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_rejects_radius_that_is_not_finite(self, radius):
+        with pytest.raises(ValueError, match="ball_radius"):
+            ProductSet(radius, TimeWindow(0.0, 0.5))
+
 
 class TestMaximalOverWindow:
     def test_dominates_each_time_slice(self):
@@ -160,7 +165,9 @@ class TestScreenedSupBytes:
                 if shape == "annulus" and lam < 4.0:
                     continue   # no frequency node in [lam / 2, lam]
                 F = spectral.make_bandlimited_random(lam, shape, e, grid)
-                for t0, length in ((0.0, 1.0), (0.3, 0.25), (0.1, 1e-5)):
+                # |J| = 0 has one time, which _uniform_step rejects, so it
+                # takes the complex128 screen, with a level where r > 0
+                for t0, length in ((0.0, 1.0), (0.3, 0.25), (0.1, 1e-5), (0.2, 0.0)):
                     window = TimeWindow(t0, length)
                     samples = window.time_count(lam, a) * grid.point_count
                     if samples <= self.MAX_SAMPLES:
@@ -250,6 +257,50 @@ class TestScreenedSupBytes:
         assert differs[0.0] > 0
         assert differs[0.5] >= self.HALF_CURVATURE_CAUGHT
 
+    @staticmethod
+    def faulted_level(fault):
+        """sup_over_times with fault applied to each level it is given."""
+        exact = spectral.sup_over_times
+
+        def call(F, t_values, a, level=None):
+            faulted = None if level is None else (lambda top, unit: fault(level(top, unit)))
+            return exact(F, t_values, a, faulted)
+        return call
+
+    def test_a_high_level_is_caught(self, monkeypatch, single_pass):
+        # each fault raises the levels maximal_over_E passes above what its
+        # proof allows: all of them by 2^-8, far above eta, or each node's
+        # to its left neighbour's where that is higher; the comparison with
+        # the single pass over the ProductSet(0.1, ...) cases of
+        # test_equal_to_single_pass, lam = 2^4 ... 2^7, sees the lost maxima
+        faults = {"scaled": lambda level: level * np.float32(1.0 + 2.0 ** -8),
+                  "left": lambda level: np.maximum(level, np.roll(level, 1))}
+        differs = dict.fromkeys(faults, 0)
+        cases = 0
+        for a in (1.5, 2.0, 3.0):
+            for e in range(4, 8):
+                lam = 2.0 ** e
+                grid = spectral.grid_for_bandlimit(lam)
+                for shape in ("ball", "annulus"):
+                    F = spectral.make_bandlimited_random(lam, shape, e, grid)
+                    for t0, length in ((0.0, 1.0), (0.3, 0.25), (0.1, 1e-5)):
+                        E = ProductSet(0.1, TimeWindow(t0, length))
+                        m = explicit_lattice(E, lam, grid.dx)[0]
+                        if 2 * m * E.window.time_count(lam, a) * grid.point_count \
+                                > self.MAX_SAMPLES:
+                            continue
+                        ref = single_pass(maximal.maximal_over_E, F, E, a)[0].samples
+                        for name, fault in faults.items():
+                            with monkeypatch.context() as patched:
+                                patched.setattr(maximal, "sup_over_times",
+                                                self.faulted_level(fault))
+                                got = maximal.maximal_over_E(F, E, a)[0].samples
+                            differs[name] += not np.array_equal(got, ref)
+                        cases += 1
+        assert cases == 60
+        assert differs["scaled"] > cases // 2
+        assert differs["left"] > cases // 2
+
     @pytest.mark.parametrize("lam", [32.0, 64.0])
     def test_two_cluster_spectrum_equal_to_single_pass(self, lam, single_pass):
         # random coefficients for |xi| <= lam / 10 and 5% of them for
@@ -293,6 +344,24 @@ class TestScreenedRecompute:
         assert 0 < moduli_rows["complex128"] <= 0.02 * times
         assert np.array_equal(sup.samples,
                               single_pass(maximal.maximal_over_window, F, window, 2.0)[0].samples)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ball_level_screens_few_rows(self, seed, moduli_rows, single_pass):
+        # the translation workload's lam = 2^6 item (|J| = 0.25, r = 0.1,
+        # m = 2, K = 51): two passes of 4,097 times; screened against the
+        # ball maxima they feed, at most 25% of the pass-times are screened
+        # in complex64 and at most 2% rebuilt in complex128, with the bytes
+        # of one complex128 pass over every time (against each node's own
+        # running max, the item screens about 48% and rebuilds about 12%)
+        grid = spectral.grid_for_bandlimit(64.0)
+        F = spectral.make_bandlimited_random(64.0, "ball", seed, grid)
+        E = ProductSet(0.1, TimeWindow(0.0, 0.25))
+        sup, samples = maximal.maximal_over_E(F, E, 2.0)
+        assert samples == 2 * 4097
+        assert moduli_rows["complex64"] <= 0.25 * samples
+        assert 0 < moduli_rows["complex128"] <= 0.02 * samples
+        assert np.array_equal(sup.samples,
+                              single_pass(maximal.maximal_over_E, F, E, 2.0)[0].samples)
 
 
 class TestSequenceSupBytes:
@@ -587,7 +656,8 @@ class TestDilationIdentity:
     def test_wrong_exponent_is_caught(self, monkeypatch):
         # phases t |xi| on time grids built for a: the identity fails
         exact = spectral.sup_over_times
-        monkeypatch.setattr(maximal, "sup_over_times", lambda F, t, a: exact(F, t, 1.0))
+        monkeypatch.setattr(maximal, "sup_over_times",
+                            lambda F, t, a, level=None: exact(F, t, 1.0, level))
         for a, lam, seed, radius in DILATION_CASES:
             if lam == 4.0:
                 f_ratio, g_ratio = dilated_ratios(lam, a, seed, radius)
