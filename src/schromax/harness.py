@@ -17,7 +17,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -362,6 +362,7 @@ def _prop3_bound(p, workers):
         raise ValueError("prop3-bound needs distinct two_nu_values with at least one "
                          f"outside -1, 1 (K_nu = 0 there), got {p['two_nu_values']!r}")
     times = np.linspace(0.0, 1.0, 160)
+    profiles = [radial.random_profile(seed) for seed in range(p["profiles"])]
     rows = []
     margins = {}
     quadrature = {}
@@ -376,8 +377,7 @@ def _prop3_bound(p, workers):
             "far_radius": radius if math.isfinite(radius) else None,
             "panels": schur.panels, "tail": schur.tail}
         op = None
-        for seed in range(p["profiles"]):
-            f1 = radial.random_profile(seed)
+        for seed, f1 in enumerate(profiles):
             # every profile shares the nodes, so the kernels are built once per order
             op = radial.RemainderOperator(f1, nu, f1.nodes) if op is None else op.for_profile(f1)
             sup = op.rem_sup(times, 2.0)
@@ -542,20 +542,15 @@ EXPERIMENTS = {
 }
 
 
-@cache
-def _read_versions() -> dict:
-    import platform
-    from importlib import metadata
-    return {"python": platform.python_version(), "numpy": metadata.version("numpy"),
-            "scipy": metadata.version("scipy")}
-
-
 def _library_versions() -> dict:
-    """The python, numpy and scipy versions, from package metadata so that
-    recording them loads no scipy module, read once per process.  The
-    imports are deferred to keep them out of the time of importing the
-    harness."""
-    return dict(_read_versions())
+    """The python, numpy and scipy versions.  Importing top-level scipy
+    loads none of its submodules; the imports are deferred to keep them out
+    of the time of importing the harness."""
+    import platform
+
+    import scipy
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,

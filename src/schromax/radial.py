@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from schromax.special import BesselOrder, bessel_kernel, remainder_kernel
+from schromax.special import _KERNEL_BLOCK, BesselOrder, bessel_kernel, remainder_kernel
 from schromax.spectral import (
     SQRT_TWO_PI,
     TWO_PI,
@@ -92,21 +92,60 @@ def alpha(n: int) -> float:
     return TWO_PI ** (n / 2.0)
 
 
+def _kernel_matrix(kernel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """kernel(np.outer(rows, cols)) without the outer product.
+
+    The matrix is filled a block of rows at a time, about ``_KERNEL_BLOCK``
+    entries each.  Where rows equals cols the kernel is evaluated once per
+    unordered pair, on the upper triangle, and mirrored: a float product
+    commutes exactly, so r_i r_j = r_j r_i.  For an elementwise kernel both
+    give the bytes of the full evaluation.  The kernel's value on an empty
+    array sets the matrix's dtype.  ``kernel`` None is the zero kernel.
+    """
+    if kernel is None:
+        return np.zeros((rows.size, cols.size))
+    out = np.empty((rows.size, cols.size), dtype=kernel(np.empty(0)).dtype)
+    symmetric = np.array_equal(rows, cols)
+    step = max(1, _KERNEL_BLOCK // max(cols.size, 1))
+    for lo in range(0, rows.size, step):
+        hi = min(lo + step, rows.size)
+        if symmetric:
+            upper = np.arange(lo, cols.size) >= np.arange(lo, hi)[:, None]
+            values = kernel((rows[lo:hi, None] * cols[lo:])[upper])
+            out[lo:hi, lo:][upper] = values
+            out[lo:, lo:hi].T[upper] = values
+        else:
+            out[lo:hi] = kernel(rows[lo:hi, None] * cols)
+    return out
+
+
 class KernelEvolution:
     """sum_s k(rs) f1(s) w_s e^{i t s^a} at fixed output nodes r, for a kernel k.
 
-    ``kernel`` maps the matrix of products rs to the kernel matrix, built once;
-    a batch of times then costs one matrix product, and ``for_profile`` reuses
-    the matrix for other profiles on the same nodes.
+    ``kernel`` maps an array of products rs, of any shape, to the kernel
+    matrix.  It must be elementwise, each value depending on its own product
+    alone whatever the array's size, because the matrix is built in blocks
+    and, where ``out_nodes`` are the profile's nodes, from its upper triangle
+    (``_kernel_matrix``).  numpy evaluates ``c * tmp`` on a temporary of
+    256 KiB or more in place, as ``tmp * c``, and a complex product rounds
+    differently with its operands swapped; blowup's complex kernels stay
+    below that size.  None is the zero kernel.  The matrix is built once; a
+    batch of times then costs one matrix product, and ``for_profile`` reuses
+    the matrix and the phase table of the last time batch for other profiles
+    on the same nodes.
     """
 
     def __init__(self, f1: RadialProfile, out_nodes: np.ndarray, kernel):
         self.f1 = f1
         self.out_nodes = np.asarray(out_nodes, dtype=float)
-        self._kernel = kernel(np.outer(self.out_nodes, f1.nodes))
+        self._kernel = _kernel_matrix(kernel, self.out_nodes, f1.nodes)
+        # (a, times, e^{i t s^a}) of the last sup_field batch; for_profile
+        # copies share this dict, and with it the table
+        self._phase_memo = {}
 
     def for_profile(self, f1: RadialProfile) -> "KernelEvolution":
-        """The evolution of f1 (same nodes as this profile), sharing the kernel matrix."""
+        """The evolution of f1 (same nodes as this profile), sharing the kernel
+        matrix and the phase table."""
         if not np.array_equal(f1.nodes, self.f1.nodes):
             raise ValueError("profile nodes differ from the kernel's nodes")
         evo = copy.copy(self)
@@ -124,11 +163,19 @@ class KernelEvolution:
     def field(self, t: float, a: float) -> np.ndarray:
         return self._apply(np.exp(1j * t * self.f1.nodes ** a)[:, None])[:, 0]
 
+    def _phases(self, t_values, a: float) -> np.ndarray:
+        """The table e^{i t s^a} of shape (nodes, times), computed once per
+        (times, a) in a row."""
+        t = np.array(t_values, dtype=float)
+        memo = self._phase_memo
+        if not (memo and memo["a"] == a and np.array_equal(memo["t"], t)):
+            s_pow = self.f1.nodes ** a
+            memo.update(a=a, t=t, table=np.exp(1j * s_pow[:, None] * t[None, :]))
+        return memo["table"]
+
     def sup_field(self, t_values, a: float) -> np.ndarray:
         """sup over the time batch of |field| at each output node."""
-        s_pow = self.f1.nodes ** a
-        phases = np.exp(1j * s_pow[:, None] * np.asarray(t_values, dtype=float)[None, :])
-        return np.abs(self._apply(phases)).max(axis=1)
+        return np.abs(self._apply(self._phases(t_values, a))).max(axis=1)
 
 
 class HankelEvolution(KernelEvolution):
@@ -166,7 +213,7 @@ class RemainderOperator(KernelEvolution):
 
     def __init__(self, f1: RadialProfile, nu: BesselOrder, out_nodes: np.ndarray):
         self.nu = nu
-        kernel = np.zeros_like if nu.kernel_vanishes else partial(remainder_kernel, nu)
+        kernel = None if nu.kernel_vanishes else partial(remainder_kernel, nu)
         super().__init__(f1, out_nodes, kernel)
 
     def rem_sup(self, t_values, a: float) -> np.ndarray:

@@ -164,8 +164,9 @@ def _horner(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-# Kernel values per block of _split_kernel: its dozen temporaries then stay
-# within a few MiB however large the kernel matrix.
+# Kernel values per block of _split_kernel, and per row block of the kernel
+# matrices that radial fills: the temporaries then stay within a few MiB
+# however large the kernel matrix.
 _KERNEL_BLOCK = 32768
 
 

@@ -204,14 +204,13 @@ class TestRunExperiment:
         assert set(doc["versions"]) == {"python", "numpy", "scipy"}
         assert doc["versions"]["numpy"] == np.__version__
 
-    def test_library_versions_read_once(self, monkeypatch):
-        # package metadata is read once per process, and each call gets its
-        # own dict
+    def test_library_versions_match_package_metadata(self):
+        # the module attributes read the versions that pip installed
+        import platform
         from importlib import metadata
-        first = harness._library_versions()
-        monkeypatch.setattr(metadata, "version", lambda name: pytest.fail("read again"))
-        first["numpy"] = "changed"
-        assert harness._library_versions()["numpy"] == np.__version__
+        assert harness._library_versions() == {
+            "python": platform.python_version(), "numpy": metadata.version("numpy"),
+            "scipy": metadata.version("scipy")}
 
     def test_scan_writes_plot_files(self, tmp_path):
         cfg = ExperimentConfig("theorem1-scan", {"lam_exponents": [4, 5, 6], "seeds": [0]})
@@ -495,14 +494,17 @@ class TestEmitPlotData:
             harness.emit_plot_data(*scan_table, {"x": "", "y": "ratio"})
 
 
-def test_import_leaves_out_scipy_integrate():
+def test_import_leaves_out_scipy_integrate(tmp_path):
     # scipy.special stays out of the scan processes too: the uniform-grid
-    # (eq6) and the sequence (lemma4) sups run on numpy alone, and every pool
-    # worker is forked from the process that imported the harness
+    # (eq6) and the sequence (lemma4) sups run on numpy alone, every pool
+    # worker is forked from the process that imported the harness, and the
+    # manifest reads the scipy version from top-level scipy
+    cfg = "{'lam_exponents': [4, 5], 'seeds': [0]}"
     code = ("import sys, schromax.harness, schromax.cli; "
             "print('scipy.integrate' in sys.modules); "
-            "schromax.harness.run('eq6-scan', {'lam_exponents': [4, 5], 'seeds': [0]}); "
-            "schromax.harness.run('lemma4-scan', {'lam_exponents': [4, 5], 'seeds': [0]}); "
+            "schromax.harness.run_experiment(schromax.harness.ExperimentConfig("
+            f"'eq6-scan', {cfg}), {str(tmp_path / 'eq6')!r}); "
+            f"schromax.harness.run('lemma4-scan', {cfg}); "
             "print('scipy.special' in sys.modules)")
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

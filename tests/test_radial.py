@@ -6,7 +6,8 @@ from functools import partial
 
 import numpy as np
 import pytest
-from schromax import radial, special, spectral
+from schromax import blowup, radial, special, spectral
+from schromax.blowup import BlowupParams
 from schromax.radial import RadialProfile
 from schromax.special import BesselOrder
 
@@ -190,6 +191,26 @@ class TestRemainderSplit:
         # the original keeps its own profile
         assert rem.f1 is f0 and evo.f1 is f0
 
+    def test_phase_table_follows_times_and_exponent(self):
+        # the copy and the original share one phase table; alternating time
+        # sets and exponents, and a time array changed in place, must not
+        # reuse a table built for other times
+        nu = BesselOrder(0)
+        f0, f1 = (radial.random_profile(seed, count=128) for seed in (0, 1))
+        out = np.linspace(0.1, 20.0, 64)
+        base = radial.HankelEvolution(f0, nu, out)
+        shared = base.for_profile(f1)
+        early, late = np.linspace(0.0, 1.0, 32), np.linspace(0.5, 2.0, 32)
+        for times, a in [(early, 2.0), (late, 2.0), (early, 3.0), (early, 2.0), (late, 3.0)]:
+            for evo, f in ((shared, f1), (base, f0)):
+                fresh = radial.HankelEvolution(f, nu, out)
+                assert np.array_equal(evo.sup_field(times, a), fresh.sup_field(times, a))
+        shared.sup_field(early, 2.0)
+        early *= 0.5
+        assert np.array_equal(shared.sup_field(early, 2.0),
+                              radial.HankelEvolution(f1, nu, out).sup_field(early, 2.0))
+        assert shared._phase_memo is base._phase_memo
+
     def test_shared_profile_allocates_no_matrix(self):
         evo = radial.thm6_evolution(0, 2, 0)
         f1 = radial.uniform_profile(radial.random_profile_func(1)[0], 6.0, 768)
@@ -239,6 +260,48 @@ class TestKernelProducts:
         evo = cls(radial.random_profile(seed), BesselOrder(two_nu), self.OUT)
         assert not np.iscomplexobj(evo._kernel)
         self._check(evo)
+
+    @pytest.mark.parametrize("two_nu", [-1, 0, 1, 2, 3])
+    def test_symmetric_kernel_is_the_full_evaluation(self, two_nu):
+        # out_nodes = nodes: one evaluation per pair, mirrored across row blocks
+        nu = BesselOrder(two_nu)
+        f1 = radial.random_profile(two_nu + 1)
+        evo = radial.RemainderOperator(f1, nu, f1.nodes)
+        products = np.outer(f1.nodes, f1.nodes)
+        want = (np.zeros(products.shape) if nu.kernel_vanishes
+                else special.remainder_kernel(nu, products))
+        assert np.array_equal(evo._kernel, want)
+
+    def test_blocked_kernel_is_the_full_evaluation(self):
+        evo = radial.thm6_evolution(0, 2, 0)
+        want = special.bessel_kernel(evo.nu, np.outer(evo.out_nodes, evo.f1.nodes))
+        assert np.array_equal(evo._kernel, want)
+
+    def test_blocked_build_peak(self):
+        tracemalloc.start()
+        try:
+            evo = radial.thm6_evolution(0, 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 2000 x 768 kernel is 11.72 MiB; a full matrix of its products
+        # would take as much again
+        assert evo._kernel.nbytes == 2000 * 768 * 8
+        assert peak <= 16 * 2 ** 20
+
+    def test_complex_kernels_are_the_full_evaluation(self):
+        # blowup's stationary and counter-rotating branches on its radii, and
+        # a complex kernel on the profile's own nodes (the symmetric path)
+        params = BlowupParams(a=2.0, s=0.25, n=2, eps=0.02)
+        scales = blowup.derive_scales(params.stage_m(3), params.stage_b(3), params, 3)
+        f1 = blowup.build_witness_profile(scales, params.n)
+        xs = np.linspace(*scales.interval_j, blowup.X_COUNT)
+        g = special.gamma_kernel(BesselOrder(0))
+        for out, kernel in ((xs, lambda rs: np.conj(g) * np.exp(-1j * rs)),
+                            (xs, lambda rs: g * np.exp(1j * rs)),
+                            (f1.nodes, lambda rs: np.exp(1j * rs))):
+            evo = radial.KernelEvolution(f1, out, kernel)
+            assert np.array_equal(evo._kernel, kernel(np.outer(out, f1.nodes)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_complex_kernel(self, seed):
