@@ -395,9 +395,11 @@ def _prop3_bound(p, workers):
 
 def _thm6_ineq(p, workers):
     _require_profiles(p)
-    from schromax import radial
-    evolution = radial.thm6_evolution(0, p["n"], p["k"])
-    rows = [(seed, *radial.thm6_sides(seed, evolution)) for seed in range(p["profiles"])]
+    from schromax import radial, special
+    nu = special.BesselOrder.from_dimension(p["n"], p["k"])
+    seeds = range(p["profiles"])
+    rows = [(seed, *radial.thm6_sides(seed, nu, sup))
+            for seed, sup in zip(seeds, radial.thm6_sups(seeds, nu))]
     worst = max(lhs - rhs for _, lhs, rhs in rows)
     return ({"ineq.csv": (("seed", "lhs", "rhs"), rows)}, {"worst_margin": worst},
             worst <= 0.0)

@@ -119,6 +119,19 @@ def _kernel_matrix(kernel, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
+def _product(kernel: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """kernel @ rhs for a complex rhs; a real kernel takes one real product over
+    the interleaved re/im columns."""
+    if np.iscomplexobj(kernel):
+        return kernel @ rhs
+    return (kernel @ rhs.view(np.float64)).view(np.complex128)
+
+
+def _phase_table(nodes: np.ndarray, t: np.ndarray, a: float) -> np.ndarray:
+    """e^{i t s^a} of shape (nodes, times)."""
+    return np.exp(1j * (nodes ** a)[:, None] * t[None, :])
+
+
 class KernelEvolution:
     """sum_s k(rs) f1(s) w_s e^{i t s^a} at fixed output nodes r, for a kernel k.
 
@@ -153,12 +166,8 @@ class KernelEvolution:
         return evo
 
     def _apply(self, phases: np.ndarray) -> np.ndarray:
-        """kernel @ (values * weights * phases), phases of shape (nodes, times); a
-        real kernel takes one real product over the interleaved re/im columns."""
-        rhs = (self.f1.values * self.f1.weights)[:, None] * phases
-        if np.iscomplexobj(self._kernel):
-            return self._kernel @ rhs
-        return (self._kernel @ rhs.view(np.float64)).view(np.complex128)
+        """kernel @ (values * weights * phases), phases of shape (nodes, times)."""
+        return _product(self._kernel, (self.f1.values * self.f1.weights)[:, None] * phases)
 
     def field(self, t: float, a: float) -> np.ndarray:
         return self._apply(np.exp(1j * t * self.f1.nodes ** a)[:, None])[:, 0]
@@ -169,8 +178,7 @@ class KernelEvolution:
         t = np.array(t_values, dtype=float)
         memo = self._phase_memo
         if not (memo and memo["a"] == a and np.array_equal(memo["t"], t)):
-            s_pow = self.f1.nodes ** a
-            memo.update(a=a, t=t, table=np.exp(1j * s_pow[:, None] * t[None, :]))
+            memo.update(a=a, t=t, table=_phase_table(self.f1.nodes, t, a))
         return memo["table"]
 
     def sup_field(self, t_values, a: float) -> np.ndarray:
@@ -201,6 +209,36 @@ def hankel_propagate(f1: RadialProfile, t: float, a: float, nu: BesselOrder,
         if out_weights is None:
             out_weights = trapezoid_weights(out_nodes)
     return RadialProfile(out_nodes, HankelEvolution(f1, nu, out_nodes).field(t, a), out_weights)
+
+
+def hankel_sups(profiles: list[RadialProfile], nu: BesselOrder, out_nodes: np.ndarray,
+                t_values, a: float) -> np.ndarray:
+    """sup over the time batch of |H_t f1| at each output node, for each profile
+    (all on the same nodes): shape (profiles, out_nodes).
+
+    The rows are ``HankelEvolution(f1, nu, out_nodes).sup_field`` for each
+    f1, but no kernel matrix is held.  The kernel is built a row block at a
+    time, about ``_KERNEL_BLOCK`` entries (``_kernel_matrix``), and each block
+    is multiplied once by every profile's right-hand side, stacked as columns;
+    only each profile's max over its own times is kept.  The tests check the
+    bytes against the full matrix's product.
+    """
+    nodes = profiles[0].nodes
+    out_nodes = np.asarray(out_nodes, dtype=float)
+    t = np.array(t_values, dtype=float)
+    phases = _phase_table(nodes, t, a)
+    rhs = np.empty((nodes.size, len(profiles), t.size), dtype=np.complex128)
+    for j, f1 in enumerate(profiles):
+        np.multiply((f1.values * f1.weights)[:, None], phases, out=rhs[:, j])
+    rhs = rhs.reshape(nodes.size, -1)
+    kernel = partial(bessel_kernel, nu)
+    sups = np.empty((len(profiles), out_nodes.size))
+    step = max(1, _KERNEL_BLOCK // max(nodes.size, 1))
+    for lo in range(0, out_nodes.size, step):
+        block = _kernel_matrix(kernel, out_nodes[lo:lo + step], nodes)
+        field = _product(block, rhs).reshape(block.shape[0], len(profiles), t.size)
+        sups[:, lo:lo + step] = np.abs(field).max(axis=2).T
+    return sups
 
 
 class RemainderOperator(KernelEvolution):
@@ -314,41 +352,43 @@ def default_time_set() -> np.ndarray:
     return np.linspace(0.0, 1.0, 60)
 
 
-def thm6_evolution(seed: int, n: int, k: int) -> HankelEvolution:
-    """The Hankel evolution of the seed's profile on the output nodes of the
-    thm6_sides left side."""
-    return HankelEvolution(uniform_profile(*random_profile_func(seed), 768),
-                           BesselOrder.from_dimension(n, k), np.linspace(0.02, 40.0, 2000))
+THM6_OUT_NODES = np.linspace(0.02, 40.0, 2000)
 
 
-def thm6_sides(seed: int, evolution: HankelEvolution) -> tuple[float, float]:
+def thm6_profile(seed: int) -> RadialProfile:
+    """The seed's profile f1 on the 768 nodes of the thm6 check."""
+    return uniform_profile(*random_profile_func(seed), 768)
+
+
+def thm6_sups(seeds, nu: BesselOrder) -> np.ndarray:
+    """sup_E |H_t f1| on ``THM6_OUT_NODES`` for each seed's profile, a row per
+    seed, all seeds in one pass over the kernel (``hankel_sups``)."""
+    return hankel_sups([thm6_profile(seed) for seed in seeds], nu, THM6_OUT_NODES,
+                       default_time_set(), 2.0)
+
+
+def thm6_sides(seed: int, nu: BesselOrder, sup: np.ndarray) -> tuple[float, float]:
     """Both sides of the dimension-reduction inequality
 
     alpha_n ||S_E^{*(n)} f_P|| <= alpha_1 sqrt(2) ||S_E^{*(1)} check(f1)|| + A_nu ||f1||.
 
-    The left side is the radial maximal norm via the Hankel reduction; the
-    right side evolves the line function with spectrum f1 (supported on the
-    positive axis) on a periodic grid of 1024 points on [-32, 32).
-    Truncations only lower the left side, so the check is one-sided safe.
-    ``evolution``, from ``thm6_evolution`` for (n, k) and any seed, lends
-    its kernel matrix and its order nu to this seed.
+    The left side is the radial maximal norm via the Hankel reduction, from
+    ``sup``, the seed's row of ``thm6_sups``; the right side evolves the line
+    function with spectrum f1 (supported on the positive axis) on a periodic
+    grid of 1024 points on [-32, 32).  Truncations only lower the left side,
+    so the check is one-sided safe.
     """
     from schromax.special import schur_constant_for_order
 
-    func, support = random_profile_func(seed)
-    evo = evolution.for_profile(uniform_profile(func, support, 768))
-    f1 = evo.f1
-    times = default_time_set()
-    sup = evo.sup_field(times, 2.0)
-    lhs = float(np.sqrt(np.sum(trapezoid_weights(evo.out_nodes) * sup ** 2)))
+    lhs = float(np.sqrt(np.sum(trapezoid_weights(THM6_OUT_NODES) * sup ** 2)))
 
+    func, _ = random_profile_func(seed)
     line_grid = GridSpec(1024, 32.0)
     xi = line_grid.xi_nodes()
     coeffs = np.where(xi > 0, func(np.abs(xi)), 0.0)
     F = SpectralFunction1D(line_grid, coeffs)
-    sup = sup_over_times(F, times, 2.0)
-    line_norm = float(np.sqrt(np.sum(sup ** 2) * line_grid.dx))
-    a_nu = schur_constant_for_order(evo.nu.two_nu).value
-    rhs = SQRT_TWO_PI * math.sqrt(2.0) * line_norm + a_nu * f1.norm()
+    line_sup = sup_over_times(F, default_time_set(), 2.0)
+    line_norm = float(np.sqrt(np.sum(line_sup ** 2) * line_grid.dx))
+    a_nu = schur_constant_for_order(nu.two_nu).value
+    rhs = SQRT_TWO_PI * math.sqrt(2.0) * line_norm + a_nu * thm6_profile(seed).norm()
     return lhs, rhs
-

@@ -212,7 +212,8 @@ class TestRemainderSplit:
         assert shared._phase_memo is base._phase_memo
 
     def test_shared_profile_allocates_no_matrix(self):
-        evo = radial.thm6_evolution(0, 2, 0)
+        evo = radial.HankelEvolution(radial.thm6_profile(0), BesselOrder.from_dimension(2, 0),
+                                     radial.THM6_OUT_NODES)
         f1 = radial.uniform_profile(radial.random_profile_func(1)[0], 6.0, 768)
         tracemalloc.start()
         try:
@@ -272,22 +273,38 @@ class TestKernelProducts:
                 else special.remainder_kernel(nu, products))
         assert np.array_equal(evo._kernel, want)
 
-    def test_blocked_kernel_is_the_full_evaluation(self):
-        evo = radial.thm6_evolution(0, 2, 0)
-        want = special.bessel_kernel(evo.nu, np.outer(evo.out_nodes, evo.f1.nodes))
-        assert np.array_equal(evo._kernel, want)
+    def test_blocked_kernel_is_the_full_evaluation(self, monkeypatch):
+        # the thm6 pass builds its kernel in row blocks that together are the
+        # full evaluation, each row once and in order
+        blocks = []
 
-    def test_blocked_build_peak(self):
+        def recording(kernel, rows, cols):
+            blocks.append(_kernel_matrix(kernel, rows, cols))
+            return blocks[-1]
+
+        _kernel_matrix = radial._kernel_matrix
+        monkeypatch.setattr(radial, "_kernel_matrix", recording)
+        nu = BesselOrder.from_dimension(2, 0)
+        radial.thm6_sups([0, 1], nu)
+        assert len(blocks) == 48
+        nodes = radial.thm6_profile(0).nodes
+        want = special.bessel_kernel(nu, np.outer(radial.THM6_OUT_NODES, nodes))
+        assert np.array_equal(np.concatenate(blocks), want)
+
+    def test_thm6_left_side_peak(self):
+        nu = BesselOrder.from_dimension(2, 0)
         tracemalloc.start()
         try:
-            evo = radial.thm6_evolution(0, 2, 0)
+            sups = radial.thm6_sups(range(3), nu)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the 2000 x 768 kernel is 11.72 MiB; a full matrix of its products
-        # would take as much again
-        assert evo._kernel.nbytes == 2000 * 768 * 8
-        assert peak <= 16 * 2 ** 20
+        # 6.12 MiB measured: the 768 x 180 stacked right-hand sides (2.1 MiB),
+        # one phase table and one kernel block's temporaries.  The 2000 x 768
+        # kernel alone is 11.72 MiB; holding it, as one evolution per
+        # experiment did, peaked at 15.24 MiB.
+        assert sups.shape == (3, 2000)
+        assert peak <= 8 * 2 ** 20
 
     def test_complex_kernels_are_the_full_evaluation(self):
         # blowup's stationary and counter-rotating branches on its radii, and
@@ -309,6 +326,43 @@ class TestKernelProducts:
         evo = radial.KernelEvolution(radial.random_profile(seed), self.OUT,
                                      lambda rs: g * np.exp(1j * rs))
         self._check(evo)
+
+
+class TestStreamedSups:
+    """hankel_sups, byte for byte, against the full kernel matrix's product."""
+
+    NU = BesselOrder.from_dimension(2, 0)
+    TIMES = np.linspace(0.0, 1.0, 60)
+
+    def _full(self, f1, out):
+        kernel = special.bessel_kernel(self.NU, np.outer(out, f1.nodes))
+        rhs = (f1.values * f1.weights)[:, None] * np.exp(
+            1j * (f1.nodes ** 2.0)[:, None] * self.TIMES[None, :])
+        return np.abs((kernel @ rhs.view(np.float64)).view(np.complex128)).max(axis=1)
+
+    # kernel entries per block: 42 (the default), 128, 500 and 2000 rows of
+    # 768 columns; 2000 output nodes are 47 full blocks of 42 and one of 26
+    @pytest.mark.parametrize("entries", [radial._KERNEL_BLOCK, 128 * 768, 500 * 768,
+                                         2000 * 768])
+    def test_equal_to_full_matrix(self, monkeypatch, entries):
+        monkeypatch.setattr(radial, "_KERNEL_BLOCK", entries)
+        profiles = [radial.thm6_profile(seed) for seed in range(3)]
+        out = radial.THM6_OUT_NODES
+        stacked = radial.hankel_sups(profiles, self.NU, out, self.TIMES, 2.0)
+        for f1, row in zip(profiles, stacked):
+            want = self._full(f1, out)
+            assert np.array_equal(row, want)
+            assert np.array_equal(radial.hankel_sups([f1], self.NU, out, self.TIMES, 2.0)[0],
+                                  want)
+
+    def test_odd_sizes(self):
+        # 100 nodes give blocks of 327 rows: 1000 output nodes are three full
+        # blocks and one of 19
+        profiles = [radial.random_profile(seed, count=100) for seed in (4, 5)]
+        out = np.linspace(0.05, 30.0, 1000)
+        stacked = radial.hankel_sups(profiles, self.NU, out, self.TIMES, 2.0)
+        for f1, row in zip(profiles, stacked):
+            assert np.array_equal(row, self._full(f1, out))
 
 
 def _oracle_full_ifft2(f1, t, a, grid, radii):
@@ -417,12 +471,20 @@ class TestDimensionalLift:
         assert radial.alpha(2) == pytest.approx(2.0 * math.pi, rel=1e-15)
 
     def test_thm6_inequality_sample(self):
-        lhs, rhs = radial.thm6_sides(0, radial.thm6_evolution(0, 2, 0))
+        nu = BesselOrder.from_dimension(2, 0)
+        lhs, rhs = radial.thm6_sides(0, nu, radial.thm6_sups([0], nu)[0])
         assert lhs <= rhs
 
     def test_thm6_shared_evolution_matches_fresh(self):
-        shared = radial.thm6_sides(1, radial.thm6_evolution(0, 2, 0))
-        assert shared == radial.thm6_sides(1, radial.thm6_evolution(1, 2, 0))
+        # seed 1's row of the pass over seeds 0-2 against a fresh evolution of
+        # its profile alone
+        nu = BesselOrder.from_dimension(2, 0)
+        shared = radial.thm6_sups([0, 1, 2], nu)[1]
+        fresh = radial.HankelEvolution(radial.thm6_profile(1), nu, radial.THM6_OUT_NODES)
+        assert np.array_equal(shared, fresh.sup_field(radial.default_time_set(), 2.0))
+        alone = radial.thm6_sups([1], nu)[0]
+        assert np.array_equal(shared, alone)
+        assert radial.thm6_sides(1, nu, shared) == radial.thm6_sides(1, nu, alone)
 
 
 class TestRandomProfiles:

@@ -272,7 +272,7 @@ class TestFarFieldAvoidsJv:
         assert all(nu == two_nu / 2 and np.all(r < radius) for nu, r in jv_radii)
 
     def test_hankel_evolution_never_calls_jv(self, jv_radii):
-        radial.thm6_evolution(0, 2, 0)
+        radial.thm6_sups([0], BesselOrder.from_dimension(2, 0))
         assert jv_radii == []
 
 
