@@ -474,9 +474,12 @@ def _seq_classify(p, workers):
         ok = summary["lr_convergent"] and not growing
     else:
         ok = growing
-    # and the closed-form counts must match a direct count over the terms
-    ok = ok and all(np.count_nonzero(seq.prefix(c + 2) > b) == c
-                    for b, c in zip(b_grid, counts) if c <= 2 ** 16)
+    # and the closed-form counts must match a direct count over the terms,
+    # each within the slice of one prefix that holds them all
+    checked = [(b, c) for b, c in zip(b_grid, counts) if c <= 2 ** 16]
+    if ok and checked:
+        terms = seq.prefix(max(c for _, c in checked) + 2)
+        ok = all(np.count_nonzero(terms[:c + 2] > b) == c for b, c in checked)
     return ({"classify.csv": (("b", "count", "b_r_count"), rows)}, summary, ok)
 
 
@@ -545,14 +548,18 @@ EXPERIMENTS = {
 
 
 def _library_versions() -> dict:
-    """The python, numpy and scipy versions.  Importing top-level scipy
-    loads none of its submodules; the imports are deferred to keep them out
-    of the time of importing the harness."""
+    """The python, numpy and scipy versions.  scipy's is read from the
+    `version = "..."` line of the version.py that `import scipy` would read,
+    so that processes which load no scipy otherwise do not import it."""
+    import importlib.util
     import platform
+    import re
 
-    import scipy
+    scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    with open(os.path.join(scipy_dir, "version.py"), encoding="utf-8") as fh:
+        scipy_version = re.search(r'^version = "(.+)"$', fh.read(), re.M).group(1)
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy_version}
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, force: bool = False,

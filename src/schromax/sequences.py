@@ -11,6 +11,8 @@ import numpy as np
 
 # the most members one members_in call returns
 MEMBER_CAP = 10_000_000
+# the terms lr_doubling_sums evaluates at a time
+SUM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -126,20 +128,30 @@ def weak_lr_trend(seq: TimeSequence, r: float, b_grid=None) -> tuple[float, floa
     return coarse, fine, bool(fine > 1.25 * coarse)
 
 
-def lr_partial_sum(seq: TimeSequence, r: float, M: int) -> float:
-    """Partial sum of t_m^r over m <= M."""
+def lr_doubling_sums(seq: TimeSequence, r: float, M: int = 100_000) -> tuple[float, float]:
+    """(S_M, S_2M), the partial sums of t_m^r over m <= M and m <= 2M.
+
+    The terms are evaluated once, SUM_BLOCK at a time, up to the first block
+    that ends in 0.0: the terms decrease, so every later one is 0.0 too and
+    adds nothing.  At r = 0 every term is 1 (0.0 ** 0 is 1).
+    """
     if r < 0:
         raise ValueError("r must be nonnegative")
     if r == 0:
-        return float(M)
-    return float(np.sum(seq.prefix(M) ** r))
+        return float(M), float(2 * M)
+    blocks = []
+    for start in range(1, 2 * M + 1, SUM_BLOCK):
+        blocks.append(seq.term(np.arange(start, min(start + SUM_BLOCK, 2 * M + 1))) ** r)
+        if blocks[-1][-1] == 0.0:
+            break
+    terms = np.concatenate(blocks)
+    return float(np.sum(terms[:M])), float(np.sum(terms))
 
 
 def lr_converges(seq: TimeSequence, r: float) -> bool:
     """Doubling heuristic: the sum looks convergent if S_{2M} - S_M is below
     1% of S_{2M}, M = 10^5."""
-    s1 = lr_partial_sum(seq, r, 100_000)
-    s2 = lr_partial_sum(seq, r, 200_000)
+    s1, s2 = lr_doubling_sums(seq, r)
     if s1 == 0:
         return True
     return (s2 - s1) / s2 < 0.01

@@ -495,18 +495,22 @@ class TestEmitPlotData:
 
 
 def test_import_leaves_out_scipy_integrate(tmp_path):
-    # scipy.special stays out of the scan processes too: the uniform-grid
-    # (eq6) and the sequence (lemma4) sups run on numpy alone, every pool
-    # worker is forked from the process that imported the harness, and the
-    # manifest reads the scipy version from top-level scipy
+    # scipy stays out of the scan and sequence processes altogether: the
+    # uniform-grid (eq6) and the sequence (lemma4) sups, the sequence classes
+    # and the convergence probe run on numpy alone, every pool worker is
+    # forked from the process that imported the harness, and the manifest
+    # reads the scipy version from scipy's version.py without importing it
     cfg = "{'lam_exponents': [4, 5], 'seeds': [0]}"
     code = ("import sys, schromax.harness, schromax.cli; "
             "print('scipy.integrate' in sys.modules); "
             "schromax.harness.run_experiment(schromax.harness.ExperimentConfig("
             f"'eq6-scan', {cfg}), {str(tmp_path / 'eq6')!r}); "
             f"schromax.harness.run('lemma4-scan', {cfg}); "
-            "print('scipy.special' in sys.modules)")
+            "print('scipy.special' in sys.modules); "
+            "schromax.harness.run('seq-classify', {}); "
+            "schromax.harness.run('convergence-probe', {}); "
+            "print('scipy' in sys.modules)")
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.split() == ["False", "False", "False"]

@@ -113,5 +113,25 @@ class TestWeakClasses:
     def test_partial_sum_oracle(self):
         seq = TimeSequence("geometric", ratio=0.5)
         # sum_{m=1..M} 2^{-m} = 1 - 2^{-M}
-        assert sequences.lr_partial_sum(seq, 1.0, 20) == pytest.approx(
-            1.0 - 2.0 ** -20)
+        s1, s2 = sequences.lr_doubling_sums(seq, 1.0, 20)
+        assert s1 == pytest.approx(1.0 - 2.0 ** -20)
+        assert s2 == pytest.approx(1.0 - 2.0 ** -40)
+
+    @pytest.mark.parametrize("seq", [
+        TimeSequence("geometric", ratio=0.5),     # 0.0 from m = 1,075 on
+        TimeSequence("geometric", ratio=0.999),   # no zero term
+        TimeSequence("power", alpha=80.0),        # 0.0 from m near 11,000 on
+        TimeSequence("log"),
+    ], ids=["geom.5", "geom.999", "power80", "log"])
+    @pytest.mark.parametrize("r", [0.0, 0.25, 1.0, 2.0])
+    def test_doubling_sums_match_full_evaluation(self, seq, r):
+        # the sums that stop at the first block ending in 0.0 against both
+        # partial sums over every term up to M and 2M
+        M = 100_000
+        full = [float(np.sum(seq.prefix(n) ** r)) for n in (M, 2 * M)]
+        sums = sequences.lr_doubling_sums(seq, r, M)
+        assert sums == pytest.approx(full, rel=4 * np.finfo(float).eps, abs=0.0)
+        converges = full[0] == 0 or (full[1] - full[0]) / full[1] < 0.01
+        assert sequences.lr_converges(seq, r) == converges
+        if r == 0:
+            assert sums == (M, 2 * M) and not converges
