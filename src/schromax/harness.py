@@ -376,15 +376,14 @@ def _prop3_bound(p, workers):
         quadrature[str(two_nu)] = {
             "far_radius": radius if math.isfinite(radius) else None,
             "panels": schur.panels, "tail": schur.tail}
-        op = None
-        for seed, f1 in enumerate(profiles):
-            # every profile shares the nodes, so the kernels are built once per order
-            op = radial.RemainderOperator(f1, nu, f1.nodes) if op is None else op.for_profile(f1)
-            sup = op.rem_sup(times, 2.0)
+        # every profile shares the nodes, so the kernel is built once per order
+        op = radial.RemainderOperator(profiles[0], nu, profiles[0].nodes)
+        for seed, (f1, sup) in enumerate(zip(profiles, op.rem_sup(profiles, times, 2.0))):
             rem_norm = float(np.sqrt(np.sum(f1.weights * sup ** 2)))
             rhs = bound * f1.norm()
             margins[two_nu] = max(margins.get(two_nu, -math.inf), rem_norm - rhs)
             rows.append((two_nu, seed, rem_norm, rhs))
+        del op, sup     # this order's kernel and sups, before the next order's
     worst_margin = max(margins[nu.two_nu] for nu in orders if not nu.kernel_vanishes)
     summary = {"worst_margin": worst_margin,
                "worst_margin_by_two_nu": {str(t): m for t, m in margins.items()},

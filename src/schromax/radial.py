@@ -12,7 +12,6 @@ plus a remainder controlled by the Schur constant of |K_nu|; each part is a
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -143,54 +142,43 @@ class KernelEvolution:
     256 KiB or more in place, as ``tmp * c``, and a complex product rounds
     differently with its operands swapped; blowup's complex kernels stay
     below that size.  None is the zero kernel.  The matrix is built once; a
-    batch of times then costs one matrix product, and ``for_profile`` reuses
-    the matrix and the phase table of the last time batch for other profiles
-    on the same nodes.
+    batch of times then costs one matrix product per profile, and ``sups``
+    takes any profiles on f1's nodes.
     """
 
     def __init__(self, f1: RadialProfile, out_nodes: np.ndarray, kernel):
         self.f1 = f1
         self.out_nodes = np.asarray(out_nodes, dtype=float)
         self._kernel = _kernel_matrix(kernel, self.out_nodes, f1.nodes)
-        # (a, times, e^{i t s^a}) of the last sup_field batch; for_profile
-        # copies share this dict, and with it the table
-        self._phase_memo = {}
 
-    def for_profile(self, f1: RadialProfile) -> "KernelEvolution":
-        """The evolution of f1 (same nodes as this profile), sharing the kernel
-        matrix and the phase table."""
-        if not np.array_equal(f1.nodes, self.f1.nodes):
-            raise ValueError("profile nodes differ from the kernel's nodes")
-        evo = copy.copy(self)
-        evo.f1 = f1
-        return evo
-
-    def _apply(self, phases: np.ndarray) -> np.ndarray:
+    def _apply(self, f1: RadialProfile, phases: np.ndarray) -> np.ndarray:
         """kernel @ (values * weights * phases), phases of shape (nodes, times)."""
-        return _product(self._kernel, (self.f1.values * self.f1.weights)[:, None] * phases)
+        return _product(self._kernel, (f1.values * f1.weights)[:, None] * phases)
 
     def field(self, t: float, a: float) -> np.ndarray:
-        return self._apply(np.exp(1j * t * self.f1.nodes ** a)[:, None])[:, 0]
+        return self._apply(self.f1, np.exp(1j * t * self.f1.nodes ** a)[:, None])[:, 0]
 
-    def _phases(self, t_values, a: float) -> np.ndarray:
-        """The table e^{i t s^a} of shape (nodes, times), computed once per
-        (times, a) in a row."""
-        t = np.array(t_values, dtype=float)
-        memo = self._phase_memo
-        if not (memo and memo["a"] == a and np.array_equal(memo["t"], t)):
-            memo.update(a=a, t=t, table=_phase_table(self.f1.nodes, t, a))
-        return memo["table"]
+    def sups(self, profiles: list[RadialProfile], t_values, a: float) -> np.ndarray:
+        """sup over the time batch of |field| at each output node for each profile
+        on f1's nodes, shape (profiles, out_nodes): one phase table, then one
+        product per profile, so that no two right-hand sides are held at once."""
+        if any(not np.array_equal(f.nodes, self.f1.nodes) for f in profiles):
+            raise ValueError("profile nodes differ from the kernel's nodes")
+        phases = _phase_table(self.f1.nodes, np.array(t_values, dtype=float), a)
+        out = np.empty((len(profiles), self.out_nodes.size))
+        for row, f1 in zip(out, profiles):
+            row[:] = np.abs(self._apply(f1, phases)).max(axis=1)
+        return out
 
     def sup_field(self, t_values, a: float) -> np.ndarray:
         """sup over the time batch of |field| at each output node."""
-        return np.abs(self._apply(self._phases(t_values, a))).max(axis=1)
+        return self.sups([self.f1], t_values, a)[0]
 
 
 class HankelEvolution(KernelEvolution):
     """H_t f1 on fixed output nodes: the kernel (rs)^{1/2} J_nu(rs)."""
 
     def __init__(self, f1: RadialProfile, nu: BesselOrder, out_nodes: np.ndarray):
-        self.nu = nu
         super().__init__(f1, out_nodes, partial(bessel_kernel, nu))
 
 
@@ -216,10 +204,10 @@ def hankel_sups(profiles: list[RadialProfile], nu: BesselOrder, out_nodes: np.nd
     """sup over the time batch of |H_t f1| at each output node, for each profile
     (all on the same nodes): shape (profiles, out_nodes).
 
-    The rows are ``HankelEvolution(f1, nu, out_nodes).sup_field`` for each
-    f1, but no kernel matrix is held.  The kernel is built a row block at a
-    time, about ``_KERNEL_BLOCK`` entries (``_kernel_matrix``), and each block
-    is multiplied once by every profile's right-hand side, stacked as columns;
+    The rows are ``HankelEvolution(profiles[0], nu, out_nodes).sups``, but no
+    kernel matrix is held.  The kernel is built a row block at a time, about
+    ``_KERNEL_BLOCK`` entries (``_kernel_matrix``), and each block is
+    multiplied once by every profile's right-hand side, stacked as columns;
     only each profile's max over its own times is kept.  The tests check the
     bytes against the full matrix's product.
     """
@@ -254,11 +242,11 @@ class RemainderOperator(KernelEvolution):
         kernel = None if nu.kernel_vanishes else partial(remainder_kernel, nu)
         super().__init__(f1, out_nodes, kernel)
 
-    def rem_sup(self, t_values, a: float) -> np.ndarray:
-        """sup_field; zeros, with no phases and no product, where K_nu = 0."""
+    def rem_sup(self, profiles: list[RadialProfile], t_values, a: float) -> np.ndarray:
+        """sups; zero rows, with no phases and no product, where K_nu = 0."""
         if self.nu.kernel_vanishes:
-            return np.zeros(self.out_nodes.size)
-        return self.sup_field(t_values, a)
+            return np.zeros((len(profiles), self.out_nodes.size))
+        return self.sups(profiles, t_values, a)
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,17 @@ class TimeSequence:
 
     def term(self, m) -> np.ndarray | float:
         """t_m for 1-indexed m (vectorized)."""
+        return self.term_power(m, 1.0)
+
+    def term_power(self, m, r: float) -> np.ndarray | float:
+        """t_m^r in closed form: t_m ** r is 0.0 wherever t_m underflows."""
         m_arr = np.asarray(m, dtype=float)
         if self.kind == "power":
-            out = (m_arr + 1.0) ** (-self.alpha)
+            out = (m_arr + 1.0) ** (-self.alpha * r)
         elif self.kind == "geometric":
-            out = self.ratio ** m_arr
+            out = self.ratio ** (m_arr * r)
         else:
-            out = 1.0 / np.log(m_arr + 2.0)
+            out = (1.0 / np.log(m_arr + 2.0)) ** r
         return out if np.ndim(m) else float(out)
 
     def prefix(self, M: int) -> np.ndarray:
@@ -131,17 +135,15 @@ def weak_lr_trend(seq: TimeSequence, r: float, b_grid=None) -> tuple[float, floa
 def lr_doubling_sums(seq: TimeSequence, r: float, M: int = 100_000) -> tuple[float, float]:
     """(S_M, S_2M), the partial sums of t_m^r over m <= M and m <= 2M.
 
-    The terms are evaluated once, SUM_BLOCK at a time, up to the first block
-    that ends in 0.0: the terms decrease, so every later one is 0.0 too and
-    adds nothing.  At r = 0 every term is 1 (0.0 ** 0 is 1).
+    The terms are evaluated once, in closed form (``term_power``), SUM_BLOCK
+    at a time, up to the first block that ends in 0.0: the terms decrease, so
+    every later one is 0.0 too and adds nothing.  At r = 0 every term is 1.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if r == 0:
-        return float(M), float(2 * M)
     blocks = []
     for start in range(1, 2 * M + 1, SUM_BLOCK):
-        blocks.append(seq.term(np.arange(start, min(start + SUM_BLOCK, 2 * M + 1))) ** r)
+        blocks.append(seq.term_power(np.arange(start, min(start + SUM_BLOCK, 2 * M + 1)), r))
         if blocks[-1][-1] == 0.0:
             break
     terms = np.concatenate(blocks)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,20 @@ class TestProp3Runner:
         monkeypatch.setattr(special, "schur_quadrature", no_quadrature)
         assert harness.run(name, {})[2] == "pass"
 
+    def test_default_peak(self):
+        # one operator per order, each profile's product in turn: 4.73 MiB
+        # traced.  The 50 profiles' right-hand sides stacked as one product
+        # would hold 384 x 8,000 complex entries, 47 MiB
+        harness.run("prop3-bound", {"profiles": 1})
+        tracemalloc.start()
+        try:
+            verdict = harness.run("prop3-bound", {})[2]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict == "pass"
+        assert peak <= 6 * 2 ** 20
+
     def test_vanishing_orders_beside_a_nonzero_kernel(self):
         # the radial workload's orders stay valid
         tables, _, verdict = harness.run("prop3-bound",
@@ -399,6 +414,15 @@ class TestSeqClassifyRunner:
     def test_unknown_generator(self):
         with pytest.raises(ValueError):
             harness.run("seq-classify", {"gen": "zeta"})
+
+    @pytest.mark.parametrize("alpha", [80.0, 100.0])
+    def test_harmonic_power_reads_divergent(self, alpha):
+        # sum t_m^r at r = 1 / alpha is the harmonic series, though t_m
+        # itself underflows inside the doubling window
+        _, summary, verdict = harness.run("seq-classify",
+                                          {"gen": "power", "alpha": alpha, "r": 1.0 / alpha})
+        assert verdict == "pass"
+        assert not summary["lr_convergent"]
 
     @pytest.mark.parametrize("params", [
         *({"gen": "power", "r": r} for r in (0.5, 1.0, 2.0)),

@@ -153,83 +153,58 @@ class TestRemainderSplit:
 
     @pytest.mark.parametrize("two_nu", [-1, 1])
     def test_vanishing_order_sup_equals_zero_product(self, two_nu):
-        # rem_sup skips the product where K_nu = 0; the zero kernel's sup_field
-        # gives the same bytes
+        # rem_sup skips the product where K_nu = 0; the zero kernel's sups
+        # give the same bytes
         nu = BesselOrder(two_nu)
-        f1 = radial.random_profile(2)
-        op = radial.RemainderOperator(f1, nu, f1.nodes)
+        profiles = [radial.random_profile(seed) for seed in (2, 3)]
+        op = radial.RemainderOperator(profiles[0], nu, profiles[0].nodes)
         times = np.linspace(0.0, 1.0, 160)
-        sup = op.rem_sup(times, 2.0)
-        assert sup.dtype == np.float64
-        assert np.array_equal(sup, op.sup_field(times, 2.0))
-        assert not np.signbit(sup).any()
+        sups = op.rem_sup(profiles, times, 2.0)
+        assert sups.dtype == np.float64 and sups.shape == (2, 384)
+        assert np.array_equal(sups, op.sups(profiles, times, 2.0))
+        assert not np.signbit(sups).any()
 
     def test_sup_below_dominator(self):
-        f1 = radial.random_profile(3)
         nu = BesselOrder(0)
-        op = radial.RemainderOperator(f1, nu, f1.nodes)
-        sup = op.rem_sup(np.linspace(0.0, 1.0, 64), 2.0)
+        profiles = [radial.random_profile(seed) for seed in (3, 4)]
+        op = radial.RemainderOperator(profiles[0], nu, profiles[0].nodes)
+        sups = op.rem_sup(profiles, np.linspace(0.0, 1.0, 64), 2.0)
         # the pointwise dominating operator integral |K_nu(rs)| |f1(s)| ds
-        kernel = special.remainder_kernel(nu, np.outer(f1.nodes, f1.nodes))
-        dominator = np.abs(kernel) @ (np.abs(f1.values) * f1.weights)
-        assert np.all(sup <= dominator + 1e-12)
+        nodes = profiles[0].nodes
+        kernel = np.abs(special.remainder_kernel(nu, np.outer(nodes, nodes)))
+        for f1, sup in zip(profiles, sups):
+            assert np.all(sup <= kernel @ (np.abs(f1.values) * f1.weights) + 1e-12)
 
     @pytest.mark.parametrize("two_nu", [0, 3])
     def test_shared_kernel_matches_fresh_build(self, two_nu):
+        # each row of one multi-profile call equals a fresh single-profile
+        # evolution of that profile, byte for byte
         nu = BesselOrder(two_nu)
         times = np.linspace(0.0, 1.0, 32)
-        f0, f1, f2 = (radial.random_profile(seed, count=128) for seed in (0, 1, 2))
-        rem = radial.RemainderOperator(f0, nu, f0.nodes)
-        evo = radial.HankelEvolution(f0, nu, np.linspace(0.1, 20.0, 64))
-        for f in (f1, f2):
-            fresh_rem = radial.RemainderOperator(f, nu, f.nodes)
-            assert np.array_equal(rem.for_profile(f).rem_sup(times, 2.0),
-                                  fresh_rem.rem_sup(times, 2.0))
-            fresh_evo = radial.HankelEvolution(f, nu, evo.out_nodes)
-            assert np.array_equal(evo.for_profile(f).sup_field(times, 2.0),
-                                  fresh_evo.sup_field(times, 2.0))
-        # the original keeps its own profile
-        assert rem.f1 is f0 and evo.f1 is f0
-
-    def test_phase_table_follows_times_and_exponent(self):
-        # the copy and the original share one phase table; alternating time
-        # sets and exponents, and a time array changed in place, must not
-        # reuse a table built for other times
-        nu = BesselOrder(0)
-        f0, f1 = (radial.random_profile(seed, count=128) for seed in (0, 1))
+        profiles = [radial.random_profile(seed, count=128) for seed in (0, 1, 2)]
         out = np.linspace(0.1, 20.0, 64)
-        base = radial.HankelEvolution(f0, nu, out)
-        shared = base.for_profile(f1)
-        early, late = np.linspace(0.0, 1.0, 32), np.linspace(0.5, 2.0, 32)
-        for times, a in [(early, 2.0), (late, 2.0), (early, 3.0), (early, 2.0), (late, 3.0)]:
-            for evo, f in ((shared, f1), (base, f0)):
-                fresh = radial.HankelEvolution(f, nu, out)
-                assert np.array_equal(evo.sup_field(times, a), fresh.sup_field(times, a))
-        shared.sup_field(early, 2.0)
-        early *= 0.5
-        assert np.array_equal(shared.sup_field(early, 2.0),
-                              radial.HankelEvolution(f1, nu, out).sup_field(early, 2.0))
-        assert shared._phase_memo is base._phase_memo
-
-    def test_shared_profile_allocates_no_matrix(self):
-        evo = radial.HankelEvolution(radial.thm6_profile(0), BesselOrder.from_dimension(2, 0),
-                                     radial.THM6_OUT_NODES)
-        f1 = radial.uniform_profile(radial.random_profile_func(1)[0], 6.0, 768)
-        tracemalloc.start()
-        try:
-            shared = evo.for_profile(f1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert shared._kernel is evo._kernel and shared.f1 is f1
-        # a weighted copy of the 2000 x 768 kernel would be 23.4 MiB
-        assert peak < 2 ** 20
+        rem = radial.RemainderOperator(profiles[0], nu, profiles[0].nodes)
+        evo = radial.HankelEvolution(profiles[0], nu, out)
+        rem_sups = rem.rem_sup(profiles, times, 2.0)
+        evo_sups = evo.sups(profiles, times, 2.0)
+        assert rem_sups.shape == (3, 128) and evo_sups.shape == (3, 64)
+        for f, rem_row, evo_row in zip(profiles, rem_sups, evo_sups):
+            assert np.array_equal(
+                rem_row, radial.RemainderOperator(f, nu, f.nodes).rem_sup([f], times, 2.0)[0])
+            assert np.array_equal(evo_row, radial.HankelEvolution(f, nu, out).sup_field(times, 2.0))
+        # a call over other times and another exponent builds its own table
+        assert np.array_equal(evo.sups(profiles[1:2], times + 0.5, 3.0)[0],
+                              radial.HankelEvolution(profiles[1], nu, out).sup_field(times + 0.5, 3.0))
+        assert np.array_equal(evo.sup_field(times, 2.0), evo_sups[0])
 
     def test_shared_kernel_needs_same_nodes(self):
         f1 = radial.random_profile(0, count=128)
+        other = radial.random_profile(0, count=64)
         op = radial.RemainderOperator(f1, BesselOrder(0), f1.nodes)
-        with pytest.raises(ValueError):
-            op.for_profile(radial.random_profile(0, count=64))
+        with pytest.raises(ValueError, match="nodes differ"):
+            op.sups([f1, other], np.linspace(0.0, 1.0, 8), 2.0)
+        with pytest.raises(ValueError, match="nodes differ"):
+            op.rem_sup([other], np.linspace(0.0, 1.0, 8), 2.0)
 
 
 def _kernel_reference(evo, times, a):

@@ -110,6 +110,33 @@ class TestWeakClasses:
         assert sequences.lr_converges(seq, 2.0)
         assert not sequences.lr_converges(seq, 1.0)
 
+    @pytest.mark.parametrize("alpha", [50.0, 80.0, 100.0])
+    def test_power_lr_diverges_past_underflow(self, alpha):
+        # at r = 1 / alpha the sum is the harmonic one.  t_m is 0.0 from m
+        # near 10^(324 / alpha) on, but t_m^r = (m + 1)^-1 is not, so the
+        # doubling window keeps its mass
+        seq = TimeSequence("power", alpha=alpha)
+        r = 1.0 / alpha
+        assert seq.term_power(2 * 10 ** 5, r) == pytest.approx(1.0 / (2 * 10 ** 5 + 1))
+        s1, s2 = sequences.lr_doubling_sums(seq, r)
+        assert s2 - s1 == pytest.approx(math.log(2.0), rel=1e-4)
+        assert not sequences.lr_converges(seq, r)
+
+    @pytest.mark.parametrize("seq", [
+        TimeSequence("power", alpha=0.5), TimeSequence("power", alpha=80.0),
+        TimeSequence("geometric", ratio=0.5), TimeSequence("log"),
+    ], ids=["power.5", "power80", "geom.5", "log"])
+    def test_term_is_the_closed_form(self, seq):
+        # t_m = term_power(m, 1) has the bytes of the plain closed forms, for
+        # arrays and for scalars
+        m = np.arange(1, 3000, dtype=float)
+        want = {"power": lambda m: (m + 1.0) ** (-seq.alpha),
+                "geometric": lambda m: seq.ratio ** m,
+                "log": lambda m: 1.0 / np.log(m + 2.0)}[seq.kind]
+        assert np.array_equal(seq.term(m), want(m))
+        assert [seq.term(k) for k in (1, 7, 2999)] == [float(want(np.float64(k)))
+                                                      for k in (1, 7, 2999)]
+
     def test_partial_sum_oracle(self):
         seq = TimeSequence("geometric", ratio=0.5)
         # sum_{m=1..M} 2^{-m} = 1 - 2^{-M}
